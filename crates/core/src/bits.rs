@@ -19,8 +19,11 @@ use crate::DecompressError;
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits used in the final partial byte (0–7).
-    partial_bits: u32,
+    /// Pending bits not yet in `bytes`: the low `pending_bits` of `acc`,
+    /// oldest first.
+    acc: u64,
+    /// 0–31 between calls: whole 32-bit words are flushed as they fill.
+    pending_bits: u32,
     bits_written: u64,
 }
 
@@ -28,6 +31,15 @@ impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> BitWriter {
         BitWriter::default()
+    }
+
+    /// A writer that appends to `bytes`; [`bit_len`](Self::bit_len) counts
+    /// only the bits written after them.
+    pub(crate) fn appending(bytes: Vec<u8>) -> BitWriter {
+        BitWriter {
+            bytes,
+            ..BitWriter::default()
+        }
     }
 
     /// Total bits written so far (including any partial byte).
@@ -38,42 +50,37 @@ impl BitWriter {
     /// Appends the low `count` bits of `value`, most significant first.
     ///
     /// `count == 0` writes nothing; `count == 32` writes the whole word.
-    /// Both boundaries avoid shift-overflow by masking in `u64`: the naive
-    /// `value & ((1u32 << count) - 1)` wraps (UB-adjacent overflow in
-    /// release builds) at `count == 32`, and the byte-chunk loop never
-    /// shifts by more than 7.
+    /// The value is masked in `u64`, where neither boundary overflows a
+    /// shift, and at most 31 bits are pending beforehand, so the 64-bit
+    /// accumulator never drops an unflushed bit.
     ///
     /// # Panics
     ///
     /// Panics if `count > 32`.
+    #[inline]
     pub fn write(&mut self, value: u32, count: u32) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
-        // Mask wide (count ≤ 32 < 64), so count == 32 keeps every bit and
-        // count == 0 clears them all without an out-of-range shift.
         let value = u64::from(value) & ((1u64 << count) - 1);
-        let mut left = count;
-        while left > 0 {
-            if self.partial_bits == 0 {
-                self.bytes.push(0);
-            }
-            let free = 8 - self.partial_bits; // 1..=8
-            let take = free.min(left);
-            let chunk = ((value >> (left - take)) & ((1u64 << take) - 1)) as u8;
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= chunk << (free - take);
-            self.partial_bits = (self.partial_bits + take) % 8;
-            left -= take;
-        }
+        self.acc = (self.acc << count) | value;
+        self.pending_bits += count;
         self.bits_written += u64::from(count);
+        if self.pending_bits >= 32 {
+            self.pending_bits -= 32;
+            let word = (self.acc >> self.pending_bits) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+        }
     }
 
     /// Pads with zero bits to the next byte boundary; returns the number of
     /// pad bits added (0–7).
     pub fn align_to_byte(&mut self) -> u32 {
-        let pad = (8 - self.partial_bits) % 8;
-        if pad > 0 {
-            self.bits_written += u64::from(pad);
-            self.partial_bits = 0;
+        let pad = (8 - self.pending_bits % 8) % 8;
+        self.acc <<= pad;
+        self.pending_bits += pad;
+        self.bits_written += u64::from(pad);
+        while self.pending_bits > 0 {
+            self.pending_bits -= 8;
+            self.bytes.push((self.acc >> self.pending_bits) as u8);
         }
         pad
     }
@@ -260,6 +267,38 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Long runs of mixed-width writes and mid-stream alignments, appended
+    /// after existing bytes, cross the accumulator's word flushes at every
+    /// phase; the bytes must still match the bit-at-a-time reference.
+    #[test]
+    fn long_mixed_streams_match_reference() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for prefix in 0..3usize {
+            let mut w = BitWriter::appending(vec![0xa5; prefix]);
+            let mut ref_bytes = vec![0xa5; prefix];
+            let mut partial = 0u32;
+            let mut bits = 0u64;
+            for step in 0..2000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if step % 97 == 96 {
+                    let pad = w.align_to_byte();
+                    assert_eq!(pad, (8 - partial) % 8);
+                    bits += u64::from(pad);
+                    partial = 0;
+                    continue;
+                }
+                let (value, count) = ((x >> 32) as u32, (x >> 26) as u32 % 33);
+                w.write(value, count);
+                reference_write(&mut ref_bytes, &mut partial, value, count);
+                bits += u64::from(count);
+                assert_eq!(w.bit_len(), bits);
+            }
+            assert_eq!(w.into_bytes(), ref_bytes, "prefix={prefix}");
         }
     }
 

@@ -38,14 +38,14 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use codepack_mem::{crc32, StreamIntegrity};
 
 use crate::dict::Dictionary;
 use crate::fastdecode::{DecodeBackend, FastDecoder};
-use crate::image::{decode_block_bytes, encode_block, CompressionConfig};
+use crate::image::{decode_block_bytes, encode_block, Codebooks, CompressionConfig};
 use crate::layout::{BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
 use crate::DecompressError;
 
@@ -227,88 +227,82 @@ impl Default for UnpackOptions {
     }
 }
 
-/// Runs `n` index jobs on `workers` threads with a work-stealing counter —
-/// the matrix runner's deterministic pool shape: results land in
-/// per-index [`OnceLock`] slots and are collected in index order, so the
-/// outcome is identical at any worker count.
+/// Splits the jobs `0..n` into contiguous runs and calls `job` once per
+/// run on `workers` threads — the matrix runner's deterministic pool shape.
+/// Workers claim runs of about `n / (workers · 16)` jobs from a shared
+/// counter, so a job of a microsecond pays for one atomic claim per run
+/// rather than per job, and runs are still small enough to balance. One
+/// worker makes a single run of every job. Results come back in run order;
+/// a `job` whose results do not depend on where runs split makes the
+/// outcome identical at any worker count.
 fn run_jobs<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
 where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
 {
     if workers <= 1 || n <= 1 {
-        return (0..n).map(&job).collect();
+        return vec![job(0..n)];
     }
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let run = (n / (workers * 16)).max(1);
+    // The counter hands out disjoint ranges and publishes no data: each
+    // run's result reaches this thread through its worker's join.
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let done = job(i);
-                let _ = slots[i].set(done);
-            });
-        }
+    let mut runs: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let start = next.fetch_add(run, Ordering::Relaxed);
+                        if start >= n {
+                            break done;
+                        }
+                        done.push((start, job(start..n.min(start + run))));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("frame worker panicked"))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker filled every slot"))
-        .collect()
+    runs.sort_unstable_by_key(|&(start, _)| start);
+    runs.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Builds the two dictionaries exactly as [`CodePackImage::compress`] does
-/// (over the zero-padded text), so frame payloads are byte-identical to the
-/// image's compressed stream.
-///
-/// [`CodePackImage::compress`]: crate::CodePackImage::compress
-fn build_dicts(padded: &[u32], config: &CompressionConfig) -> (Dictionary, Dictionary) {
-    let high = Dictionary::build(
-        padded.iter().map(|&w| (w >> 16) as u16),
-        HIGH_DICT_CAPACITY,
-        config.dict_min_count,
-        false,
-    );
-    let low = Dictionary::build(
-        padded.iter().map(|&w| w as u16),
-        LOW_DICT_CAPACITY,
-        config.dict_min_count,
-        config.pin_low_zero,
-    );
-    (high, low)
+/// A run of encoded groups: their payloads back to back, and per group the
+/// payload length and the first block's byte length within it.
+struct EncodedRun {
+    payloads: Vec<u8>,
+    lens: Vec<(u32, u16)>,
 }
 
-/// One encoded group: the concatenated two-block payload and the first
-/// block's byte length within it.
-struct GroupChunk {
-    payload: Vec<u8>,
-    first_len: u16,
-}
-
-fn encode_group(
-    words: &[u32],
-    high: &Dictionary,
-    low: &Dictionary,
-    config: &CompressionConfig,
-) -> GroupChunk {
-    debug_assert_eq!(words.len(), GROUP_WORDS);
-    let mut payload = Vec::new();
-    let mut first_len = 0u16;
-    for (i, block) in words.chunks_exact(BLOCK_WORDS).enumerate() {
-        let (bytes, _, _, _) = encode_block(block, high, low, config);
-        if i == 0 {
-            first_len = u16::try_from(bytes.len()).expect("block fits in u16 bytes");
-        }
-        payload.extend_from_slice(&bytes);
+fn encode_groups(words: &[u32], books: &Codebooks, config: &CompressionConfig) -> EncodedRun {
+    let mut run = EncodedRun {
+        // The text's size: compressed groups are smaller, so the buffer
+        // rarely has to regrow.
+        payloads: Vec::with_capacity(words.len() * 4),
+        lens: Vec::with_capacity(words.len() / GROUP_WORDS),
+    };
+    for group in words.chunks_exact(GROUP_WORDS) {
+        let (first, second) = group.split_at(BLOCK_WORDS);
+        let start = run.payloads.len();
+        encode_block(first, books, config, &mut run.payloads);
+        let first_len = run.payloads.len() - start;
+        encode_block(second, books, config, &mut run.payloads);
+        let payload_len = run.payloads.len() - start;
+        run.lens.push((
+            payload_len as u32,
+            u16::try_from(first_len).expect("block fits in u16 bytes"),
+        ));
     }
-    GroupChunk { payload, first_len }
+    run
 }
 
 /// Computes a chunk's integrity trailer. Parity packs one bit per payload
 /// byte, LSB-first within each trailer byte; CRC-32 is the fault model's
-/// bitwise [`crc32`] over the payload, little-endian.
+/// [`crc32`] over the payload, little-endian.
 fn integrity_trailer(integrity: StreamIntegrity, payload: &[u8]) -> Vec<u8> {
     match integrity {
         StreamIntegrity::None => Vec::new(),
@@ -362,11 +356,12 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
     let padded_len = text.len().div_ceil(GROUP_WORDS) * GROUP_WORDS;
     let mut padded = text.to_vec();
     padded.resize(padded_len, 0);
-    let (high, low) = build_dicts(&padded, &opts.compression);
+    let books = Codebooks::build(&padded, &opts.compression);
+    let (high, low) = (&books.high, &books.low);
 
-    let groups: Vec<&[u32]> = padded.chunks_exact(GROUP_WORDS).collect();
-    let chunks = run_jobs(groups.len(), opts.workers, |g| {
-        encode_group(groups[g], &high, &low, &opts.compression)
+    let runs = run_jobs(padded_len / GROUP_WORDS, opts.workers, |groups| {
+        let words = &padded[groups.start * GROUP_WORDS..groups.end * GROUP_WORDS];
+        encode_groups(words, &books, &opts.compression)
     });
 
     let content_size = (text.len() as u64) * 4;
@@ -386,14 +381,18 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
     out.extend_from_slice(&crc32(&out).to_le_bytes());
 
     let mut meta = Vec::new();
-    for chunk in &chunks {
-        let payload_len = chunk.payload.len() as u32;
-        out.extend_from_slice(&payload_len.to_le_bytes());
-        out.extend_from_slice(&chunk.first_len.to_le_bytes());
-        meta.extend_from_slice(&payload_len.to_le_bytes());
-        meta.extend_from_slice(&chunk.first_len.to_le_bytes());
-        out.extend_from_slice(&chunk.payload);
-        out.extend_from_slice(&integrity_trailer(opts.integrity, &chunk.payload));
+    for run in &runs {
+        let mut payloads = &run.payloads[..];
+        for &(payload_len, first_len) in &run.lens {
+            let payload;
+            (payload, payloads) = payloads.split_at(payload_len as usize);
+            out.extend_from_slice(&payload_len.to_le_bytes());
+            out.extend_from_slice(&first_len.to_le_bytes());
+            meta.extend_from_slice(&payload_len.to_le_bytes());
+            meta.extend_from_slice(&first_len.to_le_bytes());
+            out.extend_from_slice(payload);
+            out.extend_from_slice(&integrity_trailer(opts.integrity, payload));
+        }
     }
     meta.extend_from_slice(&content_size.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
@@ -678,13 +677,20 @@ pub fn unpack_frame(frame: &[u8], opts: &UnpackOptions) -> Result<Vec<u32>, Fram
         low: &header.low,
         fast: fast.as_ref(),
     };
-    let results = run_jobs(n_groups, opts.workers, |g| {
-        let (payload, first_len, trailer) = chunks[g];
-        decoder.decode(payload, first_len, trailer, g as u32)
+    // Each run stops at its first bad group; runs come back in order, so
+    // the first error found is the lowest-numbered group's.
+    let runs = run_jobs(n_groups, opts.workers, |groups| {
+        let mut words = Vec::with_capacity(groups.len() * GROUP_WORDS);
+        for g in groups {
+            let (payload, first_len, trailer) = chunks[g];
+            words.extend_from_slice(&decoder.decode(payload, first_len, trailer, g as u32)?);
+        }
+        Ok::<_, FrameError>(words)
     });
 
-    let mut out = Vec::with_capacity(n_groups * GROUP_WORDS);
-    for words in results {
+    let mut runs = runs.into_iter();
+    let mut out = runs.next().transpose()?.unwrap_or_default();
+    for words in runs {
         out.extend_from_slice(&words?);
     }
     out.truncate(header.n_insns() as usize);

@@ -7,7 +7,8 @@ use crate::dict::Dictionary;
 use crate::fastdecode::{DecodeBackend, DecodeCounters, FastDecoder};
 use crate::layout::{
     class_for_rank, CodewordClass, BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS, HIGH_CLASSES,
-    HIGH_DICT_CAPACITY, INDEX_ENTRY_BYTES, LOW_CLASSES, LOW_DICT_CAPACITY, RAW_TAG, RAW_TAG_BITS,
+    HIGH_DICT_CAPACITY, INDEX_ENTRY_BYTES, LOW_CLASSES, LOW_DICT_CAPACITY, RAW_LEN_BITS, RAW_TAG,
+    RAW_TAG_BITS,
 };
 use crate::stats::CompositionStats;
 use crate::DecompressError;
@@ -116,22 +117,11 @@ impl CodePackImage {
         let mut padded = text.to_vec();
         padded.resize(padded_len, 0);
 
-        let high_dict = Dictionary::build(
-            padded.iter().map(|&w| (w >> 16) as u16),
-            HIGH_DICT_CAPACITY,
-            config.dict_min_count,
-            false,
-        );
-        let low_dict = Dictionary::build(
-            padded.iter().map(|&w| w as u16),
-            LOW_DICT_CAPACITY,
-            config.dict_min_count,
-            config.pin_low_zero,
-        );
+        let books = Codebooks::build(&padded, config);
 
         let mut stats = CompositionStats {
             original_bytes: u64::from(n_insns) * 4,
-            dictionary_bytes: u64::from(high_dict.size_bytes() + low_dict.size_bytes()),
+            dictionary_bytes: u64::from(books.high.size_bytes() + books.low.size_bytes()),
             ..CompositionStats::default()
         };
 
@@ -139,8 +129,7 @@ impl CodePackImage {
         let mut blocks = Vec::with_capacity(padded_len / BLOCK_INSNS as usize);
         for chunk in padded.chunks_exact(BLOCK_INSNS as usize) {
             let byte_offset = bytes.len() as u32;
-            let (block_bytes, cum_bits, raw_mask, delta) =
-                encode_block(chunk, &high_dict, &low_dict, config);
+            let (cum_bits, raw_mask, delta) = encode_block(chunk, &books, config, &mut bytes);
             stats.compressed_tag_bits += delta.compressed_tag_bits;
             stats.dict_index_bits += delta.dict_index_bits;
             stats.raw_tag_bits += delta.raw_tag_bits;
@@ -149,12 +138,12 @@ impl CodePackImage {
             stats.raw_halfwords += delta.raw_halfwords;
             stats.raw_blocks += delta.raw_blocks;
             stats.blocks += 1;
-            let byte_len = u16::try_from(block_bytes.len()).expect("block fits in u16 bytes");
+            let byte_len =
+                u16::try_from(bytes.len() - byte_offset as usize).expect("block fits in u16 bytes");
             assert!(
                 u32::from(byte_len) <= SECOND_OFFSET_MASK,
                 "block of {byte_len} bytes exceeds the index second-offset field"
             );
-            bytes.extend_from_slice(&block_bytes);
             blocks.push(BlockInfo {
                 byte_offset,
                 byte_len,
@@ -177,8 +166,8 @@ impl CodePackImage {
         stats.index_table_bytes = index.len() as u64 * u64::from(INDEX_ENTRY_BYTES);
 
         CodePackImage {
-            high_dict,
-            low_dict,
+            high_dict: books.high,
+            low_dict: books.low,
             index,
             bytes,
             blocks,
@@ -526,26 +515,85 @@ pub(crate) struct BlockDelta {
     raw_blocks: u64,
 }
 
+/// One dictionary rank's codeword: tag and index bits, right-aligned, and
+/// their lengths.
+#[derive(Clone, Copy)]
+struct Codeword {
+    bits: u16,
+    len: u8,
+    tag_bits: u8,
+}
+
+/// Codewords by rank; `None` for a rank no class covers, which encodes as
+/// a raw escape.
+fn codewords(dict: &Dictionary, classes: &[CodewordClass; 5]) -> Vec<Option<Codeword>> {
+    dict.iter()
+        .map(|(rank, _)| {
+            class_for_rank(classes, rank).map(|c| Codeword {
+                bits: (u16::from(c.tag) << c.index_bits) | (rank - c.base),
+                len: c.len_bits(),
+                tag_bits: c.tag_bits,
+            })
+        })
+        .collect()
+}
+
+/// A text's two dictionaries and each one's codewords by rank. Built once
+/// per [`CodePackImage::compress`] or [`crate::frame::pack_frame`] — both
+/// get their dictionaries here, so frame payloads equal the image's
+/// compressed stream — after which the block encoder spends one rank
+/// lookup and one write per half-word.
+pub(crate) struct Codebooks {
+    pub(crate) high: Dictionary,
+    pub(crate) low: Dictionary,
+    high_codes: Vec<Option<Codeword>>,
+    low_codes: Vec<Option<Codeword>>,
+}
+
+impl Codebooks {
+    /// Builds both dictionaries over `padded`, the text zero-padded to a
+    /// whole compression group.
+    pub(crate) fn build(padded: &[u32], config: &CompressionConfig) -> Codebooks {
+        let high = Dictionary::build(
+            padded.iter().map(|&w| (w >> 16) as u16),
+            HIGH_DICT_CAPACITY,
+            config.dict_min_count,
+            false,
+        );
+        let low = Dictionary::build(
+            padded.iter().map(|&w| w as u16),
+            LOW_DICT_CAPACITY,
+            config.dict_min_count,
+            config.pin_low_zero,
+        );
+        Codebooks {
+            high_codes: codewords(&high, &HIGH_CLASSES),
+            low_codes: codewords(&low, &LOW_CLASSES),
+            high,
+            low,
+        }
+    }
+}
+
+#[inline]
 fn encode_halfword(
     w: &mut BitWriter,
     value: u16,
     dict: &Dictionary,
-    classes: &[CodewordClass; 5],
+    codes: &[Option<Codeword>],
     delta: &mut BlockDelta,
 ) {
-    match dict
-        .rank_of(value)
-        .and_then(|r| class_for_rank(classes, r).map(|c| (r, c)))
-    {
-        Some((rank, class)) => {
-            w.write(u32::from(class.tag), u32::from(class.tag_bits));
-            w.write(u32::from(rank - class.base), u32::from(class.index_bits));
-            delta.compressed_tag_bits += u64::from(class.tag_bits);
-            delta.dict_index_bits += u64::from(class.index_bits);
+    match dict.rank_of(value).and_then(|r| codes[usize::from(r)]) {
+        Some(c) => {
+            w.write(u32::from(c.bits), u32::from(c.len));
+            delta.compressed_tag_bits += u64::from(c.tag_bits);
+            delta.dict_index_bits += u64::from(c.len - c.tag_bits);
         }
         None => {
-            w.write(u32::from(RAW_TAG), u32::from(RAW_TAG_BITS));
-            w.write(u32::from(value), 16);
+            w.write(
+                (u32::from(RAW_TAG) << 16) | u32::from(value),
+                u32::from(RAW_LEN_BITS),
+            );
             delta.raw_tag_bits += u64::from(RAW_TAG_BITS);
             delta.raw_literal_bits += 16;
             delta.raw_halfwords += 1;
@@ -553,19 +601,20 @@ fn encode_halfword(
     }
 }
 
-/// Encodes one block; returns (bytes, cumulative decode bits, raw-escape
-/// mask, stats delta). Shared with the frame packer, which encodes groups
-/// in parallel with the same dictionaries.
+/// Encodes one block, appending its bytes to `out`; returns (cumulative
+/// decode bits, raw-escape mask, stats delta). Shared with the frame
+/// packer, which encodes groups in parallel with the same codebooks.
 pub(crate) fn encode_block(
     words: &[u32],
-    high_dict: &Dictionary,
-    low_dict: &Dictionary,
+    books: &Codebooks,
     config: &CompressionConfig,
-) -> (Vec<u8>, [u16; BLOCK_INSNS as usize + 1], u16, BlockDelta) {
+    out: &mut Vec<u8>,
+) -> ([u16; BLOCK_INSNS as usize + 1], u16, BlockDelta) {
     debug_assert_eq!(words.len(), BLOCK_INSNS as usize);
 
+    let start = out.len();
     let mut delta = BlockDelta::default();
-    let mut w = BitWriter::new();
+    let mut w = BitWriter::appending(std::mem::take(out));
     let mut cum = [0u16; BLOCK_INSNS as usize + 1];
     let mut raw_mask = 0u16;
     // Mode flag: 0 = compressed block.
@@ -576,11 +625,17 @@ pub(crate) fn encode_block(
         encode_halfword(
             &mut w,
             (word >> 16) as u16,
-            high_dict,
-            &HIGH_CLASSES,
+            &books.high,
+            &books.high_codes,
             &mut delta,
         );
-        encode_halfword(&mut w, word as u16, low_dict, &LOW_CLASSES, &mut delta);
+        encode_halfword(
+            &mut w,
+            word as u16,
+            &books.low,
+            &books.low_codes,
+            &mut delta,
+        );
         if delta.raw_halfwords > raw_before {
             raw_mask |= 1 << j;
         }
@@ -595,7 +650,9 @@ pub(crate) fn encode_block(
             raw_blocks: 1,
             ..BlockDelta::default()
         };
-        let mut w = BitWriter::new();
+        let mut bytes = w.into_bytes();
+        bytes.truncate(start);
+        let mut w = BitWriter::appending(bytes);
         w.write(1, 1);
         let mut cum = [0u16; BLOCK_INSNS as usize + 1];
         for (j, &word) in words.iter().enumerate() {
@@ -604,11 +661,13 @@ pub(crate) fn encode_block(
             delta.raw_literal_bits += 32;
         }
         delta.pad_bits += u64::from(w.align_to_byte());
-        return (w.into_bytes(), cum, u16::MAX, delta);
+        *out = w.into_bytes();
+        return (cum, u16::MAX, delta);
     }
 
     delta.pad_bits += u64::from(w.align_to_byte());
-    (w.into_bytes(), cum, raw_mask, delta)
+    *out = w.into_bytes();
+    (cum, raw_mask, delta)
 }
 
 /// Decodes one half-word codeword; the `bool` is `true` when it was a raw

@@ -368,18 +368,62 @@ impl FaultStats {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed bitwise.
-/// This is the reference formulation, not a table-driven fast path — the
-/// simulator checksums a few dozen bytes per miss, and the workspace takes
-/// no dependency that would provide one.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// The reflected CRC-32 polynomial (IEEE 802.3).
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-8 tables: `CRC32_TABLES[0][b]` is the CRC of the byte `b`, and
+/// `CRC32_TABLES[k][b]` that byte followed by `k` zero bytes, so one step
+/// folds eight input bytes with eight independent lookups.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven
+/// eight bytes at a time. The simulator checksums a few dozen bytes per
+/// miss; the `.cpk` frame checksums every group payload it packs or
+/// unpacks.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = 0xffff_ffffu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -469,16 +513,51 @@ mod tests {
         assert_eq!(StreamIntegrity::Crc32.overhead_bytes(40), 4);
     }
 
+    /// The bit-at-a-time CRC-32, kept as the oracle for the table-driven
+    /// one: the frame linter recomputes trailers with `crc32` itself, so it
+    /// cannot catch a wrong table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_reference_vector() {
         // The canonical check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
         // Any single flipped bit changes the CRC.
         let base = crc32(b"codepack");
         let mut corrupt = *b"codepack";
         corrupt[3] ^= 0x10;
         assert_ne!(crc32(&corrupt), base);
+    }
+
+    /// Every length 0..=300 at every start offset 0..8: the eight-byte
+    /// steps, the byte tail, and every alignment of both.
+    #[test]
+    fn table_driven_crc32_equals_bitwise() {
+        let buf: Vec<u8> = (0..308u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start={start} len={len}"
+                );
+            }
+        }
     }
 
     #[test]

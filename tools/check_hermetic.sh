@@ -13,12 +13,9 @@
 #   * no std::time::Instant / SystemTime — wall clock reads
 #   * no rand:: / rand_core:: — randomness (the workspace has no rand
 #     crate; this also blocks a vendored copy sneaking in)
-#   * HashMap/HashSet only in crates/core/src/dict.rs — hash iteration
-#     order is seeded per process, so a HashMap iterated into any
-#     serialized output (frames, reports, tables) is nondeterministic.
-#     dict.rs is the one audited exception: its map feeds a counting
-#     pass whose results are explicitly re-sorted with a total order
-#     before they reach any output.
+#   * no HashMap / HashSet — hash iteration order is seeded per process,
+#     so a hash collection iterated into any serialized output (frames,
+#     reports, tables) is nondeterministic.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,14 +37,7 @@ ban 'SystemTime' "wall-clock SystemTime in a deterministic crate" "${CRATES[@]}"
 ban 'rand::' "randomness in a deterministic crate" "${CRATES[@]}"
 ban 'rand_core::' "randomness in a deterministic crate" "${CRATES[@]}"
 
-# Hash collections everywhere except the audited dict.rs counting pass.
-if hits=$(grep -rn 'HashMap\|HashSet' "${CRATES[@]}" 2>/dev/null \
-        | grep -v '^crates/core/src/dict\.rs:'); then
-    echo "hermeticity: hash collection outside crates/core/src/dict.rs" >&2
-    echo "(seeded iteration order must never feed serialized output):" >&2
-    echo "$hits" >&2
-    fail=1
-fi
+ban 'HashMap\|HashSet' "hash collection in a deterministic crate" "${CRATES[@]}"
 
 if [ "$fail" -ne 0 ]; then
     echo "hermeticity gate FAILED" >&2
