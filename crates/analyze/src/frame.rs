@@ -35,7 +35,9 @@
 //! at lint time even though the frame itself is well-formed.
 
 use codepack_core::frame::{FRAME_MAGIC, FRAME_VERSION, MAX_GROUP_PAYLOAD};
-use codepack_core::layout::{BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
+use codepack_core::layout::{
+    BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, INDEX_ENTRY_BYTES, LOW_DICT_CAPACITY,
+};
 use codepack_core::{CompositionStats, Dictionary, FastDecoder};
 use codepack_isa::TEXT_BASE;
 use codepack_mem::{crc32, StreamIntegrity};
@@ -60,6 +62,15 @@ pub struct FrameWalk {
     pub integrity: StreamIntegrity,
     /// Number of group chunks the walk scanned.
     pub groups: u32,
+    /// The composition recounted from the frame alone, as the in-memory
+    /// image of the same text reports it (Tables 3 and 4): the index
+    /// table the frame's chunk lengths stand in for is charged at one
+    /// entry per group. Only meaningful where no error fired.
+    pub stats: CompositionStats,
+    /// The high dictionary, rank order.
+    pub high_values: Vec<u16>,
+    /// The low dictionary, rank order.
+    pub low_values: Vec<u16>,
     /// Did the whole frame walk without a structural error?
     pub complete: bool,
 }
@@ -71,6 +82,9 @@ impl FrameWalk {
             content_size: 0,
             integrity: StreamIntegrity::None,
             groups: 0,
+            stats: CompositionStats::default(),
+            high_values: Vec::new(),
+            low_values: Vec::new(),
             complete: false,
         }
     }
@@ -268,7 +282,12 @@ pub fn check_frame(frame: &[u8], report: &mut LintReport) -> FrameWalk {
     let n_groups = n_insns.div_ceil(GROUP_INSNS);
     let mut complete = true;
     let mut words: Vec<u32> = Vec::with_capacity((n_groups * GROUP_INSNS) as usize);
-    let mut stats = CompositionStats::default();
+    let mut stats = CompositionStats {
+        original_bytes: header.content_size,
+        index_table_bytes: u64::from(INDEX_ENTRY_BYTES) * u64::from(n_groups),
+        dictionary_bytes: 2 * (header.high_values.len() as u64 + header.low_values.len() as u64),
+        ..CompositionStats::default()
+    };
     let mut meta: Vec<u8> = Vec::new();
     let mut integrity_cap = Capped::new("frame-integrity", PER_CHECK_CAP);
     let mut payload_cap = Capped::new("frame-payload", PER_CHECK_CAP);
@@ -488,6 +507,9 @@ pub fn check_frame(frame: &[u8], report: &mut LintReport) -> FrameWalk {
         content_size: header.content_size,
         integrity: header.integrity,
         groups: scanned,
+        stats,
+        high_values: header.high_values,
+        low_values: header.low_values,
         complete,
     }
 }
@@ -552,6 +574,24 @@ mod tests {
             let unpacked = unpack_frame(&frame, &UnpackOptions::default()).unwrap();
             assert_eq!(walk.words, unpacked, "byte-identical to unpack_frame");
             assert_eq!(walk.words, text);
+        }
+    }
+
+    #[test]
+    fn recount_matches_the_image_of_the_same_text() {
+        for n in [1, 37, 96, 200] {
+            let text = sample_text(n);
+            let mut report = LintReport::new("t");
+            let walk = check_frame(&pack(&text, StreamIntegrity::Parity), &mut report);
+            assert!(report.is_clean(), "{}", report.render());
+            let image = codepack_core::CodePackImage::compress(
+                &text,
+                &codepack_core::CompressionConfig::default(),
+            );
+            assert_eq!(&walk.stats, image.stats(), "{n} instructions");
+            let values = |d: &Dictionary| d.iter().map(|(_, v)| v).collect::<Vec<_>>();
+            assert_eq!(walk.high_values, values(image.high_dict()));
+            assert_eq!(walk.low_values, values(image.low_dict()));
         }
     }
 

@@ -27,7 +27,6 @@ use codepack_core::layout::{
 };
 use codepack_core::{
     decode_block_bytes, BitReader, CodePackImage, CompositionStats, Dictionary, FastDecoder,
-    RomParts,
 };
 use codepack_isa::{decode, TEXT_BASE};
 
@@ -37,8 +36,8 @@ use crate::diag::{Capped, Diagnostic, LintReport, RatioReport};
 /// remainder into [`LintReport::suppressed`].
 const PER_CHECK_CAP: usize = 8;
 
-/// Everything the walker needs, borrowed from either a live
-/// [`CodePackImage`] or raw [`RomParts`].
+/// Everything the walker needs, borrowed from a live [`CodePackImage`]
+/// (or assembled by hand, to lint a damaged variant of one).
 pub struct ImageParts<'a> {
     /// Native instruction count before group padding.
     pub n_insns: u32,
@@ -64,18 +63,6 @@ impl<'a> ImageParts<'a> {
             index: image.index_table(),
             stream: image.compressed_bytes(),
             claimed: image.stats(),
-        }
-    }
-
-    /// Borrows the parts of a structurally-parsed ROM.
-    pub fn of_rom(rom: &'a RomParts) -> ImageParts<'a> {
-        ImageParts {
-            n_insns: rom.n_insns,
-            high_values: rom.high_values.clone(),
-            low_values: rom.low_values.clone(),
-            index: &rom.index,
-            stream: &rom.stream,
-            claimed: &rom.stats,
         }
     }
 }

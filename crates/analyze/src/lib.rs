@@ -59,7 +59,7 @@ pub use frame::{check_frame, lint_frame, FrameWalk};
 pub use image::{check_image, ImageParts, StaticWalk};
 pub use tables::check_decode_tables;
 
-use codepack_core::{CodePackImage, RomParts};
+use codepack_core::CodePackImage;
 use codepack_isa::Program;
 
 /// Lints a native SR32 program: CFG recovery, static CFG checks, the
@@ -87,19 +87,10 @@ pub fn lint_compressed(program: &Program, image: &CodePackImage) -> LintReport {
     report
 }
 
-/// Lints a structurally-parsed ROM without a native reference: the image
-/// checks that do not need the original text (extents, dictionary slots,
-/// padding, stats recount, ratio agreement).
-pub fn lint_rom(rom: &RomParts, target: impl Into<String>) -> LintReport {
-    let mut report = LintReport::new(target);
-    check_image(&ImageParts::of_rom(rom), None, &mut report);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codepack_core::{parse_rom_parts, CompressionConfig};
+    use codepack_core::CompressionConfig;
     use codepack_isa::{encode, Instruction, Reg};
 
     fn halt_program() -> Program {
@@ -124,35 +115,5 @@ mod tests {
         let report = lint_compressed(&program, &image);
         assert!(report.is_clean(), "{}", report.render());
         assert!(report.ratio.is_some());
-    }
-
-    #[test]
-    fn rom_bytes_lint_clean_via_structural_parse() {
-        let program = halt_program();
-        let image = CodePackImage::compress(program.text_words(), &CompressionConfig::default());
-        let rom = parse_rom_parts(&image.to_rom_bytes()).expect("well-formed rom");
-        let report = lint_rom(&rom, "halt.cpk");
-        assert!(report.is_clean(), "{}", report.render());
-    }
-
-    #[test]
-    fn corrupted_rom_index_is_caught_from_bytes_alone() {
-        let program = halt_program();
-        let image = CodePackImage::compress(program.text_words(), &CompressionConfig::default());
-        let mut bytes = image.to_rom_bytes();
-        // Index table begins after magic(4) + n_insns(4) + dict lens(2+2)
-        // + dict entries; corrupt its first byte (little-endian low bits
-        // of the second-block offset).
-        let hi = u16::from_le_bytes([bytes[8], bytes[9]]) as usize;
-        let lo = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
-        let index_at = 12 + 2 * (hi + lo) + 4;
-        bytes[index_at] ^= 0x7f;
-        let rom = parse_rom_parts(&bytes).expect("structure still parses");
-        let report = lint_rom(&rom, "corrupt.cpk");
-        assert!(!report.is_clean(), "{}", report.render());
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| d.check.starts_with("index-") || d.check == "dict-slot"));
     }
 }

@@ -1,9 +1,8 @@
 //! Implementation of the `cpack` subcommands.
 
-use codepack_analyze::{lint_compressed, lint_frame, lint_rom, Diagnostic, LintReport};
+use codepack_analyze::{check_frame, lint_compressed, lint_frame, LintReport, Severity};
 use codepack_baselines::{estimate_thumb, CcrpImage, HuffPackImage, InsnDictImage};
 use codepack_core::frame::{pack_frame, unpack_frame, PackOptions, UnpackOptions};
-use codepack_core::parse_rom_parts;
 use codepack_core::{CodePackImage, CompressionConfig, DecodeBackend};
 use codepack_isa::{decode, Program, TEXT_BASE};
 use codepack_mem::{IntegrityConfig, PPB_SCALE};
@@ -20,8 +19,8 @@ cpack — CodePack code compression toolkit (MICRO-32 1999 reproduction)
 
 USAGE:
     cpack list                          list the benchmark profiles
-    cpack compress <profile> [-o FILE]  compress to a CPK1 ROM image (default <profile>.cpk)
-    cpack inspect  <FILE>               print stats + dictionaries of a ROM image
+    cpack inspect  <FILE.cpk>           print the composition (Tables 3-4) and
+                                        dictionaries of a .cpk frame
     cpack disasm   <profile> [N]        disassemble the first N instructions (default 32)
     cpack sim      <profile> [INSNS]    simulate native vs CodePack (default 500000)
     cpack run      <profile> [INSNS] [--arch 1|4|8] [--model native|cp-base|cp-opt]
@@ -42,8 +41,8 @@ USAGE:
                                         targets, call graph, use-before-def
                                         with callee summaries), decode-table
                                         soundness proof, compressed-image
-                                        checks, and — on a CPKF stream
-                                        frame — the static frame linter
+                                        checks, and — on a .cpk frame
+                                        file — the static frame linter
                                         (chunk extents, CRCs, integrity
                                         trailers, payload decode);
                                         exits nonzero on any error
@@ -201,55 +200,37 @@ pub fn list(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cpack compress <profile> [-o FILE]`
-pub fn compress(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("compress: missing profile name")?;
-    let out = match args.get(1).map(String::as_str) {
-        Some("-o") => args.get(2).ok_or("compress: -o needs a file name")?.clone(),
-        Some(other) => {
-            return Err(format!(
-                "compress: unexpected argument `{other}` (see `cpack help` for usage)"
-            ))
-        }
-        None => format!("{name}.cpk"),
-    };
-    let program = program_for(name)?;
-    let image = CodePackImage::compress(program.text_words(), &CompressionConfig::default());
-    let rom = image.to_rom_bytes();
-    std::fs::write(&out, &rom).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "{name}: {} -> {} bytes ({:.1}%), rom {} bytes -> {out}",
-        image.stats().original_bytes,
-        image.stats().total_bytes(),
-        image.stats().compression_ratio() * 100.0,
-        rom.len()
-    );
-    Ok(())
-}
-
-/// `cpack inspect <FILE>`
+/// `cpack inspect <FILE.cpk>`
+///
+/// Reports a frame's composition from the frame linter's static recount,
+/// so a damaged frame fails with the linter's diagnostics.
 pub fn inspect(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("inspect: missing rom file")?;
+    let path = args.first().ok_or("inspect: missing .cpk file")?;
     no_more("inspect", &args[1..])?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let image = CodePackImage::from_rom_bytes(&bytes).map_err(|e| e.to_string())?;
+    let mut report = LintReport::new(path.as_str());
+    let walk = check_frame(&bytes, &mut report);
+    if !report.is_clean() {
+        let errors: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(|d| d.message.as_str())
+            .collect();
+        return Err(format!("inspect: {path}: {}", errors.join("; ")));
+    }
     println!(
         "{path}: {} instructions, {} blocks, {} groups",
-        image.len_insns(),
-        image.num_blocks(),
-        image.num_groups()
+        walk.content_size / 4,
+        walk.stats.blocks,
+        walk.groups
     );
-    println!("{}", image.stats());
-    println!(
-        "high dictionary: {} entries; head:",
-        image.high_dict().len()
-    );
-    for (rank, value) in image.high_dict().iter().take(6) {
-        println!("  {rank:3} -> {value:#06x}");
-    }
-    println!("low dictionary: {} entries; head:", image.low_dict().len());
-    for (rank, value) in image.low_dict().iter().take(6) {
-        println!("  {rank:3} -> {value:#06x}");
+    println!("{}", walk.stats);
+    for (name, values) in [("high", &walk.high_values), ("low", &walk.low_values)] {
+        println!("{name} dictionary: {} entries; head:", values.len());
+        for (rank, value) in values.iter().take(6).enumerate() {
+            println!("  {rank:3} -> {value:#06x}");
+        }
     }
     Ok(())
 }
@@ -1081,8 +1062,8 @@ pub fn compare(args: &[String]) -> Result<(), String> {
 /// `cpack lint <profile|FILE.cpk> [--json]`
 ///
 /// Lints a benchmark profile (generate, CFG-verify, compress, verify the
-/// image against the native text) or a `.cpk` ROM file (image checks
-/// only — there is no native reference). Exits nonzero when any
+/// image against the native text) or a `.cpk` frame (the static frame
+/// linter — there is no native reference). Exits nonzero when any
 /// Error-severity diagnostic fires, so CI can gate on it.
 pub fn lint(args: &[String]) -> Result<(), String> {
     let target = args
@@ -1107,20 +1088,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
         lint_compressed(&program, &image)
     } else if std::path::Path::new(target).is_file() {
         let bytes = std::fs::read(target).map_err(|e| format!("reading {target}: {e}"))?;
-        if bytes.starts_with(&codepack_core::frame::FRAME_MAGIC) {
-            // A .cpk stream frame: run the static frame linter.
-            let report = lint_frame(&bytes, target.as_str());
-            return finish_lint(&report, json);
-        }
-        match parse_rom_parts(&bytes) {
-            Ok(rom) => lint_rom(&rom, target.as_str()),
-            Err(e) => {
-                let mut r = LintReport::new(target.as_str());
-                r.ran("rom-structure");
-                r.push(Diagnostic::error("rom-structure", e.to_string()));
-                r
-            }
-        }
+        lint_frame(&bytes, target.as_str())
     } else {
         return Err(format!(
             "lint: `{target}` is neither a benchmark profile nor a readable file"

@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! cpack list                          the six benchmark profiles
-//! cpack compress <profile> [-o FILE]  compress to a CPK1 ROM image
-//! cpack inspect  <FILE>               stats + dictionaries of a ROM image
+//! cpack inspect  <FILE.cpk>           composition + dictionaries of a frame
 //! cpack disasm   <profile> [N]        disassemble the first N instructions
 //! cpack sim      <profile> [INSNS]    native vs CodePack on the 4-issue machine
 //! cpack run      <profile> [INSNS] [--arch A] [--model M] [--trace F] [--metrics F]
 //! cpack trace-export <FILE> --chrome [-o FILE]
 //! cpack sweep    <bus|latency|cache> <profile> [INSNS]
 //! cpack compare  <profile>            compression ratio across schemes
-//! cpack lint     <profile|FILE.cpk> [--json]  static CFG + image verification
+//! cpack lint     <profile|FILE.cpk> [--json]  static CFG, image, frame checks
 //! cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
 //!                [--retries N] [--journal DIR] [--resume]
 //! cpack profile  <profile> [INSNS] [--out FILE] [--top N] [--workers N] [--json]
@@ -41,7 +40,6 @@ fn main() -> ExitCode {
     let legacy = |r: Result<(), String>| r.map_err(CliError::Failure);
     let result: Result<(), CliError> = match args.first().map(String::as_str) {
         Some("list") => legacy(commands::list(&args[1..])),
-        Some("compress") => legacy(commands::compress(&args[1..])),
         Some("inspect") => legacy(commands::inspect(&args[1..])),
         Some("disasm") => legacy(commands::disasm(&args[1..])),
         Some("sim") => legacy(commands::sim(&args[1..])),

@@ -12,7 +12,7 @@ fn help_prints_usage() {
     let out = cpack().arg("help").output().expect("spawn");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("compress") && text.contains("sweep"));
+    assert!(text.contains("pack") && text.contains("inspect") && text.contains("sweep"));
 }
 
 #[test]
@@ -33,14 +33,14 @@ fn list_names_all_profiles() {
 }
 
 #[test]
-fn compress_then_inspect_round_trip() {
+fn pack_then_inspect_round_trip() {
     let dir = std::env::temp_dir().join(format!("cpack-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let rom = dir.join("pegwit.cpk");
+    let frame = dir.join("pegwit.cpk");
 
     let out = cpack()
-        .args(["compress", "pegwit", "-o"])
-        .arg(&rom)
+        .args(["pack", "pegwit", "-o"])
+        .arg(&frame)
         .output()
         .expect("spawn");
     assert!(
@@ -48,12 +48,26 @@ fn compress_then_inspect_round_trip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(rom.exists());
+    assert!(frame.exists());
 
-    let out = cpack().arg("inspect").arg(&rom).output().expect("spawn");
-    assert!(out.status.success());
+    let out = cpack().arg("inspect").arg(&frame).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("ratio") && text.contains("dictionary"));
+    assert!(
+        text.contains("ratio") && text.contains("dictionary"),
+        "{text}"
+    );
+
+    // A truncated frame is a typed failure, never a panic.
+    let bytes = std::fs::read(&frame).expect("read");
+    std::fs::write(&frame, &bytes[..bytes.len() / 2]).expect("write");
+    let out = cpack().arg("inspect").arg(&frame).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("truncated"));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -63,7 +77,7 @@ fn inspect_rejects_garbage() {
     let dir = std::env::temp_dir().join(format!("cpack-garbage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let bad = dir.join("bad.cpk");
-    std::fs::write(&bad, b"not a rom at all").expect("write");
+    std::fs::write(&bad, b"not a frame at all").expect("write");
     let out = cpack().arg("inspect").arg(&bad).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("magic"));

@@ -41,7 +41,6 @@ fn every_subcommand_rejects_unknown_flags() {
         vec!["cat", "x.cpk", "--bogus"],
         vec!["profile", "pegwit", "--bogus"],
         vec!["faults", "--bogus"],
-        vec!["compress", "pegwit", "--bogus"],
         vec!["lint", "pegwit", "--bogus"],
         vec!["inspect", "x.cpk", "--bogus"],
         vec!["disasm", "pegwit", "--bogus"],

@@ -1,5 +1,5 @@
 //! End-to-end tests of `cpack lint`: exit codes and the JSON report, on
-//! clean benchmarks and deliberately corrupted ROM images.
+//! clean benchmarks and `.cpk` frames, intact and damaged.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -46,64 +46,33 @@ fn clean_profile_json_is_well_formed() {
 }
 
 #[test]
-fn clean_rom_file_exits_zero() {
-    let rom = scratch("clean.cpk");
-    let out = cpack(&["compress", "pegwit", "-o", rom.to_str().unwrap()]);
+fn clean_frame_file_exits_zero() {
+    let frame = scratch("clean.cpk");
+    let out = cpack(&["pack", "pegwit", "-o", frame.to_str().unwrap()]);
     assert!(out.status.success(), "{:?}", out);
-    let out = cpack(&["lint", rom.to_str().unwrap()]);
+    let out = cpack(&["lint", frame.to_str().unwrap()]);
     assert!(out.status.success(), "{:?}", out);
 }
 
 #[test]
-fn corrupted_index_entry_fails_with_json_diagnostic_naming_the_address() {
-    let rom = scratch("corrupt-index.cpk");
-    let out = cpack(&["compress", "pegwit", "-o", rom.to_str().unwrap()]);
+fn truncated_frame_fails_with_frame_diagnostic() {
+    let frame = scratch("truncated.cpk");
+    let out = cpack(&["pack", "pegwit", "-o", frame.to_str().unwrap()]);
     assert!(out.status.success(), "{:?}", out);
-
-    // CPK1 layout: magic(4) n_insns(4) high_len(2) low_len(2)
-    // dict entries (2 bytes each), n_groups(4), then the index table.
-    // Corrupt the second entry's low byte (second-block offset bits).
-    let mut bytes = std::fs::read(&rom).unwrap();
-    let hi = u16::from_le_bytes([bytes[8], bytes[9]]) as usize;
-    let lo = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
-    let index_at = 12 + 2 * (hi + lo) + 4;
-    bytes[index_at + 4] ^= 0x55;
-    std::fs::write(&rom, &bytes).unwrap();
-
-    let out = cpack(&["lint", rom.to_str().unwrap(), "--json"]);
-    assert!(!out.status.success(), "corruption must fail the gate");
-    let doc = String::from_utf8_lossy(&out.stdout);
-    let v = json::parse(&doc).expect("valid json on failure too");
-    assert_eq!(v.get("clean").and_then(Value::as_bool), Some(false));
-    assert!(v.get("errors").and_then(Value::as_u64).unwrap() > 0);
-    let diags = v.get("diagnostics").and_then(Value::as_array).unwrap();
-    let has_addressed_error = diags.iter().any(|d| {
-        d.get("severity").and_then(Value::as_str) == Some("error")
-            && d.get("addr")
-                .and_then(Value::as_str)
-                .is_some_and(|a| a.starts_with("0x"))
-    });
-    assert!(
-        has_addressed_error,
-        "an error diagnostic must name the native address: {doc}"
-    );
-}
-
-#[test]
-fn truncated_rom_fails_with_structure_error() {
-    let rom = scratch("truncated.cpk");
-    let out = cpack(&["compress", "pegwit", "-o", rom.to_str().unwrap()]);
-    assert!(out.status.success(), "{:?}", out);
-    let bytes = std::fs::read(&rom).unwrap();
-    std::fs::write(&rom, &bytes[..40]).unwrap();
-    let out = cpack(&["lint", rom.to_str().unwrap(), "--json"]);
+    let bytes = std::fs::read(&frame).unwrap();
+    std::fs::write(&frame, &bytes[..40]).unwrap();
+    let out = cpack(&["lint", frame.to_str().unwrap(), "--json"]);
     assert!(!out.status.success());
     let doc = String::from_utf8_lossy(&out.stdout);
     let v = json::parse(&doc).expect("valid json");
+    assert_eq!(v.get("clean").and_then(Value::as_bool), Some(false));
     let diags = v.get("diagnostics").and_then(Value::as_array).unwrap();
-    assert!(diags
-        .iter()
-        .any(|d| d.get("check").and_then(Value::as_str) == Some("rom-structure")));
+    assert!(diags.iter().any(|d| {
+        d.get("severity").and_then(Value::as_str) == Some("error")
+            && d.get("check")
+                .and_then(Value::as_str)
+                .is_some_and(|c| c.starts_with("frame-"))
+    }));
 }
 
 #[test]

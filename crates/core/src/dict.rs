@@ -158,8 +158,8 @@ impl Dictionary {
     }
 
     /// Reconstructs a dictionary from its rank-ordered values (e.g. when
-    /// loading a ROM image — the hardware receives exactly this table at
-    /// program load time). If a value appears twice, [`rank_of`] reports
+    /// reading a `.cpk` frame's header — the hardware receives exactly
+    /// this table at program load time). If a value appears twice, [`rank_of`] reports
     /// its last rank.
     ///
     /// [`rank_of`]: Self::rank_of

@@ -38,18 +38,19 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use codepack_mem::{crc32, StreamIntegrity};
 
 use crate::dict::Dictionary;
 use crate::fastdecode::{DecodeBackend, FastDecoder};
-use crate::image::{decode_block_bytes, encode_block, Codebooks, CompressionConfig};
-use crate::layout::{BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
+use crate::image::{decode_block_bytes, CompressionConfig, Encoded};
+use crate::layout::{
+    BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY,
+};
+use crate::pool::run_jobs;
 use crate::DecompressError;
 
-/// Magic bytes identifying a `.cpk` frame (distinct from the ROM's `CPK1`).
+/// Magic bytes identifying a `.cpk` frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"CPKF";
 /// The frame format version this build reads and writes.
 pub const FRAME_VERSION: u16 = 1;
@@ -227,79 +228,6 @@ impl Default for UnpackOptions {
     }
 }
 
-/// Splits the jobs `0..n` into contiguous runs and calls `job` once per
-/// run on `workers` threads — the matrix runner's deterministic pool shape.
-/// Workers claim runs of about `n / (workers · 16)` jobs from a shared
-/// counter, so a job of a microsecond pays for one atomic claim per run
-/// rather than per job, and runs are still small enough to balance. One
-/// worker makes a single run of every job. Results come back in run order;
-/// a `job` whose results do not depend on where runs split makes the
-/// outcome identical at any worker count.
-fn run_jobs<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if workers <= 1 || n <= 1 {
-        return vec![job(0..n)];
-    }
-    let run = (n / (workers * 16)).max(1);
-    // The counter hands out disjoint ranges and publishes no data: each
-    // run's result reaches this thread through its worker's join.
-    let next = AtomicUsize::new(0);
-    let mut runs: Vec<(usize, T)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(n))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let start = next.fetch_add(run, Ordering::Relaxed);
-                        if start >= n {
-                            break done;
-                        }
-                        done.push((start, job(start..n.min(start + run))));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("frame worker panicked"))
-            .collect()
-    });
-    runs.sort_unstable_by_key(|&(start, _)| start);
-    runs.into_iter().map(|(_, result)| result).collect()
-}
-
-/// A run of encoded groups: their payloads back to back, and per group the
-/// payload length and the first block's byte length within it.
-struct EncodedRun {
-    payloads: Vec<u8>,
-    lens: Vec<(u32, u16)>,
-}
-
-fn encode_groups(words: &[u32], books: &Codebooks, config: &CompressionConfig) -> EncodedRun {
-    let mut run = EncodedRun {
-        // The text's size: compressed groups are smaller, so the buffer
-        // rarely has to regrow.
-        payloads: Vec::with_capacity(words.len() * 4),
-        lens: Vec::with_capacity(words.len() / GROUP_WORDS),
-    };
-    for group in words.chunks_exact(GROUP_WORDS) {
-        let (first, second) = group.split_at(BLOCK_WORDS);
-        let start = run.payloads.len();
-        encode_block(first, books, config, &mut run.payloads);
-        let first_len = run.payloads.len() - start;
-        encode_block(second, books, config, &mut run.payloads);
-        let payload_len = run.payloads.len() - start;
-        run.lens.push((
-            payload_len as u32,
-            u16::try_from(first_len).expect("block fits in u16 bytes"),
-        ));
-    }
-    run
-}
-
 /// Computes a chunk's integrity trailer. Parity packs one bit per payload
 /// byte, LSB-first within each trailer byte; CRC-32 is the fault model's
 /// [`crc32`] over the payload, little-endian.
@@ -339,10 +267,12 @@ fn integrity_from_flags(flags: u16) -> Result<StreamIntegrity, FrameError> {
 
 /// Packs a text section into a `.cpk` frame.
 ///
-/// Unlike [`CodePackImage::compress`], the empty text is a valid (empty)
-/// frame. Group chunks are encoded on `opts.workers` threads; the output is
-/// byte-identical at any worker count, and the concatenated chunk payloads
-/// equal the image's compressed stream for the same text and configuration.
+/// The frame serializes [`CodePackImage::compress`]'s encoding of the same
+/// text and configuration: its dictionaries, then its blocks two by two as
+/// group chunks, so the concatenated chunk payloads equal the image's
+/// compressed stream. Unlike `compress`, the empty text is a valid (empty)
+/// frame. Groups are encoded on `opts.workers` threads; the output is
+/// byte-identical at any worker count.
 ///
 /// [`CodePackImage::compress`]: crate::CodePackImage::compress
 ///
@@ -353,39 +283,32 @@ fn integrity_from_flags(flags: u16) -> Result<StreamIntegrity, FrameError> {
 /// assert_eq!(unpack_frame(&frame, &UnpackOptions::default()).unwrap(), text);
 /// ```
 pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
-    let padded_len = text.len().div_ceil(GROUP_WORDS) * GROUP_WORDS;
-    let mut padded = text.to_vec();
-    padded.resize(padded_len, 0);
-    let books = Codebooks::build(&padded, &opts.compression);
-    let (high, low) = (&books.high, &books.low);
-
-    let runs = run_jobs(padded_len / GROUP_WORDS, opts.workers, |groups| {
-        let words = &padded[groups.start * GROUP_WORDS..groups.end * GROUP_WORDS];
-        encode_groups(words, &books, &opts.compression)
-    });
-
+    let enc = Encoded::new(text, &opts.compression, opts.workers);
+    let n_groups = enc.stats.blocks as usize / BLOCKS_PER_GROUP as usize;
     let content_size = (text.len() as u64) * 4;
-    let mut out = Vec::new();
+    // Room for the dictionaries and the stream, and per group the lengths
+    // and a CRC-32 trailer.
+    let dict_bytes = 2 * (usize::from(enc.high.len()) + usize::from(enc.low.len()));
+    let stream_bytes: usize = enc.runs.iter().map(|(bytes, _)| bytes.len()).sum();
+    let mut out = Vec::with_capacity(40 + dict_bytes + stream_bytes + n_groups * 10);
     out.extend_from_slice(&FRAME_MAGIC);
     out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
     out.extend_from_slice(&integrity_flag(opts.integrity).to_le_bytes());
     out.extend_from_slice(&content_size.to_le_bytes());
-    out.extend_from_slice(&high.len().to_le_bytes());
-    out.extend_from_slice(&low.len().to_le_bytes());
-    for (_, v) in high.iter() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    for (_, v) in low.iter() {
+    out.extend_from_slice(&enc.high.len().to_le_bytes());
+    out.extend_from_slice(&enc.low.len().to_le_bytes());
+    for (_, v) in enc.high.iter().chain(enc.low.iter()) {
         out.extend_from_slice(&v.to_le_bytes());
     }
     out.extend_from_slice(&crc32(&out).to_le_bytes());
 
-    let mut meta = Vec::new();
-    for run in &runs {
-        let mut payloads = &run.payloads[..];
-        for &(payload_len, first_len) in &run.lens {
-            let payload;
-            (payload, payloads) = payloads.split_at(payload_len as usize);
+    let mut meta = Vec::with_capacity(n_groups * 6 + 8);
+    for (bytes, blocks) in &enc.runs {
+        for pair in blocks.chunks_exact(BLOCKS_PER_GROUP as usize) {
+            let first_len = pair[0].byte_len;
+            let payload_len = u32::from(first_len) + u32::from(pair[1].byte_len);
+            let start = pair[0].byte_offset as usize;
+            let payload = &bytes[start..start + payload_len as usize];
             out.extend_from_slice(&payload_len.to_le_bytes());
             out.extend_from_slice(&first_len.to_le_bytes());
             meta.extend_from_slice(&payload_len.to_le_bytes());
@@ -400,26 +323,16 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
     out
 }
 
-/// Byte cursor over an in-memory frame.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+/// Where the frame parser reads from: a whole frame in memory
+/// ([`Cursor`]) or a stream ([`Pull`]). Either reports a short read as
+/// [`FrameError::Truncated`] at the offset where the wanted bytes start,
+/// so the one parser gives the same verdict on both.
+trait Source {
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&[u8], FrameError>;
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self.pos.checked_add(n).ok_or(FrameError::Truncated {
-            at: self.pos as u64,
-        })?;
-        if end > self.bytes.len() {
-            return Err(FrameError::Truncated {
-                at: self.pos as u64,
-            });
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+    /// Every byte taken so far (what the header CRC covers).
+    fn taken(&self) -> &[u8];
 
     fn u16(&mut self) -> Result<u16, FrameError> {
         Ok(u16::from_le_bytes(
@@ -437,6 +350,84 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+}
+
+/// Byte cursor over an in-memory frame.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Like [`Source::take`], borrowing from the frame rather than the
+    /// cursor.
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        let s = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or(FrameError::Truncated {
+                at: self.pos as u64,
+            })?;
+        self.pos += n;
+        Ok(s)
+    }
+}
+
+impl Source for Cursor<'_> {
+    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
+        self.slice(n)
+    }
+
+    fn taken(&self) -> &[u8] {
+        &self.bytes[..self.pos]
+    }
+}
+
+/// A stream as a [`Source`]: each field is read from `inner` when the
+/// parser asks for it, so a bad field fails as soon as its bytes arrive.
+/// `at` is the stream offset of the first byte this source reads.
+struct Pull<'r, R> {
+    inner: &'r mut R,
+    at: u64,
+    buf: Vec<u8>,
+}
+
+impl<'r, R: Read> Pull<'r, R> {
+    fn new(inner: &'r mut R, at: u64) -> Pull<'r, R> {
+        Pull {
+            inner,
+            at,
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<R: Read> Source for Pull<'_, R> {
+    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        let mut filled = start;
+        while filled < self.buf.len() {
+            match self.inner.read(&mut self.buf[filled..]) {
+                Ok(0) => {
+                    return Err(FrameError::Truncated {
+                        at: self.at + start as u64,
+                    })
+                }
+                Ok(k) => filled += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Recover a nested frame error (e.g. reading from another
+                // FrameReader) instead of flattening it to a string.
+                Err(e) => return Err(FrameError::from_io_error(&e)),
+            }
+        }
+        Ok(&self.buf[start..])
+    }
+
+    fn taken(&self) -> &[u8] {
+        &self.buf
     }
 }
 
@@ -458,19 +449,20 @@ impl Header {
     }
 }
 
-fn parse_header(c: &mut Cursor<'_>) -> Result<Header, FrameError> {
-    if c.take(4)? != FRAME_MAGIC {
+/// Reads and validates a frame header from the start of `s`.
+fn parse_header(s: &mut impl Source) -> Result<Header, FrameError> {
+    if s.take(4)? != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let version = c.u16()?;
+    let version = s.u16()?;
     if version != FRAME_VERSION {
         return Err(FrameError::VersionSkew { version });
     }
-    let flags = c.u16()?;
+    let flags = s.u16()?;
     let integrity = integrity_from_flags(flags)?;
-    let content_size = c.u64()?;
-    let high_len = c.u16()?;
-    let low_len = c.u16()?;
+    let content_size = s.u64()?;
+    let high_len = s.u16()?;
+    let low_len = s.u16()?;
     // The capacity bound is structural — it caps how many entry words the
     // parser will consume before it can even locate the header CRC.
     if high_len > HIGH_DICT_CAPACITY || low_len > LOW_DICT_CAPACITY {
@@ -478,11 +470,10 @@ fn parse_header(c: &mut Cursor<'_>) -> Result<Header, FrameError> {
             "dictionary length exceeds its capacity",
         ));
     }
-    let high: Vec<u16> = (0..high_len).map(|_| c.u16()).collect::<Result<_, _>>()?;
-    let low: Vec<u16> = (0..low_len).map(|_| c.u16()).collect::<Result<_, _>>()?;
-    let covered = &c.bytes[..c.pos];
-    let stored = c.u32()?;
-    if crc32(covered) != stored {
+    let high: Vec<u16> = (0..high_len).map(|_| s.u16()).collect::<Result<_, _>>()?;
+    let low: Vec<u16> = (0..low_len).map(|_| s.u16()).collect::<Result<_, _>>()?;
+    let computed = crc32(s.taken());
+    if s.u32()? != computed {
         return Err(FrameError::ChecksumMismatch {
             region: FrameRegion::Header,
         });
@@ -507,14 +498,10 @@ fn parse_header(c: &mut Cursor<'_>) -> Result<Header, FrameError> {
     })
 }
 
-/// Reads one chunk's framing (`payload_len`, `first_len`, payload, trailer)
-/// and appends its metadata to `meta`.
-fn scan_chunk<'a>(
-    c: &mut Cursor<'a>,
-    integrity: StreamIntegrity,
-    meta: &mut Vec<u8>,
-) -> Result<(&'a [u8], u16, &'a [u8]), FrameError> {
-    let payload_len = c.u32()?;
+/// Reads one chunk's `payload_len` and `first_len`, checks them against
+/// the format, and appends them to `meta` (the trailer CRC's input).
+fn chunk_lens(s: &mut impl Source, meta: &mut Vec<u8>) -> Result<(u32, u16), FrameError> {
+    let payload_len = s.u32()?;
     if payload_len == 0 {
         return Err(FrameError::Inconsistent("zero-length group chunk"));
     }
@@ -523,7 +510,7 @@ fn scan_chunk<'a>(
             "group chunk larger than the format maximum",
         ));
     }
-    let first_len = c.u16()?;
+    let first_len = s.u16()?;
     if u32::from(first_len) > payload_len {
         return Err(FrameError::Inconsistent(
             "first-block length exceeds the group payload",
@@ -531,9 +518,56 @@ fn scan_chunk<'a>(
     }
     meta.extend_from_slice(&payload_len.to_le_bytes());
     meta.extend_from_slice(&first_len.to_le_bytes());
-    let payload = c.take(payload_len as usize)?;
-    let trailer = c.take(integrity.overhead_bytes(payload_len) as usize)?;
-    Ok((payload, first_len, trailer))
+    Ok((payload_len, first_len))
+}
+
+/// Reads the end-of-frame marker and the structural trailer CRC over
+/// `meta` (every chunk's lengths, then the content size).
+fn end_of_frame(
+    s: &mut impl Source,
+    meta: &mut Vec<u8>,
+    content_size: u64,
+) -> Result<(), FrameError> {
+    if s.u32()? != 0 {
+        return Err(FrameError::Inconsistent("missing end-of-frame marker"));
+    }
+    meta.extend_from_slice(&content_size.to_le_bytes());
+    if s.u32()? != crc32(meta) {
+        return Err(FrameError::ChecksumMismatch {
+            region: FrameRegion::Trailer,
+        });
+    }
+    Ok(())
+}
+
+/// One group chunk of an in-memory frame: payload, first-block length,
+/// integrity trailer.
+type Chunk<'a> = (&'a [u8], u16, &'a [u8]);
+
+/// Walks an in-memory frame's skeleton — header, chunk framing, end
+/// marker, trailer CRC, no trailing bytes — without decoding a payload.
+fn scan_skeleton(frame: &[u8]) -> Result<(Header, Vec<Chunk<'_>>), FrameError> {
+    let mut c = Cursor {
+        bytes: frame,
+        pos: 0,
+    };
+    let header = parse_header(&mut c)?;
+    let n_groups = header.n_groups();
+    // A chunk takes at least 7 bytes, which bounds what a lying content
+    // size can make us reserve.
+    let mut chunks = Vec::with_capacity(n_groups.min(frame.len() / 7));
+    let mut meta = Vec::with_capacity(chunks.capacity() * 6 + 8);
+    for _ in 0..n_groups {
+        let (payload_len, first_len) = chunk_lens(&mut c, &mut meta)?;
+        let payload = c.slice(payload_len as usize)?;
+        let trailer = c.slice(header.integrity.overhead_bytes(payload_len) as usize)?;
+        chunks.push((payload, first_len, trailer));
+    }
+    end_of_frame(&mut c, &mut meta, header.content_size)?;
+    if c.pos != frame.len() {
+        return Err(FrameError::Inconsistent("trailing bytes after frame"));
+    }
+    Ok((header, chunks))
 }
 
 /// Shared state of the group-decode workers: integrity mode, dictionaries,
@@ -598,40 +632,18 @@ pub struct FrameSummary {
 /// Any [`FrameError`] the frame skeleton can produce; payload corruption
 /// that only the trailer or codec would catch is *not* detected here.
 pub fn scan_frame(frame: &[u8]) -> Result<FrameSummary, FrameError> {
-    let mut c = Cursor {
-        bytes: frame,
-        pos: 0,
-    };
-    let header = parse_header(&mut c)?;
-    let mut meta = Vec::new();
-    let mut lens = Vec::with_capacity(header.n_groups());
-    for _ in 0..header.n_groups() {
-        let (payload, _, _) = scan_chunk(&mut c, header.integrity, &mut meta)?;
-        lens.push(payload.len() as u32);
-    }
-    if c.u32()? != 0 {
-        return Err(FrameError::Inconsistent("missing end-of-frame marker"));
-    }
-    meta.extend_from_slice(&header.content_size.to_le_bytes());
-    if crc32(&meta) != c.u32()? {
-        return Err(FrameError::ChecksumMismatch {
-            region: FrameRegion::Trailer,
-        });
-    }
-    if c.pos != frame.len() {
-        return Err(FrameError::Inconsistent("trailing bytes after frame"));
-    }
+    let (header, chunks) = scan_skeleton(frame)?;
     Ok(FrameSummary {
         content_size: header.content_size,
         integrity: header.integrity,
-        group_payload_lens: lens,
+        group_payload_lens: chunks.iter().map(|c| c.0.len() as u32).collect(),
     })
 }
 
 /// Unpacks a `.cpk` frame back to the original text.
 ///
-/// The frame structure is scanned serially (cheap: lengths and checksums of
-/// the skeleton), then group chunks are verified and decoded on
+/// The frame skeleton is scanned serially as in [`scan_frame`] (cheap:
+/// lengths and checksums), then group chunks are verified and decoded on
 /// `opts.workers` threads; on multiple failures the error of the
 /// lowest-numbered group is returned, so the result — success or error — is
 /// identical at any worker count.
@@ -641,32 +653,7 @@ pub fn scan_frame(frame: &[u8]) -> Result<FrameSummary, FrameError> {
 /// Returns a [`FrameError`] for any malformed, truncated, or corrupt input;
 /// never panics, whatever the bytes.
 pub fn unpack_frame(frame: &[u8], opts: &UnpackOptions) -> Result<Vec<u32>, FrameError> {
-    let mut c = Cursor {
-        bytes: frame,
-        pos: 0,
-    };
-    let header = parse_header(&mut c)?;
-    let n_groups = header.n_groups();
-
-    let mut meta = Vec::new();
-    let mut chunks = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        chunks.push(scan_chunk(&mut c, header.integrity, &mut meta)?);
-    }
-    if c.u32()? != 0 {
-        return Err(FrameError::Inconsistent("missing end-of-frame marker"));
-    }
-    meta.extend_from_slice(&header.content_size.to_le_bytes());
-    let stored = c.u32()?;
-    if crc32(&meta) != stored {
-        return Err(FrameError::ChecksumMismatch {
-            region: FrameRegion::Trailer,
-        });
-    }
-    if c.pos != frame.len() {
-        return Err(FrameError::Inconsistent("trailing bytes after frame"));
-    }
-
+    let (header, chunks) = scan_skeleton(frame)?;
     let fast = match opts.backend {
         DecodeBackend::Fast => Some(FastDecoder::new(&header.high, &header.low)),
         DecodeBackend::Scalar => None,
@@ -679,7 +666,7 @@ pub fn unpack_frame(frame: &[u8], opts: &UnpackOptions) -> Result<Vec<u32>, Fram
     };
     // Each run stops at its first bad group; runs come back in order, so
     // the first error found is the lowest-numbered group's.
-    let runs = run_jobs(n_groups, opts.workers, |groups| {
+    let runs = run_jobs(chunks.len(), opts.workers, |groups| {
         let mut words = Vec::with_capacity(groups.len() * GROUP_WORDS);
         for g in groups {
             let (payload, first_len, trailer) = chunks[g];
@@ -823,46 +810,29 @@ impl<R: Read> FrameReader<R> {
     /// # Errors
     ///
     /// See [`new`](Self::new).
-    pub fn with_backend(inner: R, backend: DecodeBackend) -> Result<FrameReader<R>, FrameError> {
-        let mut r = FrameReader {
+    pub fn with_backend(
+        mut inner: R,
+        backend: DecodeBackend,
+    ) -> Result<FrameReader<R>, FrameError> {
+        let mut src = Pull::new(&mut inner, 0);
+        let header = parse_header(&mut src)?;
+        let pos = src.buf.len() as u64;
+        let fast = match backend {
+            DecodeBackend::Fast => Some(FastDecoder::new(&header.high, &header.low)),
+            DecodeBackend::Scalar => None,
+        };
+        Ok(FrameReader {
             inner,
-            header: Header {
-                integrity: StreamIntegrity::None,
-                content_size: 0,
-                high: Dictionary::from_ranked_values(Vec::new()),
-                low: Dictionary::from_ranked_values(Vec::new()),
-            },
-            fast: None,
-            remaining: 0,
+            remaining: header.content_size,
+            header,
+            fast,
             groups_read: 0,
             meta: Vec::new(),
             pending: Vec::new(),
             pending_pos: 0,
-            pos: 0,
+            pos,
             finished: false,
-        };
-        let mut head = Vec::new();
-        // magic + version + flags + content_size + dict lengths
-        r.fill(&mut head, 4 + 2 + 2 + 8 + 2 + 2)?;
-        let high_len = u16::from_le_bytes(head[16..18].try_into().expect("2 bytes"));
-        let low_len = u16::from_le_bytes(head[18..20].try_into().expect("2 bytes"));
-        // Bound the dictionary read before trusting the lengths; the parser
-        // re-checks them against the capacities.
-        let dict_bytes = 2
-            * (usize::from(high_len.min(HIGH_DICT_CAPACITY))
-                + usize::from(low_len.min(LOW_DICT_CAPACITY)));
-        r.fill(&mut head, dict_bytes + 4)?;
-        let mut c = Cursor {
-            bytes: &head,
-            pos: 0,
-        };
-        r.header = parse_header(&mut c)?;
-        r.remaining = r.header.content_size;
-        r.fast = match backend {
-            DecodeBackend::Fast => Some(FastDecoder::new(&r.header.high, &r.header.low)),
-            DecodeBackend::Scalar => None,
-        };
-        Ok(r)
+        })
     }
 
     /// The original text size in bytes, as the header declares.
@@ -870,97 +840,35 @@ impl<R: Read> FrameReader<R> {
         self.header.content_size
     }
 
-    /// Appends exactly `n` more bytes from the inner reader to `buf`.
-    fn fill(&mut self, buf: &mut Vec<u8>, n: usize) -> Result<(), FrameError> {
-        let start = buf.len();
-        buf.resize(start + n, 0);
-        let mut filled = start;
-        while filled < buf.len() {
-            match self.inner.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    return Err(FrameError::Truncated {
-                        at: self.pos + (filled - start) as u64,
-                    })
-                }
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Recover a nested frame error (e.g. reading from another
-                // FrameReader) instead of flattening it to a string.
-                Err(e) => return Err(FrameError::from_io_error(&e)),
-            }
-        }
-        self.pos += n as u64;
-        Ok(())
-    }
-
     /// Reads, verifies, and decodes the next group chunk into `pending`,
     /// or verifies the end-of-frame structure after the last chunk.
     fn advance(&mut self) -> Result<(), FrameError> {
+        let mut src = Pull::new(&mut self.inner, self.pos);
         if self.groups_read == self.header.n_groups() {
-            let mut tail = Vec::new();
-            self.fill(&mut tail, 8)?;
-            if u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) != 0 {
-                return Err(FrameError::Inconsistent("missing end-of-frame marker"));
-            }
-            self.meta
-                .extend_from_slice(&self.header.content_size.to_le_bytes());
-            let stored = u32::from_le_bytes(tail[4..].try_into().expect("4 bytes"));
-            if crc32(&self.meta) != stored {
-                return Err(FrameError::ChecksumMismatch {
-                    region: FrameRegion::Trailer,
-                });
-            }
+            end_of_frame(&mut src, &mut self.meta, self.header.content_size)?;
             self.finished = true;
             return Ok(());
         }
-        let mut chunk = Vec::new();
-        self.fill(&mut chunk, 6)?;
-        {
-            let mut c = Cursor {
-                bytes: &chunk,
-                pos: 0,
-            };
-            let payload_len = c.u32()?;
-            if payload_len == 0 {
-                return Err(FrameError::Inconsistent("zero-length group chunk"));
-            }
-            if payload_len > MAX_GROUP_PAYLOAD {
-                return Err(FrameError::Inconsistent(
-                    "group chunk larger than the format maximum",
-                ));
-            }
-            let first_len = c.u16()?;
-            if u32::from(first_len) > payload_len {
-                return Err(FrameError::Inconsistent(
-                    "first-block length exceeds the group payload",
-                ));
-            }
-            self.meta.extend_from_slice(&chunk);
-            let trailer_len = self.header.integrity.overhead_bytes(payload_len) as usize;
-            let payload_len = payload_len as usize;
-            let mut body = Vec::new();
-            self.fill(&mut body, payload_len + trailer_len)?;
-            let decoder = GroupDecoder {
-                integrity: self.header.integrity,
-                high: &self.header.high,
-                low: &self.header.low,
-                fast: self.fast.as_ref(),
-            };
-            let words = decoder.decode(
-                &body[..payload_len],
-                first_len,
-                &body[payload_len..],
-                self.groups_read as u32,
-            )?;
-            let take = (self.remaining).min(GROUP_WORDS as u64 * 4) as usize;
-            self.pending.clear();
-            self.pending_pos = 0;
-            for w in &words {
-                self.pending.extend_from_slice(&w.to_le_bytes());
-            }
-            self.pending.truncate(take);
-            self.remaining -= take as u64;
+        let (payload_len, first_len) = chunk_lens(&mut src, &mut self.meta)?;
+        src.take(payload_len as usize)?;
+        src.take(self.header.integrity.overhead_bytes(payload_len) as usize)?;
+        self.pos += src.buf.len() as u64;
+        let (payload, trailer) = src.buf[6..].split_at(payload_len as usize);
+        let decoder = GroupDecoder {
+            integrity: self.header.integrity,
+            high: &self.header.high,
+            low: &self.header.low,
+            fast: self.fast.as_ref(),
+        };
+        let words = decoder.decode(payload, first_len, trailer, self.groups_read as u32)?;
+        let take = self.remaining.min(GROUP_WORDS as u64 * 4) as usize;
+        self.pending.clear();
+        self.pending_pos = 0;
+        for w in &words {
+            self.pending.extend_from_slice(&w.to_le_bytes());
         }
+        self.pending.truncate(take);
+        self.remaining -= take as u64;
         self.groups_read += 1;
         Ok(())
     }
@@ -1056,17 +964,8 @@ mod tests {
         let words = text(333);
         let frame = pack_frame(&words, &PackOptions::default());
         let image = CodePackImage::compress(&words, &CompressionConfig::default());
-        let mut c = Cursor {
-            bytes: &frame,
-            pos: 0,
-        };
-        let header = parse_header(&mut c).unwrap();
-        let mut stream = Vec::new();
-        let mut meta = Vec::new();
-        for _ in 0..header.n_groups() {
-            let (payload, _, _) = scan_chunk(&mut c, header.integrity, &mut meta).unwrap();
-            stream.extend_from_slice(payload);
-        }
+        let (_, chunks) = scan_skeleton(&frame).unwrap();
+        let stream: Vec<u8> = chunks.iter().flat_map(|c| c.0.iter().copied()).collect();
         assert_eq!(stream, image.compressed_bytes());
     }
 
@@ -1257,6 +1156,40 @@ mod tests {
         let mut r = FrameReader::new(&frame[..cut]).unwrap();
         let mut out = Vec::new();
         assert!(r.read_to_end(&mut out).is_err());
+    }
+
+    #[test]
+    fn reader_reports_header_errors_like_unpack() {
+        // The streaming reader checks magic, version and flags as soon as
+        // their bytes arrive, so a short or foreign input fails with the
+        // header error, not with `Truncated`.
+        let frame = pack_frame(&text(32), &PackOptions::default());
+        let mut skew = frame[..12].to_vec();
+        skew[4] = 9;
+        let mut flags = frame[..14].to_vec();
+        flags[6] = 0xF0;
+        for (input, want) in [
+            (b"not a frame".to_vec(), FrameError::BadMagic),
+            (vec![b'x'; 64], FrameError::BadMagic),
+            (skew, FrameError::VersionSkew { version: 9 }),
+            (flags, FrameError::UnknownFlags { flags: 0x00F0 }),
+        ] {
+            let unpacked = unpack_frame(&input, &UnpackOptions::default());
+            assert_eq!(unpacked, Err(want.clone()));
+            assert_eq!(FrameReader::new(&input[..]).err(), Some(want));
+        }
+        // Truncation inside the header is reported where the missing
+        // field starts, by both.
+        let dict_len = |at: usize| usize::from(u16::from_le_bytes([frame[at], frame[at + 1]]));
+        let header_len = 20 + 2 * (dict_len(16) + dict_len(18)) + 4;
+        for cut in 0..header_len {
+            let cut_frame = &frame[..cut];
+            assert_eq!(
+                FrameReader::new(cut_frame).err(),
+                unpack_frame(cut_frame, &UnpackOptions::default()).err(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

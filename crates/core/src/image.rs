@@ -10,6 +10,7 @@ use crate::layout::{
     HIGH_DICT_CAPACITY, INDEX_ENTRY_BYTES, LOW_CLASSES, LOW_DICT_CAPACITY, RAW_LEN_BITS, RAW_TAG,
     RAW_TAG_BITS,
 };
+use crate::pool::run_jobs;
 use crate::stats::CompositionStats;
 use crate::DecompressError;
 
@@ -112,45 +113,13 @@ impl CodePackImage {
     /// program).
     pub fn compress(text: &[u32], config: &CompressionConfig) -> CodePackImage {
         assert!(!text.is_empty(), "cannot compress an empty text section");
-        let n_insns = text.len() as u32;
-        let padded_len = (text.len()).div_ceil(GROUP_INSNS as usize) * GROUP_INSNS as usize;
-        let mut padded = text.to_vec();
-        padded.resize(padded_len, 0);
-
-        let books = Codebooks::build(&padded, config);
-
-        let mut stats = CompositionStats {
-            original_bytes: u64::from(n_insns) * 4,
-            dictionary_bytes: u64::from(books.high.size_bytes() + books.low.size_bytes()),
-            ..CompositionStats::default()
-        };
-
-        let mut bytes = Vec::new();
-        let mut blocks = Vec::with_capacity(padded_len / BLOCK_INSNS as usize);
-        for chunk in padded.chunks_exact(BLOCK_INSNS as usize) {
-            let byte_offset = bytes.len() as u32;
-            let (cum_bits, raw_mask, delta) = encode_block(chunk, &books, config, &mut bytes);
-            stats.compressed_tag_bits += delta.compressed_tag_bits;
-            stats.dict_index_bits += delta.dict_index_bits;
-            stats.raw_tag_bits += delta.raw_tag_bits;
-            stats.raw_literal_bits += delta.raw_literal_bits;
-            stats.pad_bits += delta.pad_bits;
-            stats.raw_halfwords += delta.raw_halfwords;
-            stats.raw_blocks += delta.raw_blocks;
-            stats.blocks += 1;
-            let byte_len =
-                u16::try_from(bytes.len() - byte_offset as usize).expect("block fits in u16 bytes");
-            assert!(
-                u32::from(byte_len) <= SECOND_OFFSET_MASK,
-                "block of {byte_len} bytes exceeds the index second-offset field"
-            );
-            blocks.push(BlockInfo {
-                byte_offset,
-                byte_len,
-                cum_bits,
-                raw_mask,
-            });
-        }
+        let Encoded {
+            high,
+            low,
+            mut runs,
+            mut stats,
+        } = Encoded::new(text, config, 1);
+        let (bytes, blocks) = runs.pop().expect("one worker encodes one run");
 
         // Build the index table: one 32-bit entry per group of two blocks.
         let mut index = Vec::with_capacity(blocks.len() / BLOCKS_PER_GROUP as usize);
@@ -161,17 +130,21 @@ impl CodePackImage {
                 "compressed region exceeds index address width"
             );
             let second_rel = u32::from(pair[0].byte_len);
+            assert!(
+                second_rel <= SECOND_OFFSET_MASK,
+                "block of {second_rel} bytes exceeds the index second-offset field"
+            );
             index.push((first << SECOND_OFFSET_BITS) | second_rel);
         }
         stats.index_table_bytes = index.len() as u64 * u64::from(INDEX_ENTRY_BYTES);
 
         CodePackImage {
-            high_dict: books.high,
-            low_dict: books.low,
+            high_dict: high,
+            low_dict: low,
             index,
             bytes,
             blocks,
-            n_insns,
+            n_insns: text.len() as u32,
             stats,
             fast: OnceLock::new(),
             decode_counts: OnceLock::new(),
@@ -384,29 +357,6 @@ impl CodePackImage {
         }
     }
 
-    /// Assembles an image from pre-validated parts (the ROM loader).
-    pub(crate) fn from_parts(
-        high_dict: Dictionary,
-        low_dict: Dictionary,
-        index: Vec<u32>,
-        bytes: Vec<u8>,
-        blocks: Vec<BlockInfo>,
-        n_insns: u32,
-        stats: CompositionStats,
-    ) -> CodePackImage {
-        CodePackImage {
-            high_dict,
-            low_dict,
-            index,
-            bytes,
-            blocks,
-            n_insns,
-            stats,
-            fast: OnceLock::new(),
-            decode_counts: OnceLock::new(),
-        }
-    }
-
     /// Test-only: constructs an image with corrupted stream bytes, keeping
     /// dictionaries and index intact. Used by failure-injection tests.
     ///
@@ -504,17 +454,6 @@ pub fn decode_block_bytes(
     decode_block(&mut reader, high_dict, low_dict)
 }
 
-#[derive(Default)]
-pub(crate) struct BlockDelta {
-    compressed_tag_bits: u64,
-    dict_index_bits: u64,
-    raw_tag_bits: u64,
-    raw_literal_bits: u64,
-    pad_bits: u64,
-    raw_halfwords: u64,
-    raw_blocks: u64,
-}
-
 /// One dictionary rank's codeword: tag and index bits, right-aligned, and
 /// their lengths.
 #[derive(Clone, Copy)]
@@ -538,14 +477,12 @@ fn codewords(dict: &Dictionary, classes: &[CodewordClass; 5]) -> Vec<Option<Code
         .collect()
 }
 
-/// A text's two dictionaries and each one's codewords by rank. Built once
-/// per [`CodePackImage::compress`] or [`crate::frame::pack_frame`] — both
-/// get their dictionaries here, so frame payloads equal the image's
-/// compressed stream — after which the block encoder spends one rank
-/// lookup and one write per half-word.
-pub(crate) struct Codebooks {
-    pub(crate) high: Dictionary,
-    pub(crate) low: Dictionary,
+/// A text's two dictionaries and each one's codewords by rank, after
+/// which the block encoder spends one rank lookup and one write per
+/// half-word.
+struct Codebooks {
+    high: Dictionary,
+    low: Dictionary,
     high_codes: Vec<Option<Codeword>>,
     low_codes: Vec<Option<Codeword>>,
 }
@@ -553,7 +490,7 @@ pub(crate) struct Codebooks {
 impl Codebooks {
     /// Builds both dictionaries over `padded`, the text zero-padded to a
     /// whole compression group.
-    pub(crate) fn build(padded: &[u32], config: &CompressionConfig) -> Codebooks {
+    fn build(padded: &[u32], config: &CompressionConfig) -> Codebooks {
         let high = Dictionary::build(
             padded.iter().map(|&w| (w >> 16) as u16),
             HIGH_DICT_CAPACITY,
@@ -575,68 +512,134 @@ impl Codebooks {
     }
 }
 
+/// A text encoded as CodePack, everything but the index table: the two
+/// dictionaries, the block stream with each block's placement, and the
+/// composition of all of it. The codec's one encoder:
+/// [`CodePackImage::compress`] adds the index table, and
+/// [`crate::frame::pack_frame`] serializes the blocks two by two as group
+/// chunks.
+pub(crate) struct Encoded {
+    pub(crate) high: Dictionary,
+    pub(crate) low: Dictionary,
+    /// The block stream in runs of whole groups, in order, one per worker
+    /// claim: each run's bytes and its blocks, placed within those bytes.
+    /// One worker makes one run, the whole stream. Frames serialize the
+    /// runs where they lie rather than copy them into one stream.
+    pub(crate) runs: Vec<(Vec<u8>, Vec<BlockInfo>)>,
+    /// Everything but `index_table_bytes`, which stays zero.
+    pub(crate) stats: CompositionStats,
+}
+
+impl Encoded {
+    /// Encodes `text`, zero-padded to a whole compression group, with
+    /// runs of groups encoded on `workers` threads. The concatenated runs
+    /// and the stats are identical at any worker count. The empty text
+    /// encodes to no blocks.
+    pub(crate) fn new(text: &[u32], config: &CompressionConfig, workers: usize) -> Encoded {
+        const GROUP_WORDS: usize = GROUP_INSNS as usize;
+        let padded_len = text.len().div_ceil(GROUP_WORDS) * GROUP_WORDS;
+        let mut padded = text.to_vec();
+        padded.resize(padded_len, 0);
+        let books = Codebooks::build(&padded, config);
+
+        let mut stats = CompositionStats {
+            original_bytes: text.len() as u64 * 4,
+            dictionary_bytes: u64::from(books.high.size_bytes() + books.low.size_bytes()),
+            ..CompositionStats::default()
+        };
+        let runs = run_jobs(padded_len / GROUP_WORDS, workers, |groups| {
+            let words = &padded[groups.start * GROUP_WORDS..groups.end * GROUP_WORDS];
+            // The text's size: compressed blocks are smaller, so the
+            // buffer rarely has to regrow.
+            let mut bytes = Vec::with_capacity(words.len() * 4);
+            let mut blocks = Vec::with_capacity(words.len() / BLOCK_INSNS as usize);
+            let mut stats = CompositionStats::default();
+            for block in words.chunks_exact(BLOCK_INSNS as usize) {
+                let byte_offset = bytes.len() as u32;
+                let (cum_bits, raw_mask) =
+                    encode_block(block, &books, config, &mut bytes, &mut stats);
+                blocks.push(BlockInfo {
+                    byte_offset,
+                    byte_len: u16::try_from(bytes.len() - byte_offset as usize)
+                        .expect("block fits in u16 bytes"),
+                    cum_bits,
+                    raw_mask,
+                });
+            }
+            ((bytes, blocks), stats)
+        })
+        .into_iter()
+        .map(|(run, run_stats)| {
+            stats += run_stats;
+            run
+        })
+        .collect();
+        Encoded {
+            high: books.high,
+            low: books.low,
+            runs,
+            stats,
+        }
+    }
+}
+
 #[inline]
 fn encode_halfword(
     w: &mut BitWriter,
     value: u16,
     dict: &Dictionary,
     codes: &[Option<Codeword>],
-    delta: &mut BlockDelta,
+    stats: &mut CompositionStats,
 ) {
     match dict.rank_of(value).and_then(|r| codes[usize::from(r)]) {
         Some(c) => {
             w.write(u32::from(c.bits), u32::from(c.len));
-            delta.compressed_tag_bits += u64::from(c.tag_bits);
-            delta.dict_index_bits += u64::from(c.len - c.tag_bits);
+            stats.compressed_tag_bits += u64::from(c.tag_bits);
+            stats.dict_index_bits += u64::from(c.len - c.tag_bits);
         }
         None => {
             w.write(
                 (u32::from(RAW_TAG) << 16) | u32::from(value),
                 u32::from(RAW_LEN_BITS),
             );
-            delta.raw_tag_bits += u64::from(RAW_TAG_BITS);
-            delta.raw_literal_bits += 16;
-            delta.raw_halfwords += 1;
+            stats.raw_tag_bits += u64::from(RAW_TAG_BITS);
+            stats.raw_literal_bits += 16;
+            stats.raw_halfwords += 1;
         }
     }
 }
 
-/// Encodes one block, appending its bytes to `out`; returns (cumulative
-/// decode bits, raw-escape mask, stats delta). Shared with the frame
-/// packer, which encodes groups in parallel with the same codebooks.
-pub(crate) fn encode_block(
+/// Encodes one block, appending its bytes to `out` and its composition to
+/// `stats`; returns the cumulative decode bits and the raw-escape mask.
+fn encode_block(
     words: &[u32],
     books: &Codebooks,
     config: &CompressionConfig,
     out: &mut Vec<u8>,
-) -> ([u16; BLOCK_INSNS as usize + 1], u16, BlockDelta) {
+    stats: &mut CompositionStats,
+) -> ([u16; BLOCK_INSNS as usize + 1], u16) {
     debug_assert_eq!(words.len(), BLOCK_INSNS as usize);
 
     let start = out.len();
-    let mut delta = BlockDelta::default();
+    let before = *stats;
+    stats.blocks += 1;
     let mut w = BitWriter::appending(std::mem::take(out));
     let mut cum = [0u16; BLOCK_INSNS as usize + 1];
     let mut raw_mask = 0u16;
     // Mode flag: 0 = compressed block.
     w.write(0, 1);
-    delta.compressed_tag_bits += 1;
+    stats.compressed_tag_bits += 1;
     for (j, &word) in words.iter().enumerate() {
-        let raw_before = delta.raw_halfwords;
+        let raw_before = stats.raw_halfwords;
         encode_halfword(
             &mut w,
             (word >> 16) as u16,
             &books.high,
             &books.high_codes,
-            &mut delta,
+            stats,
         );
-        encode_halfword(
-            &mut w,
-            word as u16,
-            &books.low,
-            &books.low_codes,
-            &mut delta,
-        );
-        if delta.raw_halfwords > raw_before {
+        encode_halfword(&mut w, word as u16, &books.low, &books.low_codes, stats);
+        if stats.raw_halfwords > raw_before {
             raw_mask |= 1 << j;
         }
         cum[j + 1] = w.bit_len() as u16;
@@ -645,29 +648,27 @@ pub(crate) fn encode_block(
     let expands = w.bit_len() > u64::from(BLOCK_INSNS) * 32;
     if config.raw_block_fallback && expands {
         // Store the block non-compressed: flag 1, then 16 raw words.
-        let mut delta = BlockDelta {
-            raw_tag_bits: 1,
-            raw_blocks: 1,
-            ..BlockDelta::default()
-        };
+        *stats = before;
+        stats.blocks += 1;
+        stats.raw_blocks += 1;
+        stats.raw_tag_bits += 1;
+        stats.raw_literal_bits += u64::from(BLOCK_INSNS) * 32;
         let mut bytes = w.into_bytes();
         bytes.truncate(start);
         let mut w = BitWriter::appending(bytes);
         w.write(1, 1);
-        let mut cum = [0u16; BLOCK_INSNS as usize + 1];
         for (j, &word) in words.iter().enumerate() {
             w.write(word, 32);
             cum[j + 1] = w.bit_len() as u16;
-            delta.raw_literal_bits += 32;
         }
-        delta.pad_bits += u64::from(w.align_to_byte());
+        stats.pad_bits += u64::from(w.align_to_byte());
         *out = w.into_bytes();
-        return (cum, u16::MAX, delta);
+        return (cum, u16::MAX);
     }
 
-    delta.pad_bits += u64::from(w.align_to_byte());
+    stats.pad_bits += u64::from(w.align_to_byte());
     *out = w.into_bytes();
-    (cum, raw_mask, delta)
+    (cum, raw_mask)
 }
 
 /// Decodes one half-word codeword; the `bool` is `true` when it was a raw
@@ -710,10 +711,10 @@ fn decode_block(
 }
 
 /// Decodes a block while recording the cumulative bit position after each
-/// instruction and which instructions raw-escaped — used by the ROM loader
-/// to rebuild decode-timing metadata from the stream alone.
+/// instruction and which instructions raw-escaped — the stream-side view
+/// of a [`BlockInfo`].
 #[allow(clippy::type_complexity)]
-pub(crate) fn decode_block_tracking(
+fn decode_block_tracking(
     reader: &mut BitReader<'_>,
     high_dict: &Dictionary,
     low_dict: &Dictionary,
@@ -825,6 +826,44 @@ mod tests {
             "raw escapes cost 19 bits per half-word"
         );
         assert_eq!(img.decompress_all().unwrap(), text);
+    }
+
+    #[test]
+    fn encoder_output_is_identical_at_any_worker_count() {
+        // 150 groups with incompressible stretches: several runs per
+        // worker, raw-fallback blocks among them, and a partial last group.
+        let text: Vec<u32> = (0..150 * GROUP_INSNS - 7)
+            .map(|i| match (i / 64) % 5 {
+                4 => i.wrapping_mul(2654435761).rotate_left(7),
+                _ => 0x2402_0000 | (i % 16),
+            })
+            .collect();
+        let config = CompressionConfig::default();
+        // Runs concatenated, block offsets rebased onto the whole stream.
+        let stream = |enc: &Encoded| {
+            let (mut bytes, mut blocks) = (Vec::new(), Vec::new());
+            for (run_bytes, run_blocks) in &enc.runs {
+                let base = bytes.len() as u32;
+                blocks.extend(run_blocks.iter().map(|b| BlockInfo {
+                    byte_offset: base + b.byte_offset,
+                    ..b.clone()
+                }));
+                bytes.extend_from_slice(run_bytes);
+            }
+            (bytes, blocks)
+        };
+        let serial = Encoded::new(&text, &config, 1);
+        assert_eq!(serial.runs.len(), 1);
+        assert!(serial.stats.raw_blocks > 0);
+        for workers in [2, 3] {
+            let parallel = Encoded::new(&text, &config, workers);
+            assert!(parallel.runs.len() > workers, "{workers} workers");
+            assert_eq!(stream(&parallel), stream(&serial), "{workers} workers");
+            assert_eq!(parallel.stats, serial.stats, "{workers} workers");
+        }
+        let image = CodePackImage::compress(&text, &config);
+        assert_eq!(image.compressed_bytes(), &serial.runs[0].0[..]);
+        assert_eq!(image.decompress_all().unwrap(), text);
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //!   container over independently decodable group chunks with integrity
 //!   trailers, parallel [`pack_frame`] / [`unpack_frame`], and
 //!   [`FrameWriter`] / [`FrameReader`] io adapters,
+//! * [`pool`] — the deterministic worker pool the codec and the
+//!   experiment matrix share,
 //! * [`NativeFetch`] / [`CodePackFetch`] — cycle-level models of the L1
 //!   I-miss service path (Figure 2), including the paper's optimizations:
 //!   the fully-associative index cache and wider decompressors
@@ -58,7 +60,7 @@ pub mod frame;
 mod image;
 pub mod layout;
 mod optimize;
-mod rom;
+pub mod pool;
 mod stats;
 
 pub use bits::{BitReader, BitWriter};
@@ -80,5 +82,4 @@ pub use image::{
 };
 pub use layout::{BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS};
 pub use optimize::{canonicalize_commutative, CanonicalizeStats};
-pub use rom::{parse_rom_parts, RomError, RomParts, ROM_MAGIC};
 pub use stats::CompositionStats;

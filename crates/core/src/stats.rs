@@ -145,6 +145,23 @@ impl CompositionStats {
     }
 }
 
+impl std::ops::AddAssign for CompositionStats {
+    /// Field-wise sum: the composition of two regions laid side by side.
+    fn add_assign(&mut self, other: CompositionStats) {
+        self.original_bytes += other.original_bytes;
+        self.index_table_bytes += other.index_table_bytes;
+        self.dictionary_bytes += other.dictionary_bytes;
+        self.compressed_tag_bits += other.compressed_tag_bits;
+        self.dict_index_bits += other.dict_index_bits;
+        self.raw_tag_bits += other.raw_tag_bits;
+        self.raw_literal_bits += other.raw_literal_bits;
+        self.pad_bits += other.pad_bits;
+        self.raw_halfwords += other.raw_halfwords;
+        self.raw_blocks += other.raw_blocks;
+        self.blocks += other.blocks;
+    }
+}
+
 impl fmt::Display for CompositionStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let [idx, dict, ctag, didx, rtag, rbits, pad] = self.table4_fractions();

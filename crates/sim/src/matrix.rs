@@ -3,7 +3,8 @@
 //! Every paper table is a slice of the same cube — profiles on one axis,
 //! machines on another, decompressor configurations on the third.
 //! [`run_matrix`] enumerates the full cross product once, runs the cells
-//! on a fixed pool of worker threads, and returns a [`SimReport`] whose
+//! on the workspace's deterministic worker pool
+//! ([`codepack_core::pool::run_jobs`]), and returns a [`SimReport`] whose
 //! cell order, rendered table, and JSON serialization are independent of
 //! the worker count: cell `i` of the report is always job `i` of the
 //! profile-major enumeration, no matter which thread ran it or when it
@@ -43,9 +44,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use codepack_core::pool::run_jobs;
 use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_isa::Program;
 use codepack_obs::{names, BlockProfile, MetricsRegistry, Obs};
@@ -803,40 +804,38 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
         })
         .collect();
 
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..opts.workers.min(jobs.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                if slots[i].get().is_some() {
-                    continue; // restored from the journal
-                }
-                let prep = prepared[job.prepared]
-                    .as_ref()
-                    .expect("profiles with pending cells are prepared");
+    // Workers claim cells in enumeration order; below 32 cells per worker
+    // (the 54-cell paper cube on two or more workers) a claim is one cell.
+    run_jobs(jobs.len(), opts.workers, |cells| {
+        for i in cells {
+            if slots[i].get().is_some() {
+                continue; // restored from the journal
+            }
+            let job = &jobs[i];
+            let prep = prepared[job.prepared]
+                .as_ref()
+                .expect("profiles with pending cells are prepared");
 
-                let done = run_cell(spec, opts, i, job.arch, job.model, prep);
+            let done = run_cell(spec, opts, i, job.arch, job.model, prep);
 
-                if let Some(w) = &journal {
-                    let entry = JournalEntry {
-                        cell: i,
-                        profile: job.profile.to_string(),
-                        arch: job.arch.name.to_string(),
-                        model: job.model_label.to_string(),
-                        outcome: done.outcome.clone(),
-                        attempts: done.attempts,
-                        result: done.result.clone(),
-                        metrics: done.metrics.clone(),
-                    };
-                    if let Err(e) = w.lock().expect("journal lock").append(&entry) {
-                        let _ = journal_error.set(e);
-                    }
+            if let Some(w) = &journal {
+                let entry = JournalEntry {
+                    cell: i,
+                    profile: job.profile.to_string(),
+                    arch: job.arch.name.to_string(),
+                    model: job.model_label.to_string(),
+                    outcome: done.outcome.clone(),
+                    attempts: done.attempts,
+                    result: done.result.clone(),
+                    metrics: done.metrics.clone(),
+                };
+                if let Err(e) = w.lock().expect("journal lock").append(&entry) {
+                    let _ = journal_error.set(e);
                 }
-                slots[i]
-                    .set(done)
-                    .unwrap_or_else(|_| unreachable!("slot {i} written twice"));
-            });
+            }
+            slots[i]
+                .set(done)
+                .unwrap_or_else(|_| unreachable!("slot {i} written twice"));
         }
     });
 

@@ -12,7 +12,11 @@
 //! reference and the table-driven fast path — and the two `Result`s are
 //! diffed: under fuzz the backends must stay byte- and error-identical.
 
-use codepack::core::frame::{pack_frame, unpack_frame, FrameReader, PackOptions, UnpackOptions};
+use std::mem::discriminant;
+
+use codepack::core::frame::{
+    pack_frame, unpack_frame, FrameError, FrameReader, FrameRegion, PackOptions, UnpackOptions,
+};
 use codepack::core::{
     decode_block_bytes, CodePackImage, CompressionConfig, DecompressError, FastDecoder, BLOCK_INSNS,
 };
@@ -167,11 +171,36 @@ fn mutated_frames_never_panic_and_stay_typed() {
         );
 
         // The streaming reader must reach the same verdict: the same words
-        // on success, an error (wrapped in io::Error) on failure.
+        // on success, an error (wrapped in io::Error) on failure. A failure
+        // inside the header is the same FrameError variant on both sides.
         let mut streamed = Vec::new();
-        let outcome = FrameReader::new(&bytes[..])
-            .map_err(drop)
-            .and_then(|mut r| std::io::copy(&mut r, &mut streamed).map_err(drop));
+        let outcome = match FrameReader::new(&bytes[..]) {
+            Err(header_error) => {
+                let Err(e) = &serial else {
+                    panic!("round {round}: the reader rejects a header unpack accepts")
+                };
+                assert_eq!(
+                    discriminant(e),
+                    discriminant(&header_error),
+                    "round {round}: header verdicts diverge: unpack {e:?}, reader {header_error:?}"
+                );
+                Err(header_error)
+            }
+            Ok(mut r) => {
+                if let Err(
+                    e @ (FrameError::BadMagic
+                    | FrameError::VersionSkew { .. }
+                    | FrameError::UnknownFlags { .. }
+                    | FrameError::ChecksumMismatch {
+                        region: FrameRegion::Header,
+                    }),
+                ) = &serial
+                {
+                    panic!("round {round}: the reader accepts a header unpack rejects: {e:?}");
+                }
+                std::io::copy(&mut r, &mut streamed).map_err(|e| FrameError::from_io_error(&e))
+            }
+        };
         match (&serial, outcome) {
             (Ok(words), Ok(_)) => {
                 let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -180,7 +209,7 @@ fn mutated_frames_never_panic_and_stay_typed() {
                     "round {round}: reader decoded different words"
                 );
             }
-            (Err(_), Err(())) => {}
+            (Err(_), Err(_)) => {}
             (s, r) => panic!(
                 "round {round}: one-shot ({}) and streaming ({}) verdicts diverge",
                 if s.is_ok() { "ok" } else { "err" },

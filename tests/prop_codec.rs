@@ -1,5 +1,6 @@
 //! Property tests over the CodePack codec at the whole-image level.
 
+use codepack::analyze::{check_frame, LintReport};
 use codepack::core::frame::{pack_frame, unpack_frame, PackOptions, UnpackOptions};
 use codepack::core::{CodePackImage, CompressionConfig, BLOCKS_PER_GROUP, GROUP_INSNS};
 use codepack_testkit::forall;
@@ -160,33 +161,38 @@ fn block_metadata_invariants() {
     });
 }
 
-/// ROM serialization round-trips for arbitrary texts; the loaded image
-/// behaves identically (same decode output, same per-block metadata).
+/// A frame carries everything Table 3 and the fetch engine's block layout
+/// need from the image of the same text: the frame linter's static
+/// recount equals the image's composition field for field, and each group
+/// chunk's `(payload_len, first_len)` are the image's block-pair byte
+/// lengths.
 #[test]
-fn rom_round_trip() {
+fn frame_carries_the_image_stats_and_block_layout() {
     forall!(cases = 32, (arb_text()), |text| {
         let image = CodePackImage::compress(&text, &CompressionConfig::default());
-        let loaded = CodePackImage::from_rom_bytes(&image.to_rom_bytes()).unwrap();
-        assert_eq!(loaded.decompress_all().unwrap(), text);
-        for b in 0..image.num_blocks() {
-            assert_eq!(
-                &loaded.block_info(b).cum_bits,
-                &image.block_info(b).cum_bits
-            );
-        }
-    });
-}
+        let frame = pack_frame(&text, &PackOptions::default());
+        let mut report = LintReport::new("prop");
+        let walk = check_frame(&frame, &mut report);
+        assert!(report.is_clean(), "{}", report.render());
+        assert_eq!(&walk.stats, image.stats());
 
-/// Truncating a ROM anywhere yields an error, never a panic.
-#[test]
-fn rom_truncation_always_errors() {
-    forall!(
-        cases = 32,
-        (arb_text(), gen::unit_f64()),
-        |text, cut_frac| {
-            let rom = CodePackImage::compress(&text, &CompressionConfig::default()).to_rom_bytes();
-            let cut = ((rom.len() as f64) * cut_frac) as usize;
-            assert!(CodePackImage::from_rom_bytes(&rom[..cut.min(rom.len() - 1)]).is_err());
+        // Walk the chunk framing by hand: a 20-byte fixed header, the
+        // dictionaries, the header CRC, then per group the two lengths,
+        // the payload and a 4-byte CRC-32 trailer.
+        let u16_at = |at: usize| u16::from_le_bytes([frame[at], frame[at + 1]]);
+        let mut at = 20 + 2 * (usize::from(u16_at(16)) + usize::from(u16_at(18))) + 4;
+        for g in 0..image.num_groups() {
+            let payload_len = u32::from_le_bytes(frame[at..at + 4].try_into().unwrap());
+            let first_len = u16_at(at + 4);
+            let first = image.block_info(g * BLOCKS_PER_GROUP).byte_len;
+            let second = image.block_info(g * BLOCKS_PER_GROUP + 1).byte_len;
+            assert_eq!(
+                (payload_len, first_len),
+                (u32::from(first) + u32::from(second), first),
+                "group {g}"
+            );
+            at += 6 + payload_len as usize + 4;
         }
-    );
+        assert_eq!(frame[at..at + 4], [0; 4], "end-of-frame marker follows");
+    });
 }
