@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 
 use codepack_isa::{
-    decode, DecodeInstructionError, Instruction, Program, Reg, STACK_BASE, TEXT_BASE,
+    DecodeInstructionError, DecodedText, Instruction, Program, Reg, STACK_BASE, TEXT_BASE,
 };
 use codepack_mem::SparseMemory;
 
@@ -132,16 +132,18 @@ pub struct Machine {
     halted: bool,
     retired: u64,
     mem: SparseMemory,
-    /// Pre-decoded text section (decode errors surface at execution).
-    decoded: Vec<Result<Instruction, DecodeInstructionError>>,
+    /// The program's decoded text, shared with every other machine loaded
+    /// from it (decode errors surface at execution).
+    decoded: DecodedText,
 }
 
 impl Machine {
-    /// Loads a program: text is pre-decoded, data copied to
-    /// [`codepack_isa::DATA_BASE`], `$sp` set to [`STACK_BASE`], PC to the
-    /// entry point.
+    /// Loads a program: the text is the program's shared decoded text
+    /// ([`Program::decoded_text`], decoded on the first load), data is
+    /// copied to [`codepack_isa::DATA_BASE`], `$sp` set to [`STACK_BASE`],
+    /// PC to the entry point.
     pub fn load(program: &Program) -> Machine {
-        let decoded = program.text_words().iter().map(|&w| decode(w)).collect();
+        let decoded = DecodedText::clone(program.decoded_text());
         let mut mem = SparseMemory::new();
         mem.load(codepack_isa::DATA_BASE, program.data_bytes());
         let mut regs = [0u32; 32];

@@ -21,7 +21,8 @@
 use codepack_core::{FetchEngine, MissSource};
 use codepack_isa::{Instruction, Reg};
 use codepack_mem::{
-    Cache, CacheConfig, CacheStats, FaultDomain, FaultStats, MemoryTiming, SoftErrorConfig,
+    Cache, CacheConfig, CacheStats, FaultDomain, FaultStats, MemoryTiming, PageTable,
+    SoftErrorConfig,
 };
 use codepack_obs::{names, EventKind, FaultArea, MissOrigin, Obs};
 
@@ -233,6 +234,44 @@ const FP_SLOTS: usize = 33;
 /// wrap onto itself (window is bounded by RUU lifetime ≪ ring size).
 const ISSUE_RING: usize = 1 << 16;
 
+/// Writeback cycle of the latest store to each data word, keyed by word
+/// address (`addr >> 2`); a page covers 4 KiB of data. A word never stored
+/// reads 0, and every ready time is at least 1, so taking the `max` with
+/// it changes nothing: exactly what an absent entry did.
+type StoreTable = PageTable<u64, 1024>;
+
+/// A ring of per-slot cycle limits walked in order by a cursor that wraps
+/// on compare, so any depth costs no division.
+struct Ring {
+    slots: Vec<u64>,
+    at: usize,
+}
+
+impl Ring {
+    fn new(len: usize) -> Ring {
+        Ring {
+            slots: vec![0; len],
+            at: 0,
+        }
+    }
+
+    /// The value last written to the current slot, one lap ago.
+    #[inline]
+    fn current(&self) -> u64 {
+        self.slots[self.at]
+    }
+
+    /// Overwrites the current slot and steps to the next.
+    #[inline]
+    fn push(&mut self, value: u64) {
+        self.slots[self.at] = value;
+        self.at += 1;
+        if self.at == self.slots.len() {
+            self.at = 0;
+        }
+    }
+}
+
 /// A cycle-level pipeline bound to an I-miss service engine.
 ///
 /// Drives a functional [`Machine`] and accounts cycles; see the module
@@ -263,15 +302,16 @@ pub struct Pipeline {
     last_issue: u64,
     int_ready: [u64; INT_SLOTS],
     fp_ready: [u64; FP_SLOTS],
-    store_wb: std::collections::HashMap<u32, u64>,
+    store_wb: StoreTable,
     fu_free: FuPools,
     issue_count: Vec<u16>,
     issue_clear_hi: u64,
-    commit_ring: Vec<u64>,
-    lsq_ring: Vec<u64>,
-    disp_ring: Vec<u64>,
-    seq: u64,
-    mem_seq: u64,
+    /// Commit cycle of the instruction that last held each RUU entry.
+    commit_ring: Ring,
+    /// Commit cycle of the memory instruction that last held each LSQ entry.
+    lsq_ring: Ring,
+    /// Dispatch cycle of the instruction that last held each fetch-queue slot.
+    disp_ring: Ring,
     stats: PipelineStats,
     /// Soft-error configuration for resident I-cache lines; `None` leaves
     /// the hit path untouched.
@@ -496,15 +536,13 @@ impl Pipeline {
             last_issue: 0,
             int_ready: [0; INT_SLOTS],
             fp_ready: [0; FP_SLOTS],
-            store_wb: std::collections::HashMap::new(),
+            store_wb: StoreTable::new(),
             fu_free: FuPools::new(&config.fu),
             issue_count: vec![0; ISSUE_RING],
             issue_clear_hi: 0,
-            commit_ring: vec![0; config.ruu_size],
-            lsq_ring: vec![0; config.lsq_size],
-            disp_ring: vec![0; config.fetch_queue],
-            seq: 0,
-            mem_seq: 0,
+            commit_ring: Ring::new(config.ruu_size),
+            lsq_ring: Ring::new(config.lsq_size),
+            disp_ring: Ring::new(config.fetch_queue),
             stats: PipelineStats::default(),
             soft_errors: None,
             pending_machine_check: None,
@@ -750,7 +788,7 @@ impl Pipeline {
                 }
                 self.miss_stream = Some(MissStream {
                     line,
-                    critical_word: (info.pc % line_bytes) / 4,
+                    critical_word: (info.pc & (line_bytes - 1)) / 4,
                     critical_at,
                     fill_at: self.fetch_cycle + fill,
                 });
@@ -762,8 +800,8 @@ impl Pipeline {
             // word; fetch cannot outrun the fill.
             if ms.line == line {
                 let words = line_bytes / 4;
-                let word = (info.pc % line_bytes) / 4;
-                let dist = u64::from((word + words - ms.critical_word) % words);
+                let word = (info.pc & (line_bytes - 1)) / 4;
+                let dist = u64::from((word + words - ms.critical_word) & (words - 1));
                 let bound = ms.critical_at
                     + dist * (ms.fill_at - ms.critical_at) / u64::from(words - 1).max(1);
                 if bound > self.fetch_cycle {
@@ -773,7 +811,7 @@ impl Pipeline {
             }
         }
         // Fetch-queue back-pressure: slot frees when an instruction dispatches.
-        let fq_limit = self.disp_ring[(self.seq % self.disp_ring.len() as u64) as usize];
+        let fq_limit = self.disp_ring.current();
         if fq_limit > self.fetch_cycle {
             self.fetch_cycle = fq_limit;
             self.fetched_this_cycle = 0;
@@ -788,11 +826,11 @@ impl Pipeline {
         // ---- dispatch ----
         let mut disp_t = (fetch_t + 1).max(self.disp_cycle);
         // RUU occupancy: the entry we reuse must have committed.
-        let ruu_limit = self.commit_ring[(self.seq % self.commit_ring.len() as u64) as usize];
+        let ruu_limit = self.commit_ring.current();
         disp_t = disp_t.max(ruu_limit);
         let is_mem = info.mem.is_some();
         if is_mem {
-            let lsq_limit = self.lsq_ring[(self.mem_seq % self.lsq_ring.len() as u64) as usize];
+            let lsq_limit = self.lsq_ring.current();
             disp_t = disp_t.max(lsq_limit);
         }
         if disp_t > self.disp_cycle {
@@ -804,8 +842,7 @@ impl Pipeline {
             self.disp_cycle += 1;
             self.dispatched_this_cycle = 0;
         }
-        let dr_len = self.disp_ring.len() as u64;
-        self.disp_ring[(self.seq % dr_len) as usize] = disp_t;
+        self.disp_ring.push(disp_t);
 
         // ---- issue ----
         let mut ready_t = disp_t + 1;
@@ -821,9 +858,7 @@ impl Pipeline {
         // Loads wait for the latest store to the same word (forwarding).
         if let Some(mem) = info.mem {
             if !mem.store {
-                if let Some(&t) = self.store_wb.get(&(mem.addr >> 2)) {
-                    ready_t = ready_t.max(t);
-                }
+                ready_t = ready_t.max(self.store_wb.get(mem.addr >> 2));
             }
         }
         if self.config.in_order {
@@ -840,7 +875,7 @@ impl Pipeline {
             if mem.store {
                 // Stores retire through the write buffer; a miss costs
                 // memory beats but does not stall the pipeline.
-                self.store_wb.insert(mem.addr >> 2, issue_t + lat);
+                *self.store_wb.get_mut(mem.addr >> 2) = issue_t + lat;
             } else if !hit {
                 let fill = self.dmem.line_fill(
                     self.dcache.config().line_bytes(),
@@ -878,14 +913,10 @@ impl Pipeline {
             self.committed_this_cycle = 0;
             commit_t = self.commit_cycle;
         }
-        let cr_len = self.commit_ring.len() as u64;
-        self.commit_ring[(self.seq % cr_len) as usize] = commit_t;
+        self.commit_ring.push(commit_t);
         if is_mem {
-            let lr_len = self.lsq_ring.len() as u64;
-            self.lsq_ring[(self.mem_seq % lr_len) as usize] = commit_t;
-            self.mem_seq += 1;
+            self.lsq_ring.push(commit_t);
         }
-        self.seq += 1;
 
         // ---- control flow: redirect fetch ----
         self.steer_fetch(info, fetch_t, wb_t);
@@ -1360,5 +1391,153 @@ mod tests {
         // Perfect pipelining approaches 1.0 once the I-cache is warm.
         assert!(stats.ipc() < 1.01);
         assert!(stats.ipc() > 0.7, "got {}", stats.ipc());
+    }
+
+    /// A loop of stores and loads walking a 256-byte window of the data
+    /// section: half the loads read a word stored just before, the other
+    /// half one stored an iteration earlier or never.
+    fn store_load_loop(a: &mut Assembler, iterations: i32) {
+        a.li(Reg::T0, codepack_isa::DATA_BASE as i32);
+        a.li(Reg::S0, iterations);
+        let top = a.new_label();
+        a.bind(top);
+        let (sw, lw) = (
+            |rt, offset| Instruction::Sw {
+                rt,
+                base: Reg::T0,
+                offset,
+            },
+            |rt, offset| Instruction::Lw {
+                rt,
+                base: Reg::T0,
+                offset,
+            },
+        );
+        a.push(sw(Reg::S0, 0));
+        a.push(lw(Reg::T1, 0));
+        a.push(Instruction::Addu {
+            rd: Reg::T2,
+            rs: Reg::T1,
+            rt: Reg::S0,
+        });
+        a.push(sw(Reg::T2, 4));
+        a.push(lw(Reg::T3, 8));
+        a.push(lw(Reg::T4, 4));
+        a.push(sw(Reg::T4, 12));
+        a.push(Instruction::Andi {
+            rt: Reg::T5,
+            rs: Reg::S0,
+            imm: 0xf0,
+        });
+        a.li(Reg::T0, codepack_isa::DATA_BASE as i32);
+        a.push(Instruction::Addu {
+            rd: Reg::T0,
+            rs: Reg::T0,
+            rt: Reg::T5,
+        });
+        a.push(Instruction::Addiu {
+            rt: Reg::S0,
+            rs: Reg::S0,
+            imm: -1,
+        });
+        a.bgtz(Reg::S0, top);
+    }
+
+    #[test]
+    fn rings_of_any_depth_keep_their_cycle_counts() {
+        // Depths that are not powers of two: the fetch-queue, RUU and LSQ
+        // cursors must wrap exactly where `seq % len` did.
+        let odd = PipelineConfig {
+            fetch_queue: 3,
+            ruu_size: 5,
+            lsq_size: 3,
+            ..PipelineConfig::four_issue()
+        };
+        let stats = run_program(|a| store_load_loop(a, 600), odd);
+        assert_eq!((stats.instructions, stats.cycles), (7_203, 5_431));
+        let in_order = PipelineConfig {
+            fetch_queue: 3,
+            ruu_size: 5,
+            lsq_size: 3,
+            ..PipelineConfig::one_issue()
+        };
+        let stats = run_program(|a| store_load_loop(a, 600), in_order);
+        assert_eq!((stats.instructions, stats.cycles), (7_203, 7_229));
+    }
+
+    #[test]
+    fn a_load_of_a_just_stored_word_waits_for_the_store() {
+        use crate::exec::MemAccess;
+        use codepack_isa::TEXT_BASE;
+
+        // A divide feeds the stored value, so the store issues late; a load
+        // of the stored word must issue after it, a load of a word in the
+        // same line that no store wrote need not.
+        let load_issue = |load_addr: u32| {
+            let mut pipe = Pipeline::new(
+                PipelineConfig::four_issue(),
+                CacheConfig::icache_4issue(),
+                CacheConfig::dcache_4issue(),
+                MemoryTiming::default(),
+                Box::new(NativeFetch::new(MemoryTiming::default())),
+            );
+            let base = codepack_isa::DATA_BASE;
+            let insns = [
+                (
+                    Instruction::Div {
+                        rs: Reg::T0,
+                        rt: Reg::T1,
+                    },
+                    None,
+                ),
+                (Instruction::Mflo { rd: Reg::T2 }, None),
+                (
+                    Instruction::Sw {
+                        rt: Reg::T2,
+                        base: Reg::T3,
+                        offset: 0,
+                    },
+                    Some(MemAccess {
+                        addr: base,
+                        store: true,
+                    }),
+                ),
+                (
+                    Instruction::Lw {
+                        rt: Reg::T4,
+                        base: Reg::T5,
+                        offset: 0,
+                    },
+                    Some(MemAccess {
+                        addr: load_addr,
+                        store: false,
+                    }),
+                ),
+            ];
+            let mut store_issue = 0;
+            for (i, (insn, mem)) in insns.into_iter().enumerate() {
+                let pc = TEXT_BASE + 4 * i as u32;
+                pipe.account(&StepInfo {
+                    pc,
+                    insn,
+                    next_pc: pc + 4,
+                    mem,
+                    taken: false,
+                });
+                if insn.is_store() {
+                    store_issue = pipe.last_issue;
+                }
+            }
+            (store_issue, pipe.last_issue)
+        };
+        let base = codepack_isa::DATA_BASE;
+        let (store, forwarded) = load_issue(base);
+        let (_, independent) = load_issue(base + 4);
+        assert!(store > 20, "the divide delays the store: {store}");
+        assert!(forwarded > store, "{forwarded} vs store {store}");
+        assert!(
+            independent < store,
+            "an unstored word does not wait: {independent} vs store {store}"
+        );
     }
 }

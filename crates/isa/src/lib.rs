@@ -43,7 +43,7 @@ pub use decode::{decode, decode_at, DecodeError, DecodeErrorKind, DecodeInstruct
 pub use encode::encode;
 pub use insn::Instruction;
 pub use parse::{parse_asm, ParseAsmError};
-pub use program::{Program, DATA_BASE, STACK_BASE, TEXT_BASE};
+pub use program::{DecodedText, Program, DATA_BASE, STACK_BASE, TEXT_BASE};
 pub use reg::{FReg, Reg};
 
 /// Size of one SR32 instruction in bytes. Every instruction is fixed-width.

@@ -1,6 +1,9 @@
 //! Loaded program images.
 
-use crate::INSN_BYTES;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+use crate::{decode, DecodeInstructionError, Instruction, INSN_BYTES};
 
 /// Base virtual address of the text (code) section.
 pub const TEXT_BASE: u32 = 0x0040_0000;
@@ -27,13 +30,21 @@ pub const STACK_BASE: u32 = 0x7fff_f000;
 /// assert_eq!(p.text_size_bytes(), 16);
 /// assert_eq!(p.fetch_word(TEXT_BASE + 4), Some(0));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Program {
     name: String,
     text: Vec<u32>,
     data: Vec<u8>,
     entry: u32,
+    /// The text decoded on first use, shared with clones of the program
+    /// and machines loaded from it; a cache, so equality and `Debug`
+    /// ignore it.
+    decoded: OnceLock<DecodedText>,
 }
+
+/// A program's text section decoded word by word, in order. A word that
+/// does not decode keeps its error, to be reported if it ever executes.
+pub type DecodedText = Arc<[Result<Instruction, DecodeInstructionError>]>;
 
 impl Program {
     /// Creates a program whose entry point is the first text word.
@@ -49,6 +60,7 @@ impl Program {
             text,
             data,
             entry: TEXT_BASE,
+            decoded: OnceLock::new(),
         }
     }
 
@@ -92,6 +104,14 @@ impl Program {
         &self.text
     }
 
+    /// The text section decoded, computed on the first call and shared
+    /// after it: every machine loaded from this program (or a clone of it)
+    /// executes from the same decoded words.
+    pub fn decoded_text(&self) -> &DecodedText {
+        self.decoded
+            .get_or_init(|| self.text.iter().map(|&w| decode(w)).collect())
+    }
+
     /// The data section bytes, loaded at [`DATA_BASE`].
     pub fn data_bytes(&self) -> &[u8] {
         &self.data
@@ -118,6 +138,26 @@ impl Program {
     #[inline]
     pub fn contains_text_addr(&self, addr: u32) -> bool {
         addr >= TEXT_BASE && addr < TEXT_BASE + self.text_size_bytes()
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        (&self.name, &self.text, &self.data, self.entry)
+            == (&other.name, &other.text, &other.data, other.entry)
+    }
+}
+
+impl Eq for Program {}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("name", &self.name)
+            .field("text", &self.text)
+            .field("data", &self.data)
+            .field("entry", &self.entry)
+            .finish()
     }
 }
 
@@ -153,6 +193,21 @@ mod tests {
     #[should_panic(expected = "outside text")]
     fn bad_entry_panics() {
         let _ = Program::with_entry("e", vec![0], vec![], TEXT_BASE + 4);
+    }
+
+    #[test]
+    fn text_is_decoded_once_and_shared() {
+        let p = Program::new("d", vec![encode(Instruction::NOP), 0xffff_ffff], vec![]);
+        let first = Arc::clone(p.decoded_text());
+        assert!(Arc::ptr_eq(&first, p.decoded_text()), "decoded once");
+        assert!(
+            Arc::ptr_eq(&first, p.clone().decoded_text()),
+            "clones share the decoded text"
+        );
+        assert_eq!(first[0], Ok(Instruction::NOP));
+        assert_eq!(first[1], decode(0xffff_ffff));
+        assert!(first[1].is_err(), "a bad word keeps its decode error");
+        assert_eq!(p, Program::new("d", p.text_words().to_vec(), vec![]));
     }
 
     #[test]

@@ -177,6 +177,8 @@ pub struct Cache {
     tick: u64,
     line_shift: u32,
     set_mask: u32,
+    /// `line_shift` plus the set-index bits: `addr >> tag_shift` is the tag.
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -197,6 +199,7 @@ impl Cache {
             tick: 0,
             line_shift: config.line_bytes().trailing_zeros(),
             set_mask: config.sets() - 1,
+            tag_shift: config.line_bytes().trailing_zeros() + config.sets().trailing_zeros(),
         }
     }
 
@@ -229,7 +232,7 @@ impl Cache {
         self.stats.accesses += 1;
         let block = addr >> self.line_shift;
         let set = (block & self.set_mask) as usize;
-        let tag = block >> self.config.sets().trailing_zeros();
+        let tag = addr >> self.tag_shift;
         let ways = self.config.assoc() as usize;
         let base = set * ways;
         let set_lines = &mut self.lines[base..base + ways];
@@ -259,7 +262,7 @@ impl Cache {
     pub fn probe(&self, addr: u32) -> bool {
         let block = addr >> self.line_shift;
         let set = (block & self.set_mask) as usize;
-        let tag = block >> self.config.sets().trailing_zeros();
+        let tag = addr >> self.tag_shift;
         let ways = self.config.assoc() as usize;
         self.lines[set * ways..(set + 1) * ways]
             .iter()

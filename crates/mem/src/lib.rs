@@ -13,7 +13,7 @@
 //! * [`FullyAssociativeCache`] — the fully-associative cache used for the
 //!   decompressor's index cache (paper §5.3, Table 6),
 //! * [`SparseMemory`] — a paged functional memory backing the executor's
-//!   data space,
+//!   data space, built on the hash-free two-level [`PageTable`],
 //! * [`FaultModel`] / [`IntegrityConfig`] / [`FaultStats`] — the
 //!   deterministic soft-error process, the armed integrity checks with
 //!   their modeled costs, and the injected/detected/recovered/silent
@@ -37,6 +37,7 @@
 mod cache;
 pub mod fault;
 mod fully_assoc;
+mod page_table;
 mod sparse;
 mod timing;
 
@@ -46,5 +47,6 @@ pub use fault::{
     StreamIntegrity, PPB_SCALE,
 };
 pub use fully_assoc::FullyAssociativeCache;
+pub use page_table::PageTable;
 pub use sparse::SparseMemory;
 pub use timing::{LineFill, MemoryTiming};

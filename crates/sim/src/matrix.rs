@@ -44,7 +44,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use codepack_core::pool::run_jobs;
 use codepack_core::{CodePackImage, CompressionConfig};
@@ -776,17 +777,23 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
 
     // Per-profile setup, done once, and only for profiles that still
     // have unfinished cells: the generated program and one compressed
-    // image per distinct compression configuration.
+    // image per distinct compression configuration. The worker that
+    // finishes a profile's last cell drops its setup, so the program,
+    // its images and its decoded text do not outlive the profile's row.
     let per_profile = spec.archs.len() * spec.models.len();
-    let prepared: Vec<Option<Prepared>> = spec
+    let unfinished: Vec<AtomicUsize> = (0..spec.profiles.len())
+        .map(|pi| {
+            let cells = pi * per_profile..(pi + 1) * per_profile;
+            AtomicUsize::new(cells.filter(|&i| slots[i].get().is_none()).count())
+        })
+        .collect();
+    let prepared: Vec<Mutex<Option<Arc<Prepared>>>> = spec
         .profiles
         .iter()
         .enumerate()
         .map(|(pi, profile)| {
-            let all_restored =
-                (pi * per_profile..(pi + 1) * per_profile).all(|i| slots[i].get().is_some());
-            if all_restored {
-                return None;
+            if unfinished[pi].load(Ordering::SeqCst) == 0 {
+                return Mutex::new(None);
             }
             let program = Arc::new(generate(profile, spec.seed));
             let mut images: Vec<(CompressionConfig, Arc<CodePackImage>)> = Vec::new();
@@ -800,9 +807,12 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
                     }
                 }
             }
-            Some(Prepared { program, images })
+            Mutex::new(Some(Arc::new(Prepared { program, images })))
         })
         .collect();
+    // Only `clone` and `take` run under these locks, so a poisoned one
+    // still holds a valid value.
+    let setup = |pi: usize| prepared[pi].lock().unwrap_or_else(PoisonError::into_inner);
 
     // Workers claim cells in enumeration order; below 32 cells per worker
     // (the 54-cell paper cube on two or more workers) a claim is one cell.
@@ -812,11 +822,14 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
                 continue; // restored from the journal
             }
             let job = &jobs[i];
-            let prep = prepared[job.prepared]
-                .as_ref()
+            let prep = setup(job.prepared)
+                .clone()
                 .expect("profiles with pending cells are prepared");
 
-            let done = run_cell(spec, opts, i, job.arch, job.model, prep);
+            let done = run_cell(spec, opts, i, job.arch, job.model, &prep);
+            if unfinished[job.prepared].fetch_sub(1, Ordering::SeqCst) == 1 {
+                setup(job.prepared).take();
+            }
 
             if let Some(w) = &journal {
                 let entry = JournalEntry {
