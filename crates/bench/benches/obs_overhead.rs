@@ -4,8 +4,9 @@
 //!
 //! The disabled handle is the default for every simulation in the
 //! workspace, so its cost is the one that matters: each instrumentation
-//! site must stay a single predictable branch. This bench measures the
-//! null-sink configuration against the disabled one and **fails** (exit
+//! site must stay a single predictable branch. This bench times the
+//! null-sink configuration against the disabled one in alternation
+//! (`Bench::paired`: the median of per-pair ratios) and **fails** (exit
 //! code 1) if the overhead exceeds 3%, the budget promised in
 //! `crates/obs/src/handle.rs` and DESIGN.md.
 //!
@@ -31,27 +32,19 @@ fn main() {
     };
 
     let mut b = Bench::new("obs_overhead");
-    let disabled = b
-        .with_throughput(Throughput::Elements(INSNS))
-        .bench("pipeline_1issue/obs_disabled", || run(Obs::disabled()))
-        .median_ns;
-    let null_sink = b
-        .with_throughput(Throughput::Elements(INSNS))
-        .bench("pipeline_1issue/obs_null_sink", || {
-            run(Obs::with_null_sink())
-        })
-        .median_ns;
+    let null_sink_ratio = b.with_throughput(Throughput::Elements(INSNS)).paired(
+        "pipeline_1issue/obs_disabled",
+        || run(Obs::disabled()),
+        "pipeline_1issue/obs_null_sink",
+        || run(Obs::with_null_sink()),
+    );
     b.with_throughput(Throughput::Elements(INSNS))
         .bench("pipeline_1issue/obs_ring_64k", || {
             run(Obs::with_sink(Box::new(RingSink::new(1 << 16))))
         });
+    b.finish();
 
-    print!("{}", b.render());
-    if let Some(path) = b.finish() {
-        println!("results written to {}", path.display());
-    }
-
-    let overhead_pct = (null_sink - disabled) / disabled * 100.0;
+    let overhead_pct = (null_sink_ratio - 1.0) * 100.0;
     println!("null-sink overhead vs disabled: {overhead_pct:+.2}%  (budget {BUDGET_PCT:.1}%)");
     if overhead_pct >= BUDGET_PCT {
         eprintln!("obs_overhead: FAIL — observability overhead exceeds the {BUDGET_PCT}% budget");

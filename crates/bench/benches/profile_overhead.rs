@@ -6,8 +6,9 @@
 //! `Obs` handle the rest of the instrumentation uses: per miss it is
 //! increment-only, and the expensive decode-path attribution is deferred
 //! to one counted decode per touched block at end of run. This bench
-//! measures armed-vs-unarmed on an observed run and **fails** (exit code
-//! 1) if the overhead exceeds 3%, the budget promised in DESIGN.md.
+//! times armed against unarmed on an observed run, in alternation
+//! (`Bench::paired`: the median of per-pair ratios), and **fails** (exit
+//! code 1) if the overhead exceeds 3%, the budget promised in DESIGN.md.
 //!
 //! Runs on the in-tree `codepack_testkit::bench` harness (no criterion).
 //! Set `TESTKIT_BENCH_FAST=1` for a quick smoke run.
@@ -42,27 +43,19 @@ fn main() {
     };
 
     let mut b = Bench::new("profile_overhead");
-    let unarmed = b
-        .with_throughput(Throughput::Elements(INSNS))
-        .bench("pipeline_4issue_cpopt/profile_unarmed", || {
-            run(Obs::with_null_sink())
-        })
-        .median_ns;
-    let armed = b
-        .with_throughput(Throughput::Elements(INSNS))
-        .bench("pipeline_4issue_cpopt/profile_armed", || {
+    let armed_ratio = b.with_throughput(Throughput::Elements(INSNS)).paired(
+        "pipeline_4issue_cpopt/profile_unarmed",
+        || run(Obs::with_null_sink()),
+        "pipeline_4issue_cpopt/profile_armed",
+        || {
             let mut obs = Obs::with_null_sink();
             obs.arm_profile();
             run(obs)
-        })
-        .median_ns;
+        },
+    );
+    b.finish();
 
-    print!("{}", b.render());
-    if let Some(path) = b.finish() {
-        println!("results written to {}", path.display());
-    }
-
-    let overhead_pct = (armed - unarmed) / unarmed * 100.0;
+    let overhead_pct = (armed_ratio - 1.0) * 100.0;
     println!("armed-profile overhead vs unarmed: {overhead_pct:+.2}%  (budget {BUDGET_PCT:.1}%)");
     if overhead_pct >= BUDGET_PCT {
         eprintln!("profile_overhead: FAIL — profiling overhead exceeds the {BUDGET_PCT}% budget");

@@ -79,8 +79,6 @@ impl Workload {
     }
 }
 
-pub mod scorecard;
-
 /// Paper reference values, for printing next to measured numbers.
 pub mod paper {
     /// Table 3: compression ratio of the `.text` section, percent.

@@ -16,8 +16,8 @@
 //!
 //! The latency scorecard (exact sorted-sample percentiles, microseconds)
 //! is written as a `BENCH_service.json` document (schema_version 1,
-//! suite "service") validated by `tools/validate_bench.py
-//! --require-service`.
+//! suite "service"), whose schema `crates/cli/tests/exit_codes.rs`
+//! checks.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

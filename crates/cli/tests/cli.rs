@@ -1,5 +1,6 @@
-//! End-to-end tests of the `cpack` binary: flag hygiene and the
-//! observability artifacts (`run --trace/--metrics`, `trace-export`).
+//! End-to-end tests of the `cpack` binary: flag hygiene, the
+//! observability artifacts (`run --trace/--metrics`, `trace-export`,
+//! `profile --out`), and the matrix and fault-campaign reports.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -138,11 +139,13 @@ fn run_writes_parseable_trace_and_metrics() {
         (sum - total).abs() < 1e-5,
         "CPI components ({sum}) must sum to total ({total})"
     );
+    let cycles = v
+        .get("counters")
+        .and_then(|c| c.get("pipeline.cycles"))
+        .and_then(json::Value::as_u64);
     assert!(
-        v.get("counters")
-            .and_then(|c| c.get("pipeline.cycles"))
-            .is_some(),
-        "metrics carry pipeline counters"
+        cycles.is_some_and(|c| c > 0),
+        "metrics carry a nonzero pipeline cycle count: {cycles:?}"
     );
 }
 
@@ -244,6 +247,22 @@ fn matrix_journal_resume_reproduces_the_uninterrupted_report() {
         "journaled matrix failed: {}",
         String::from_utf8_lossy(&clean.stderr)
     );
+    let report = json::parse(&String::from_utf8_lossy(&clean.stdout)).expect("report parses");
+    let cells = report
+        .get("cells")
+        .and_then(json::Value::as_array)
+        .expect("cells array");
+    assert_eq!(
+        cells.len(),
+        54,
+        "the full cube: 6 profiles x 3 archs x 3 models"
+    );
+    assert!(
+        cells
+            .iter()
+            .all(|c| c.get("outcome").and_then(json::Value::as_str) == Some("ok")),
+        "every cell of a clean sweep is ok"
+    );
     let journal = clean_dir.join("journal.jsonl");
     let text = std::fs::read_to_string(&journal).unwrap();
     assert_eq!(
@@ -289,4 +308,101 @@ fn matrix_journal_resume_reproduces_the_uninterrupted_report() {
         stderr.contains("(19 resumed"),
         "summary counts the restored cells: {stderr}"
     );
+}
+
+#[test]
+fn profile_artifact_loads_and_every_miss_is_in_its_histogram() {
+    let path = scratch("prof.json");
+    let out = cpack(&[
+        "profile",
+        "pegwit",
+        "30000",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "profile failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).unwrap();
+    let profile = codepack_obs::BlockProfile::from_json(&text).expect("artifact loads");
+    assert!(profile.total_blocks() > 0 && profile.blocks_touched() > 0);
+    for (block, s) in profile.iter() {
+        assert!(
+            s.fetches >= s.buffer_hits,
+            "block {block}: hits exceed fetches"
+        );
+        assert_eq!(
+            s.miss_cycles.count(),
+            s.fetches - s.buffer_hits,
+            "block {block}: histogram count != misses"
+        );
+    }
+}
+
+#[test]
+fn fault_campaign_ledgers_conserve() {
+    let out = cpack(&[
+        "faults",
+        "3000",
+        "--profile",
+        "pegwit",
+        "--rates",
+        "0,50000000",
+        "--integrity",
+        "none,crc32",
+        "--json",
+    ]);
+    assert!(
+        out.status.success(),
+        "faults failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("report parses");
+    let cells = report
+        .get("cells")
+        .and_then(json::Value::as_array)
+        .expect("cells array");
+    assert_eq!(
+        cells.len(),
+        6,
+        "native, cp-opt, and 2 rates x 2 integrity modes"
+    );
+    let field = |c: &json::Value, k: &str| c.get(k).and_then(json::Value::as_u64);
+    fn model(c: &json::Value) -> &str {
+        c.get("model").and_then(json::Value::as_str).unwrap_or("")
+    }
+    let mut struck = 0;
+    for c in cells.iter().filter(|c| c.get("faults_injected").is_some()) {
+        let n = |k| field(c, k).unwrap();
+        let (recovered, trapped, silent) = (
+            n("faults_recovered"),
+            n("faults_trapped"),
+            n("faults_silent"),
+        );
+        assert_eq!(
+            n("faults_injected"),
+            recovered + trapped + silent,
+            "{}: ledger not conserved",
+            model(c)
+        );
+        assert_eq!(
+            n("faults_detected"),
+            recovered + trapped,
+            "{}: detected != recovered + trapped",
+            model(c)
+        );
+        struck += n("faults_injected");
+    }
+    assert!(struck > 0, "the 5e-2 rate injected nothing");
+    // Rate 0 with no integrity is cycle-identical to the unprotected model.
+    let cycles = |m: &str| {
+        cells
+            .iter()
+            .find(|c| model(c) == m)
+            .and_then(|c| field(c, "cycles"))
+    };
+    assert_eq!(cycles("cp-none-r0"), cycles("cp-opt"));
+    assert!(cycles("cp-opt").is_some());
 }

@@ -8,6 +8,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use codepack_obs::json::{self, Value};
+
 fn cpack(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cpack"))
         .args(args)
@@ -166,7 +168,75 @@ fn loadgen_smoke_exits_zero_and_emits_scorecard() {
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = std::fs::read_to_string(&out_file).unwrap();
-    assert!(doc.contains("\"suite\": \"service\""));
-    assert!(doc.contains("\"lost\": 0"));
-    assert!(doc.contains("\"mismatched\": 0"));
+    let card = check_service_scorecard(&doc, "smoke");
+    assert_eq!(card.get("requests").and_then(Value::as_u64), Some(400));
+    assert_eq!(card.get("chaos").and_then(Value::as_bool), Some(false));
+}
+
+/// The checked-in `BENCH_service.json` is the retained chaos record: a
+/// full-mode run of one million requests with chaos on, and zero loss.
+#[test]
+fn checked_in_service_scorecard_is_the_full_chaos_record() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
+    let doc = std::fs::read_to_string(path).expect("BENCH_service.json is checked in");
+    let card = check_service_scorecard(&doc, "full");
+    assert_eq!(
+        card.get("requests").and_then(Value::as_u64),
+        Some(1_000_000)
+    );
+    assert_eq!(card.get("chaos").and_then(Value::as_bool), Some(true));
+}
+
+/// Checks a `cpack loadgen` scorecard (`suite: "service"`, schema 1):
+/// the header, the zero-loss contract (every request resolved exactly
+/// once, every `Ok` byte-identical to the library's answer), the other
+/// counts, and a monotone latency ladder. Returns the parsed document.
+fn check_service_scorecard(doc: &str, mode: &str) -> Value {
+    let card = json::parse(doc).expect("scorecard parses");
+    let text = |k: &str| card.get(k).and_then(Value::as_str);
+    assert_eq!(card.get("schema_version").and_then(Value::as_u64), Some(1));
+    assert_eq!(text("suite"), Some("service"));
+    assert_eq!(text("bench"), Some("loadgen"));
+    assert_eq!(text("unit"), Some("us"));
+    assert_eq!(text("mode"), Some(mode));
+    assert!(card.get("seed").and_then(Value::as_u64).is_some());
+    assert!(card.get("chaos").and_then(Value::as_bool).is_some());
+    for k in ["requests", "clients"] {
+        let n = card.get(k).and_then(Value::as_u64);
+        assert!(n.is_some_and(|n| n > 0), "{k} = {n:?} is not positive");
+    }
+
+    let results = card.get("results").expect("results object");
+    let count = |k: &str| results.get(k).and_then(Value::as_u64);
+    for k in ["lost", "duplicated", "mismatched"] {
+        assert_eq!(count(k), Some(0), "results.{k}");
+    }
+    assert!(count("ok").is_some_and(|n| n > 0), "results.ok");
+    for k in ["failed", "connection_errors"] {
+        assert!(count(k).is_some(), "results.{k} is not a count");
+    }
+    let rejected = results
+        .get("rejected")
+        .and_then(Value::as_object)
+        .expect("results.rejected object");
+    assert!(
+        rejected.values().all(|n| n.as_u64().is_some()),
+        "results.rejected holds counts: {rejected:?}"
+    );
+
+    let latency = card.get("latency_us").expect("latency_us object");
+    let us = |k: &str| {
+        latency
+            .get(k)
+            .and_then(Value::as_f64)
+            .filter(|v| *v >= 0.0)
+            .unwrap_or_else(|| panic!("latency_us.{k} is not a non-negative number"))
+    };
+    us("mean");
+    let ladder = ["min", "p50", "p95", "p99", "p999", "max"].map(us);
+    assert!(
+        ladder.windows(2).all(|w| w[0] <= w[1]),
+        "latency ladder min <= p50 <= p95 <= p99 <= p999 <= max broken: {ladder:?}"
+    );
+    card
 }

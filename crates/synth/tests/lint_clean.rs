@@ -8,7 +8,7 @@
 //! generator change that emits an unreachable block, an out-of-range
 //! branch, or an uninitialized read now fails here, with an address.
 
-use codepack_analyze::{lint_compressed, lint_program};
+use codepack_analyze::{check_image, lint_program, ImageParts, LintReport};
 use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_synth::{generate, BenchmarkProfile};
 
@@ -37,15 +37,17 @@ fn every_profile_lints_clean() {
 
 #[test]
 fn compressed_images_lint_clean_with_exact_ratio_agreement() {
-    // The two smallest profiles keep this fast in debug builds; the full
-    // suite is covered by the CI tier-2 smoke via `cpack lint`.
-    for profile in [
-        BenchmarkProfile::pegwit_like(),
-        BenchmarkProfile::mpeg2enc_like(),
-    ] {
+    // The image half of `lint_compressed`; `every_profile_lints_clean`
+    // above already runs the program half on every profile.
+    for profile in BenchmarkProfile::suite() {
         let program = generate(&profile, SEED);
         let image = CodePackImage::compress(program.text_words(), &CompressionConfig::default());
-        let report = lint_compressed(&program, &image);
+        let mut report = LintReport::new(program.name());
+        check_image(
+            &ImageParts::of_image(&image),
+            Some(program.text_words()),
+            &mut report,
+        );
         assert!(
             report.is_clean(),
             "{} compressed image has lint errors:\n{}",

@@ -1,13 +1,20 @@
 //! A minimal micro-benchmark harness: warmup, batched timing, median /
-//! MAD statistics, and JSON emission — the subset of `criterion` this
-//! workspace needs, with no external dependencies.
+//! MAD statistics, and paired A/B comparison — the subset of `criterion`
+//! this workspace needs, with no external dependencies.
 //!
 //! ```no_run
 //! use codepack_testkit::bench::{Bench, Throughput};
-//! let mut b = Bench::new("codec_micro");
+//! let mut b = Bench::new("sums");
 //! b.with_throughput(Throughput::Elements(1000))
 //!     .bench("sum/1k", || (0..1000u64).sum::<u64>());
-//! b.finish(); // prints a table, writes target/bench/codec_micro.json
+//! let slowdown = b.paired(
+//!     "sum/1k",
+//!     || (0..1000u64).sum::<u64>(),
+//!     "sum/2k",
+//!     || (0..2000u64).sum::<u64>(),
+//! );
+//! b.finish(); // prints a table
+//! assert!(slowdown > 1.0);
 //! ```
 //!
 //! Each benchmark auto-calibrates its batch size so one batch runs for a
@@ -16,9 +23,13 @@
 //! ns/iteration across batches; spread is the **median absolute
 //! deviation** (MAD), both robust to scheduler noise. Set
 //! `TESTKIT_BENCH_FAST=1` to cut times by ~10× in smoke runs.
+//!
+//! A gate that compares two configurations uses [`Bench::paired`]
+//! instead of two `bench` calls: it times them in alternation and takes
+//! the median of per-pair ratios, so drift between two separate runs
+//! cannot masquerade as overhead or speedup.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Units processed per iteration, for derived throughput reporting.
@@ -86,6 +97,10 @@ pub struct Bench {
     results: Vec<BenchResult>,
 }
 
+/// Pairs one [`Bench::paired`] comparison times; odd, so the median
+/// ratio is one measured pair.
+const PAIRS: u64 = 21;
+
 fn fast_mode() -> bool {
     std::env::var("TESTKIT_BENCH_FAST")
         .map(|v| v != "0")
@@ -108,8 +123,38 @@ fn batch_count() -> u64 {
         .max(3)
 }
 
+/// Grows the batch until it takes long enough to time; the growing runs
+/// double as warmup. Returns the iterations per batch.
+fn calibrate<R>(f: &mut impl FnMut() -> R) -> u64 {
+    let mut iters: u64 = 1;
+    loop {
+        let t = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        let elapsed = t.elapsed().as_nanos() as u64;
+        if elapsed >= target_batch_ns() || iters >= 1 << 24 {
+            return iters;
+        }
+        // Aim just past the target; at least double to converge fast.
+        iters = (iters * 2).max(match (iters * target_batch_ns()).checked_div(elapsed) {
+            None => iters * 16,
+            Some(scaled) => scaled + 1,
+        });
+    }
+}
+
+/// Times one batch of `iters` calls; returns ns per iteration.
+fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u64) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    t.elapsed().as_nanos() as f64 / iters as f64
+}
+
 impl Bench {
-    /// Opens a suite; `suite` names the JSON file under `target/bench/`.
+    /// Opens a suite; `suite` heads its rendered table.
     pub fn new(suite: impl Into<String>) -> Bench {
         Bench {
             suite: suite.into(),
@@ -118,7 +163,8 @@ impl Bench {
         }
     }
 
-    /// Declares the work per iteration of the *next* `bench` call.
+    /// Declares the work per iteration of the *next* `bench` or `paired`
+    /// call.
     pub fn with_throughput(&mut self, t: Throughput) -> &mut Bench {
         self.next_throughput = Some(t);
         self
@@ -128,36 +174,59 @@ impl Bench {
     /// measurement for immediate inspection.
     pub fn bench<R>(&mut self, id: impl Into<String>, mut f: impl FnMut() -> R) -> &BenchResult {
         let throughput = self.next_throughput.take();
+        let iters = calibrate(&mut f);
+        let per_iter_ns = (0..batch_count())
+            .map(|_| time_batch(&mut f, iters))
+            .collect();
+        self.record(id.into(), iters, per_iter_ns, throughput)
+    }
 
-        // Calibrate: grow the batch until it takes long enough to time.
-        let mut iters: u64 = 1;
-        loop {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
+    /// Times `base` and `test` in alternation and returns the median,
+    /// over 21 pairs, of `test`'s ns per iteration divided by `base`'s:
+    /// above 1.0 `test` is slower, below 1.0 it is faster.
+    ///
+    /// Each pair times both sides back to back, and successive pairs
+    /// swap the order (base then test, test then base), so clock ramps,
+    /// cache warmth and a neighbour's load fall on both sides alike. Both
+    /// sides are recorded as results, one batch per pair.
+    pub fn paired<RA, RB>(
+        &mut self,
+        base_id: impl Into<String>,
+        mut base: impl FnMut() -> RA,
+        test_id: impl Into<String>,
+        mut test: impl FnMut() -> RB,
+    ) -> f64 {
+        let throughput = self.next_throughput.take();
+        let base_iters = calibrate(&mut base);
+        let test_iters = calibrate(&mut test);
+        let mut base_ns = Vec::with_capacity(PAIRS as usize);
+        let mut test_ns = Vec::with_capacity(PAIRS as usize);
+        for pair in 0..PAIRS {
+            if pair % 2 == 0 {
+                base_ns.push(time_batch(&mut base, base_iters));
+                test_ns.push(time_batch(&mut test, test_iters));
+            } else {
+                test_ns.push(time_batch(&mut test, test_iters));
+                base_ns.push(time_batch(&mut base, base_iters));
             }
-            let elapsed = t.elapsed().as_nanos() as u64;
-            if elapsed >= target_batch_ns() || iters >= 1 << 24 {
-                break;
-            }
-            // Aim just past the target; at least double to converge fast.
-            iters = (iters * 2).max(match (iters * target_batch_ns()).checked_div(elapsed) {
-                None => iters * 16,
-                Some(scaled) => scaled + 1,
-            });
         }
+        let mut ratios: Vec<f64> = test_ns
+            .iter()
+            .zip(&base_ns)
+            .map(|(t, b)| t / b.max(1e-9))
+            .collect();
+        self.record(base_id.into(), base_iters, base_ns, throughput);
+        self.record(test_id.into(), test_iters, test_ns, throughput);
+        median(&mut ratios)
+    }
 
-        // Warmup already happened during calibration; take timed batches.
-        let batches = batch_count();
-        let mut per_iter_ns: Vec<f64> = Vec::with_capacity(batches as usize);
-        for _ in 0..batches {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            per_iter_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-
+    fn record(
+        &mut self,
+        id: String,
+        iters: u64,
+        per_iter_ns: Vec<f64>,
+        throughput: Option<Throughput>,
+    ) -> &BenchResult {
         let mid = median(&mut per_iter_ns.clone());
         let mut deviations: Vec<f64> = per_iter_ns.iter().map(|v| (v - mid).abs()).collect();
         let mad = median(&mut deviations);
@@ -165,9 +234,9 @@ impl Bench {
         let max = per_iter_ns.iter().cloned().fold(0.0, f64::max);
 
         self.results.push(BenchResult {
-            id: id.into(),
+            id,
             iters_per_batch: iters,
-            batches,
+            batches: per_iter_ns.len() as u64,
             median_ns: mid,
             mad_ns: mad,
             min_ns: min,
@@ -212,62 +281,9 @@ impl Bench {
         out
     }
 
-    /// The suite as a JSON document (stable field order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"suite\": \"{}\",\n", escape_json(&self.suite)));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let throughput = match r.throughput {
-                Some(Throughput::Bytes(b)) => format!("{{\"bytes\": {b}}}"),
-                Some(Throughput::Elements(e)) => format!("{{\"elements\": {e}}}"),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"mad_ns\": {:.1}, \
-                 \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"iters_per_batch\": {}, \
-                 \"batches\": {}, \"throughput\": {}}}{}\n",
-                escape_json(&r.id),
-                r.median_ns,
-                r.mad_ns,
-                r.min_ns,
-                r.max_ns,
-                r.iters_per_batch,
-                r.batches,
-                throughput,
-                if i + 1 == self.results.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Prints the table and writes `target/bench/<suite>.json`. Returns
-    /// the JSON path when the write succeeded.
-    pub fn finish(&self) -> Option<PathBuf> {
+    /// Prints the table.
+    pub fn finish(&self) {
         print!("{}", self.render());
-        let dir = bench_output_dir();
-        std::fs::create_dir_all(&dir).ok()?;
-        let path = dir.join(format!("{}.json", self.suite));
-        std::fs::write(&path, self.to_json()).ok()?;
-        println!("[testkit] wrote {}", path.display());
-        Some(path)
-    }
-}
-
-/// `target/bench` under the workspace root (found via `Cargo.lock`).
-fn bench_output_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(dir).join("bench");
-    }
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.join("target").join("bench");
-        }
-        if !dir.pop() {
-            return PathBuf::from("target").join("bench");
-        }
     }
 }
 
@@ -294,18 +310,6 @@ fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{ns:.1} ns")
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -342,26 +346,35 @@ mod tests {
     }
 
     #[test]
-    fn throughput_labels_and_json_shape() {
+    fn paired_ratio_orders_the_sides_and_records_both() {
         fast_env();
-        let mut b = Bench::new("testkit-selftest-json");
+        let work = |n: u64| (0..n).map(|i| black_box(i).wrapping_mul(i)).sum::<u64>();
+        let mut b = Bench::new("testkit-selftest-paired");
+        let slower = b.paired("1x", || work(2000), "8x", || work(16_000));
+        assert!(slower > 2.0, "8x the work read as {slower:.2}x the time");
+        let faster = b.paired("8x", || work(16_000), "1x", || work(2000));
+        assert!(faster < 0.5, "1/8 the work read as {faster:.2}x the time");
+        assert_eq!(b.results().len(), 4);
+        assert!(b.results().iter().all(|r| r.batches == PAIRS));
+    }
+
+    #[test]
+    fn throughput_labels_and_table() {
+        fast_env();
+        let mut b = Bench::new("testkit-selftest-table");
         b.with_throughput(Throughput::Bytes(4096))
             .bench("copy", || [0u8; 64]);
         b.with_throughput(Throughput::Elements(16))
             .bench("count", || 16u32);
         b.bench("plain", || ());
-        let json = b.to_json();
-        assert!(json.contains("\"suite\": \"testkit-selftest-json\""));
-        assert!(json.contains("{\"bytes\": 4096}"));
-        assert!(json.contains("{\"elements\": 16}"));
-        assert!(json.contains("\"throughput\": null"));
         assert!(b.results()[0].throughput_label().unwrap().ends_with("B/s"));
         assert!(b.results()[1]
             .throughput_label()
             .unwrap()
             .ends_with("elem/s"));
         assert!(b.results()[2].throughput_label().is_none());
-        assert!(b.render().contains("copy"));
+        let table = b.render();
+        assert!(table.contains("testkit-selftest-table") && table.contains("copy"));
     }
 
     #[test]
@@ -369,10 +382,5 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&mut []), 0.0);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -15,7 +15,8 @@
 //!   deterministic seed, counterexample shrinking for integers and
 //!   vectors, failing-seed persistence to `target/testkit-regressions/`.
 //! * [`mod@bench`] — micro-benchmarks: calibrated batches, median/MAD
-//!   statistics, text table + JSON emission to `target/bench/*.json`.
+//!   statistics, a text table, and paired A/B ratios for the bench
+//!   targets that gate on a floor or an overhead budget.
 //!
 //! Environment knobs: `TESTKIT_SEED`, `TESTKIT_CASES`,
 //! `TESTKIT_BENCH_FAST`, `TESTKIT_BENCH_BATCHES`.
