@@ -138,6 +138,16 @@ TESTKIT_BENCH_FAST=1 \
     cargo bench -q --offline -p codepack-bench --bench codec_floors > /dev/null \
     || { echo "codec speedup below its floor"; exit 1; }
 
+echo "== tier-2: baseline-scheme benches =="
+# CCRP, HuffPack and software decompression run end to end through the
+# decompressor model they share with CodePack (index lookup, decode
+# schedule). baselines_ratio and futurework_huffpack assert their images
+# round-trip losslessly; every bench panics if a run traps.
+for b in baselines_ratio software_decompression futurework_huffpack; do
+    CODEPACK_INSNS=20000 cargo bench -q --offline -p codepack-bench --bench "$b" > /dev/null \
+        || { echo "bench $b failed"; exit 1; }
+done
+
 echo "== tier-2: block profiler smoke =="
 # A profiled run must emit an artifact that is byte-identical across
 # worker counts at the fixed seed (the input contract of the

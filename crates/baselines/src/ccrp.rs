@@ -16,12 +16,14 @@
 //! notably worse than CodePack's ~60% — and a serial, history-based decode.
 
 use codepack_core::{
-    BitReader, BitWriter, DecompressError, FetchEngine, FetchStats, IndexCacheModel, MissService,
-    MissSource,
+    decode_schedule, DecompressError, FetchEngine, FetchStats, IndexCacheModel, IndexLookup,
+    MissService, MissSource,
 };
-use codepack_mem::{FullyAssociativeCache, MemoryTiming};
+use codepack_mem::MemoryTiming;
 use std::fmt;
 use std::sync::Arc;
+
+use crate::block::{BlockStream, CodedBlock};
 
 /// Lines mapped by one LAT entry (a 4-byte base plus three 1-byte relative
 /// offsets, padded to 8 bytes).
@@ -79,17 +81,6 @@ impl fmt::Display for CcrpStats {
     }
 }
 
-/// Placement/timing metadata of one compressed line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LineInfo {
-    /// Byte offset in the compressed stream.
-    pub byte_offset: u32,
-    /// Byte length (including the mode flag and pad).
-    pub byte_len: u16,
-    /// `cum_bits[j]` = bits needed before instruction `j` finishes decoding.
-    pub cum_bits: Vec<u16>,
-}
-
 /// A CCRP-compressed text section.
 ///
 /// ```
@@ -103,8 +94,7 @@ pub struct LineInfo {
 #[derive(Clone, Debug)]
 pub struct CcrpImage {
     code: crate::HuffmanCode,
-    bytes: Vec<u8>,
-    lines: Vec<LineInfo>,
+    lines: BlockStream,
     line_bytes: u32,
     n_insns: u32,
     stats: CcrpStats,
@@ -139,8 +129,7 @@ impl CcrpImage {
         }
         let code = crate::HuffmanCode::build(&freqs);
 
-        let mut bytes = Vec::new();
-        let mut lines = Vec::with_capacity(padded_len / insns_per_line);
+        let mut lines = BlockStream::default();
         let mut stats = CcrpStats {
             original_bytes: u64::from(n_insns) * 4,
             table_bytes: u64::from(code.table_bytes()),
@@ -148,47 +137,21 @@ impl CcrpImage {
         };
 
         for chunk in padded.chunks_exact(insns_per_line) {
-            let byte_offset = bytes.len() as u32;
-            let mut w = BitWriter::new();
-            let mut cum = vec![0u16; insns_per_line + 1];
-            w.write(0, 1); // compressed-line flag
-            for (j, &word) in chunk.iter().enumerate() {
+            let raw = lines.push(chunk, |w, word| {
                 for b in word.to_le_bytes() {
-                    code.encode(&mut w, u16::from(b));
+                    code.encode(w, u16::from(b));
                 }
-                cum[j + 1] = w.bit_len() as u16;
-            }
-            let expands = w.bit_len() > u64::from(line_bytes) * 8;
-            let (line_bytes_vec, cum) = if expands {
-                stats.raw_lines += 1;
-                let mut w = BitWriter::new();
-                let mut cum = vec![0u16; insns_per_line + 1];
-                w.write(1, 1);
-                for (j, &word) in chunk.iter().enumerate() {
-                    w.write(word, 32);
-                    cum[j + 1] = w.bit_len() as u16;
-                }
-                (w.into_bytes(), cum)
-            } else {
-                (w.into_bytes(), cum)
-            };
-            stats.lines += 1;
-            let byte_len = u16::try_from(line_bytes_vec.len()).expect("line fits u16");
-            bytes.extend_from_slice(&line_bytes_vec);
-            lines.push(LineInfo {
-                byte_offset,
-                byte_len,
-                cum_bits: cum,
             });
+            stats.raw_lines += u64::from(raw);
+            stats.lines += 1;
         }
 
-        stats.stream_bytes = bytes.len() as u64;
-        stats.lat_bytes = u64::from((lines.len() as u32).div_ceil(LINES_PER_LAT_ENTRY))
-            * u64::from(LAT_ENTRY_BYTES);
+        stats.stream_bytes = lines.stream_bytes();
+        stats.lat_bytes =
+            stats.lines.div_ceil(u64::from(LINES_PER_LAT_ENTRY)) * u64::from(LAT_ENTRY_BYTES);
 
         CcrpImage {
             code,
-            bytes,
             lines,
             line_bytes,
             n_insns,
@@ -203,7 +166,7 @@ impl CcrpImage {
 
     /// Number of compressed lines.
     pub fn num_lines(&self) -> u32 {
-        self.lines.len() as u32
+        self.lines.blocks().len() as u32
     }
 
     /// Cache-line size this image was compressed for.
@@ -216,8 +179,8 @@ impl CcrpImage {
     /// # Panics
     ///
     /// Panics if `line >= num_lines()`.
-    pub fn line_info(&self, line: u32) -> &LineInfo {
-        &self.lines[line as usize]
+    pub fn line_info(&self, line: u32) -> &CodedBlock {
+        &self.lines.blocks()[line as usize]
     }
 
     /// Decompresses one line.
@@ -226,28 +189,14 @@ impl CcrpImage {
     ///
     /// Returns a [`DecompressError`] on out-of-range lines or corrupt data.
     pub fn decompress_line(&self, line: u32) -> Result<Vec<u32>, DecompressError> {
-        let info = self
-            .lines
-            .get(line as usize)
-            .ok_or(DecompressError::BadBlock {
-                block: line,
-                blocks: self.num_lines(),
-            })?;
-        let mut r = BitReader::new(&self.bytes[info.byte_offset as usize..]);
-        let insns = (self.line_bytes / 4) as usize;
-        let mut out = Vec::with_capacity(insns);
-        let raw = r.read(1)? == 1;
-        for _ in 0..insns {
-            if raw {
-                out.push(r.read(32)?);
-            } else {
-                let mut word_bytes = [0u8; 4];
-                for b in &mut word_bytes {
-                    *b = self.code.decode(&mut r)? as u8;
-                }
-                out.push(u32::from_le_bytes(word_bytes));
+        let mut out = vec![0; (self.line_bytes / 4) as usize];
+        self.lines.decode(line, &mut out, |r| {
+            let mut word_bytes = [0u8; 4];
+            for b in &mut word_bytes {
+                *b = self.code.decode(r)? as u8;
             }
-        }
+            Ok(u32::from_le_bytes(word_bytes))
+        })?;
         Ok(out)
     }
 
@@ -257,7 +206,7 @@ impl CcrpImage {
     ///
     /// Returns a [`DecompressError`] on corrupt data.
     pub fn decompress_all(&self) -> Result<Vec<u32>, DecompressError> {
-        let mut out = Vec::with_capacity(self.lines.len() * (self.line_bytes / 4) as usize);
+        let mut out = Vec::with_capacity((self.num_lines() * self.line_bytes / 4) as usize);
         for l in 0..self.num_lines() {
             out.extend_from_slice(&self.decompress_line(l)?);
         }
@@ -301,7 +250,9 @@ pub struct CcrpFetch {
     timing: MemoryTiming,
     config: CcrpConfig,
     text_base: u32,
-    lat_cache: Option<FullyAssociativeCache>,
+    lat: IndexLookup,
+    /// Decode-schedule scratch, one slot per instruction of a line.
+    ready: Vec<u64>,
     stats: FetchStats,
 }
 
@@ -314,19 +265,14 @@ impl CcrpFetch {
         config: CcrpConfig,
         text_base: u32,
     ) -> CcrpFetch {
-        let lat_cache = match config.lat_cache {
-            IndexCacheModel::Cached {
-                lines,
-                entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
-            _ => None,
-        };
+        let ready = vec![0; (image.line_bytes() / 4) as usize];
         CcrpFetch {
             image,
             timing,
             config,
             text_base,
-            lat_cache,
+            lat: IndexLookup::new(config.lat_cache),
+            ready,
             stats: FetchStats::default(),
         }
     }
@@ -347,63 +293,37 @@ impl FetchEngine for CcrpFetch {
         let within = (insn % (line_bytes / 4)) as usize;
 
         // LAT lookup (one entry maps LINES_PER_LAT_ENTRY lines).
-        let lat_key = line / LINES_PER_LAT_ENTRY;
-        let t_lat = match self.config.lat_cache {
-            IndexCacheModel::Perfect => {
-                self.stats.index_hits += 1;
-                0
-            }
-            IndexCacheModel::None => {
-                self.stats.index_misses += 1;
-                self.stats.memory_beats += u64::from(self.timing.beats_for(LAT_ENTRY_BYTES));
-                self.timing.burst_read_cycles(LAT_ENTRY_BYTES)
-            }
-            IndexCacheModel::Cached { .. } => {
-                let cache = self.lat_cache.as_mut().expect("built in new()");
-                if cache.access(lat_key) {
-                    self.stats.index_hits += 1;
-                    0
-                } else {
-                    self.stats.index_misses += 1;
-                    self.stats.memory_beats += u64::from(self.timing.beats_for(LAT_ENTRY_BYTES));
-                    self.timing.burst_read_cycles(LAT_ENTRY_BYTES)
-                }
-            }
-        };
+        let (t_lat, hit) = self.lat.probe(
+            line / LINES_PER_LAT_ENTRY,
+            LAT_ENTRY_BYTES,
+            &self.timing,
+            &mut self.stats,
+        );
 
-        // Burst the compressed line; decode serially, overlapped.
+        // Burst the compressed line; decode serially (4 symbol decodes per
+        // instruction), overlapped.
         let info = self.image.line_info(line);
         self.stats.memory_beats += u64::from(self.timing.beats_for(u32::from(info.byte_len)));
         let t_start = t_lat + u64::from(self.config.request_overhead);
-        let bus = self.timing.bus_bytes();
-        let first = u64::from(self.timing.first_access_cycles());
-        let rate = u64::from(self.timing.next_access_cycles());
-        // One instruction takes 4 symbol decodes.
         let cycles_per_insn = (4 / self.config.symbols_per_cycle.max(1)).max(1) as u64;
+        decode_schedule(
+            &info.cum_bits,
+            &self.timing,
+            t_start,
+            cycles_per_insn,
+            1,
+            &mut self.ready,
+        );
 
-        let insns = (line_bytes / 4) as usize;
-        let mut ready = vec![0u64; insns];
-        for j in 0..insns {
-            let bytes_needed = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-            let beat = bytes_needed.div_ceil(bus).max(1) - 1;
-            let arrival = t_start + first + u64::from(beat) * rate;
-            let serial = if j > 0 {
-                ready[j - 1] + cycles_per_insn
-            } else {
-                0
-            };
-            ready[j] = (arrival + cycles_per_insn).max(serial);
-        }
-
-        let critical_ready = ready[within];
-        let line_fill_complete = ready[insns - 1];
+        let critical_ready = self.ready[within];
+        let line_fill_complete = self.ready[self.ready.len() - 1];
         self.stats.total_critical_cycles += critical_ready;
 
         MissService {
             critical_ready,
             line_fill_complete,
             source: MissSource::Decompressor,
-            index_hit: Some(t_lat == 0),
+            index_hit: Some(hit),
             index_cycles: t_lat,
             machine_check: false,
         }

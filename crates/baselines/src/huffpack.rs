@@ -12,13 +12,14 @@
 //! (half CodePack's baseline rate, an eighth of its optimized rate).
 
 use codepack_core::{
-    BitReader, BitWriter, DecompressError, Dictionary, FetchEngine, FetchStats, IndexCacheModel,
-    MissService, MissSource, BLOCK_INSNS,
+    decode_schedule, BitReader, BitWriter, DecompressError, Dictionary, FetchEngine, FetchStats,
+    IndexCacheModel, IndexLookup, MissService, MissSource, BLOCK_INSNS,
 };
-use codepack_mem::{FullyAssociativeCache, MemoryTiming};
+use codepack_mem::MemoryTiming;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::block::{BlockStream, CodedBlock};
 use crate::HuffmanCode;
 
 /// Dictionary capacity per half (larger than CodePack's 457/460 — Huffman
@@ -117,17 +118,6 @@ impl HalfCodec {
     }
 }
 
-/// Per-block metadata (mirrors `codepack_core::BlockInfo`).
-#[derive(Clone, Debug)]
-pub struct HuffBlockInfo {
-    /// Byte offset in the stream.
-    pub byte_offset: u32,
-    /// Byte length including padding.
-    pub byte_len: u16,
-    /// Cumulative decode bits per instruction.
-    pub cum_bits: [u16; BLOCK_INSNS as usize + 1],
-}
-
 /// A HuffPack-compressed text section.
 ///
 /// ```
@@ -139,8 +129,7 @@ pub struct HuffBlockInfo {
 pub struct HuffPackImage {
     high: HalfCodec,
     low: HalfCodec,
-    bytes: Vec<u8>,
-    blocks: Vec<HuffBlockInfo>,
+    blocks: BlockStream,
     n_insns: u32,
     stats: HuffPackStats,
 }
@@ -169,49 +158,26 @@ impl HuffPackImage {
             ..HuffPackStats::default()
         };
 
-        let mut bytes = Vec::new();
-        let mut blocks = Vec::new();
+        let mut blocks = BlockStream::default();
         for chunk in padded.chunks_exact(BLOCK_INSNS as usize) {
-            let byte_offset = bytes.len() as u32;
-            let mut w = BitWriter::new();
-            let mut cum = [0u16; BLOCK_INSNS as usize + 1];
-            w.write(0, 1);
             let mut scratch = HuffPackStats::default();
-            for (j, &word) in chunk.iter().enumerate() {
-                high.encode(&mut w, (word >> 16) as u16, &mut scratch);
-                low.encode(&mut w, word as u16, &mut scratch);
-                cum[j + 1] = w.bit_len() as u16;
-            }
-            let (block_bytes, cum) = if w.bit_len() > u64::from(BLOCK_INSNS) * 32 {
+            let raw = blocks.push(chunk, |w, word| {
+                high.encode(w, (word >> 16) as u16, &mut scratch);
+                low.encode(w, word as u16, &mut scratch);
+            });
+            if raw {
                 stats.raw_blocks += 1;
-                let mut w = BitWriter::new();
-                let mut cum = [0u16; BLOCK_INSNS as usize + 1];
-                w.write(1, 1);
-                for (j, &word) in chunk.iter().enumerate() {
-                    w.write(word, 32);
-                    cum[j + 1] = w.bit_len() as u16;
-                }
-                (w.into_bytes(), cum)
             } else {
                 stats.escaped_halfwords += scratch.escaped_halfwords;
-                (w.into_bytes(), cum)
-            };
-            let byte_len = u16::try_from(block_bytes.len()).expect("block fits u16");
-            bytes.extend_from_slice(&block_bytes);
-            blocks.push(HuffBlockInfo {
-                byte_offset,
-                byte_len,
-                cum_bits: cum,
-            });
+            }
         }
 
-        stats.stream_bytes = bytes.len() as u64;
-        stats.index_table_bytes = (blocks.len() as u64 / 2) * 4;
+        stats.stream_bytes = blocks.stream_bytes();
+        stats.index_table_bytes = (blocks.blocks().len() as u64 / 2) * 4;
 
         HuffPackImage {
             high,
             low,
-            bytes,
             blocks,
             n_insns,
             stats,
@@ -225,7 +191,7 @@ impl HuffPackImage {
 
     /// Number of compression blocks.
     pub fn num_blocks(&self) -> u32 {
-        self.blocks.len() as u32
+        self.blocks.blocks().len() as u32
     }
 
     /// Block metadata.
@@ -233,8 +199,8 @@ impl HuffPackImage {
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn block_info(&self, block: u32) -> &HuffBlockInfo {
-        &self.blocks[block as usize]
+    pub fn block_info(&self, block: u32) -> &CodedBlock {
+        &self.blocks.blocks()[block as usize]
     }
 
     /// Decompresses one block.
@@ -243,25 +209,12 @@ impl HuffPackImage {
     ///
     /// Returns a [`DecompressError`] on out-of-range blocks or corrupt data.
     pub fn decompress_block(&self, block: u32) -> Result<[u32; 16], DecompressError> {
-        let info = self
-            .blocks
-            .get(block as usize)
-            .ok_or(DecompressError::BadBlock {
-                block,
-                blocks: self.num_blocks(),
-            })?;
-        let mut r = BitReader::new(&self.bytes[info.byte_offset as usize..]);
-        let raw = r.read(1)? == 1;
         let mut out = [0u32; 16];
-        for slot in &mut out {
-            if raw {
-                *slot = r.read(32)?;
-            } else {
-                let h = self.high.decode(&mut r)?;
-                let l = self.low.decode(&mut r)?;
-                *slot = (u32::from(h) << 16) | u32::from(l);
-            }
-        }
+        self.blocks.decode(block, &mut out, |r| {
+            let h = self.high.decode(r)?;
+            let l = self.low.decode(r)?;
+            Ok((u32::from(h) << 16) | u32::from(l))
+        })?;
         Ok(out)
     }
 
@@ -271,7 +224,7 @@ impl HuffPackImage {
     ///
     /// Returns a [`DecompressError`] on corrupt data.
     pub fn decompress_all(&self) -> Result<Vec<u32>, DecompressError> {
-        let mut out = Vec::with_capacity(self.blocks.len() * 16);
+        let mut out = Vec::with_capacity(self.num_blocks() as usize * 16);
         for b in 0..self.num_blocks() {
             out.extend_from_slice(&self.decompress_block(b)?);
         }
@@ -283,7 +236,7 @@ impl HuffPackImage {
 impl fmt::Debug for HuffPackImage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HuffPackImage")
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.num_blocks())
             .field("stats", &self.stats)
             .finish()
     }
@@ -321,7 +274,7 @@ pub struct HuffPackFetch {
     timing: MemoryTiming,
     config: HuffPackConfig,
     text_base: u32,
-    index_cache: Option<FullyAssociativeCache>,
+    index: IndexLookup,
     buffer_block: Option<u32>,
     stats: FetchStats,
 }
@@ -334,19 +287,12 @@ impl HuffPackFetch {
         config: HuffPackConfig,
         text_base: u32,
     ) -> HuffPackFetch {
-        let index_cache = match config.index_cache {
-            IndexCacheModel::Cached {
-                lines,
-                entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
-            _ => None,
-        };
         HuffPackFetch {
             image,
             timing,
             config,
             text_base,
-            index_cache,
+            index: IndexLookup::new(config.index_cache),
             buffer_block: None,
             stats: FetchStats::default(),
         }
@@ -376,48 +322,25 @@ impl FetchEngine for HuffPackFetch {
             };
         }
 
-        let group = insn / 32;
-        let t_index = match self.config.index_cache {
-            IndexCacheModel::Perfect => 0,
-            IndexCacheModel::None => {
-                self.stats.index_misses += 1;
-                self.stats.memory_beats += u64::from(self.timing.beats_for(4));
-                self.timing.burst_read_cycles(4)
-            }
-            IndexCacheModel::Cached { .. } => {
-                let cache = self.index_cache.as_mut().expect("built in new()");
-                if cache.access(group) {
-                    self.stats.index_hits += 1;
-                    0
-                } else {
-                    self.stats.index_misses += 1;
-                    self.stats.memory_beats += u64::from(self.timing.beats_for(4));
-                    self.timing.burst_read_cycles(4)
-                }
-            }
-        };
+        // One 4-byte index entry per 32-instruction group.
+        let (t_index, hit) = self
+            .index
+            .probe(insn / 32, 4, &self.timing, &mut self.stats);
 
         let info = self.image.block_info(block);
         self.stats.memory_beats += u64::from(self.timing.beats_for(u32::from(info.byte_len)));
         let t_start = t_index + u64::from(self.config.request_overhead);
-        let bus = self.timing.bus_bytes();
-        let first = u64::from(self.timing.first_access_cycles());
-        let rate = u64::from(self.timing.next_access_cycles());
         // Two half-word symbols per instruction, decoded serially.
         let cycles_per_insn = (2 / self.config.halfwords_per_cycle.max(1)).max(1) as u64;
-
         let mut ready = [0u64; BLOCK_INSNS as usize];
-        for j in 0..BLOCK_INSNS as usize {
-            let bytes_needed = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-            let beat = bytes_needed.div_ceil(bus).max(1) - 1;
-            let arrival = t_start + first + u64::from(beat) * rate;
-            let serial = if j > 0 {
-                ready[j - 1] + cycles_per_insn
-            } else {
-                0
-            };
-            ready[j] = (arrival + cycles_per_insn).max(serial);
-        }
+        decode_schedule(
+            &info.cum_bits,
+            &self.timing,
+            t_start,
+            cycles_per_insn,
+            1,
+            &mut ready,
+        );
 
         let critical_ready = ready[within];
         let line_fill_complete = ready[line_start + insns_per_line - 1];
@@ -427,7 +350,7 @@ impl FetchEngine for HuffPackFetch {
             critical_ready,
             line_fill_complete,
             source: MissSource::Decompressor,
-            index_hit: Some(t_index == 0),
+            index_hit: Some(hit),
             index_cycles: t_index,
             machine_check: false,
         }

@@ -21,6 +21,12 @@
 //!   bit-serial decode,
 //! * [`HuffmanCode`] — the length-limited canonical Huffman substrate.
 //!
+//! The fetch engines model the same decompressor as CodePack's over their
+//! own codecs, so they reuse core's index lookup
+//! ([`codepack_core::IndexLookup`]) and decode schedule
+//! ([`codepack_core::decode_schedule`]). CCRP and HuffPack store their
+//! code in one flagged-block stream, described by [`CodedBlock`].
+//!
 //! ```
 //! use codepack_baselines::{CcrpImage, InsnDictImage, estimate_thumb};
 //! let text: Vec<u32> = (0..256).map(|i| 0x2402_0000 | (i % 7)).collect();
@@ -34,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 
+mod block;
 mod ccrp;
 mod huffman;
 mod huffpack;
@@ -41,13 +48,11 @@ mod insn_dict;
 mod software;
 mod thumb;
 
-pub use ccrp::{
-    CcrpConfig, CcrpFetch, CcrpImage, CcrpStats, LineInfo, LAT_ENTRY_BYTES, LINES_PER_LAT_ENTRY,
-};
+pub use block::CodedBlock;
+pub use ccrp::{CcrpConfig, CcrpFetch, CcrpImage, CcrpStats, LAT_ENTRY_BYTES, LINES_PER_LAT_ENTRY};
 pub use huffman::{HuffmanCode, MAX_CODE_LEN};
 pub use huffpack::{
-    HuffBlockInfo, HuffPackConfig, HuffPackFetch, HuffPackImage, HuffPackStats,
-    HUFFPACK_DICT_CAPACITY,
+    HuffPackConfig, HuffPackFetch, HuffPackImage, HuffPackStats, HUFFPACK_DICT_CAPACITY,
 };
 pub use insn_dict::{InsnDictImage, InsnDictStats, MAX_DICT_ENTRIES};
 pub use software::{SoftwareDecompConfig, SoftwareDecompFetch};

@@ -11,7 +11,10 @@
 //! last decompressed block, giving the same prefetch effect as the
 //! hardware output buffer at a small software cost.
 
-use codepack_core::{CodePackImage, FetchEngine, FetchStats, MissService, MissSource, BLOCK_INSNS};
+use codepack_core::{
+    CodePackImage, FetchEngine, FetchStats, IndexCacheModel, IndexLookup, MissService, MissSource,
+    BLOCK_INSNS,
+};
 use codepack_mem::MemoryTiming;
 use std::fmt;
 use std::sync::Arc;
@@ -49,6 +52,8 @@ pub struct SoftwareDecompFetch {
     timing: MemoryTiming,
     config: SoftwareDecompConfig,
     text_base: u32,
+    /// The handler caches no index entry: every lookup is a load.
+    index: IndexLookup,
     scratch_block: Option<u32>,
     stats: FetchStats,
 }
@@ -67,6 +72,7 @@ impl SoftwareDecompFetch {
             timing,
             config,
             text_base,
+            index: IndexLookup::new(IndexCacheModel::None),
             scratch_block: None,
             stats: FetchStats::default(),
         }
@@ -99,15 +105,14 @@ impl FetchEngine for SoftwareDecompFetch {
 
         // Software path: trap, index lookup (one memory access for the
         // entry itself), burst the block, decode every instruction.
+        let (t_entry, _) = self.index.probe(block, 4, &self.timing, &mut self.stats);
         let info = self.image.block_info(block);
-        self.stats.memory_beats += u64::from(self.timing.beats_for(4));
         self.stats.memory_beats += u64::from(self.timing.beats_for(u32::from(info.byte_len)));
-        self.stats.index_misses += 1;
 
         let fetch = self.timing.burst_read_cycles(u32::from(info.byte_len));
+        let index_cycles = self.config.index_lookup_cycles + t_entry;
         let total = self.config.trap_cycles
-            + self.config.index_lookup_cycles
-            + self.timing.burst_read_cycles(4)
+            + index_cycles
             + fetch
             + self.config.cycles_per_insn * u64::from(BLOCK_INSNS);
 
@@ -118,7 +123,7 @@ impl FetchEngine for SoftwareDecompFetch {
             line_fill_complete: total,
             source: MissSource::Decompressor,
             index_hit: Some(false),
-            index_cycles: self.config.index_lookup_cycles + self.timing.burst_read_cycles(4),
+            index_cycles,
             machine_check: false,
         }
     }

@@ -9,7 +9,7 @@
 //! but with dictionaries of thousands of entries.
 
 use codepack_baselines::{estimate_thumb, CcrpConfig, CcrpFetch, CcrpImage, InsnDictImage};
-use codepack_bench::{run_with_engine, Workload};
+use codepack_bench::Workload;
 use codepack_isa::TEXT_BASE;
 use codepack_sim::{ArchConfig, CodeModel, Table};
 use std::sync::Arc;
@@ -85,13 +85,13 @@ fn main() {
         let packed = w.run(arch, CodeModel::codepack_baseline());
         let ccrp_img = Arc::new(CcrpImage::compress(w.program.text_words(), 32));
         let engine = CcrpFetch::new(ccrp_img, arch.memory, CcrpConfig::default(), TEXT_BASE);
-        let (ccrp_pipe, ccrp_fetch) = run_with_engine(&w.program, arch, Box::new(engine));
+        let ccrp = w.run_engine(arch, engine);
         perf.row(vec![
             w.profile.name.to_string(),
             format!("{:.2}", native.ipc()),
-            format!("{:.2}", ccrp_pipe.ipc()),
+            format!("{:.2}", ccrp.ipc()),
             format!("{:.2}", packed.ipc()),
-            format!("{:.1}", ccrp_fetch.avg_miss_penalty()),
+            format!("{:.1}", ccrp.fetch.avg_miss_penalty()),
             format!("{:.1}", packed.fetch.avg_miss_penalty()),
         ]);
     }

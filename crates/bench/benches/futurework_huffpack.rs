@@ -9,7 +9,7 @@
 //! and lose on fast ones (decode-dominated).
 
 use codepack_baselines::{HuffPackConfig, HuffPackFetch, HuffPackImage};
-use codepack_bench::{run_with_engine, Workload};
+use codepack_bench::Workload;
 use codepack_isa::TEXT_BASE;
 use codepack_sim::{ArchConfig, CodeModel, Table};
 use std::sync::Arc;
@@ -64,13 +64,13 @@ fn main() {
         let cp = w.run(arch, CodeModel::codepack_optimized());
         let hp_img = Arc::new(HuffPackImage::compress(w.program.text_words()));
         let engine = HuffPackFetch::new(hp_img, arch.memory, HuffPackConfig::default(), TEXT_BASE);
-        let (hp_pipe, _) = run_with_engine(&w.program, arch, Box::new(engine));
+        let hp = w.run_engine(arch, engine);
         perf.row(vec![
             format!("{scale}x"),
             format!("{:.3}", native.ipc()),
             format!("{:.3}", cp.ipc()),
-            format!("{:.3}", hp_pipe.ipc()),
-            if hp_pipe.ipc() > cp.ipc() {
+            format!("{:.3}", hp.ipc()),
+            if hp.ipc() > cp.ipc() {
                 "yes".into()
             } else {
                 "no".into()
@@ -99,13 +99,13 @@ fn main() {
         let cp = w.run(arch, CodeModel::codepack_optimized());
         let hp_img = Arc::new(HuffPackImage::compress(w.program.text_words()));
         let engine = HuffPackFetch::new(hp_img, arch.memory, HuffPackConfig::default(), TEXT_BASE);
-        let (hp_pipe, _) = run_with_engine(&w.program, arch, Box::new(engine));
+        let hp = w.run_engine(arch, engine);
         bus.row(vec![
             format!("{bits}-bit"),
             format!("{:.3}", native.ipc()),
             format!("{:.3}", cp.ipc()),
-            format!("{:.3}", hp_pipe.ipc()),
-            if hp_pipe.ipc() > cp.ipc() {
+            format!("{:.3}", hp.ipc()),
+            if hp.ipc() > cp.ipc() {
                 "yes".into()
             } else {
                 "no".into()

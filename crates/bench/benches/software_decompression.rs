@@ -5,7 +5,7 @@
 //! tolerable?
 
 use codepack_baselines::{SoftwareDecompConfig, SoftwareDecompFetch};
-use codepack_bench::{run_with_engine, Workload};
+use codepack_bench::Workload;
 use codepack_isa::TEXT_BASE;
 use codepack_sim::{ArchConfig, CodeModel, Table};
 use std::sync::Arc;
@@ -37,14 +37,14 @@ fn main() {
             SoftwareDecompConfig::default(),
             TEXT_BASE,
         );
-        let (sw_pipe, sw_fetch) = run_with_engine(&w.program, arch, Box::new(engine));
+        let sw = w.run_engine(arch, engine);
         table.row(vec![
             w.profile.name.to_string(),
             format!("{:.2}", native.ipc()),
             format!("{:.2}", hw.ipc()),
-            format!("{:.2}", sw_pipe.ipc()),
-            format!("{:.2}x", native.cycles() as f64 / sw_pipe.cycles as f64),
-            format!("{:.0} cyc", sw_fetch.avg_miss_penalty()),
+            format!("{:.2}", sw.ipc()),
+            format!("{:.2}x", native.cycles() as f64 / sw.cycles() as f64),
+            format!("{:.0} cyc", sw.fetch.avg_miss_penalty()),
         ]);
     }
     table.print();

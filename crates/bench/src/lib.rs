@@ -14,8 +14,9 @@
 
 use std::sync::Arc;
 
-use codepack_core::{CodePackImage, CompressionConfig};
+use codepack_core::{CodePackImage, CompressionConfig, FetchEngine};
 use codepack_isa::Program;
+use codepack_obs::Obs;
 use codepack_sim::{ArchConfig, CodeModel, SimResult, Simulation};
 use codepack_synth::{generate, BenchmarkProfile};
 
@@ -77,6 +78,21 @@ impl Workload {
         };
         Simulation::new(arch, model).run_with_image(&self.program, max_insns(), image)
     }
+
+    /// Runs this workload on `arch` with a custom I-miss service engine
+    /// (for the baseline-scheme benches that go beyond [`CodeModel`]'s
+    /// variants).
+    pub fn run_engine(&self, arch: ArchConfig, engine: impl FetchEngine + 'static) -> SimResult {
+        Simulation::new(arch, CodeModel::Native)
+            .try_run_engine(
+                &self.program,
+                max_insns(),
+                Box::new(engine),
+                Obs::disabled(),
+            )
+            .expect("synthetic programs execute cleanly")
+            .0
+    }
 }
 
 /// Paper reference values, for printing next to measured numbers.
@@ -120,22 +136,6 @@ pub mod paper {
         [41.9, 29.7, 14.4, 4.56],
         [21.4, 2.7, 0.8, 0.2],
     ];
-}
-
-/// Runs `program` on `arch` with a custom I-miss service engine (for the
-/// baseline-scheme benches that go beyond [`CodeModel`]'s variants).
-pub fn run_with_engine(
-    program: &Program,
-    arch: ArchConfig,
-    engine: Box<dyn codepack_core::FetchEngine>,
-) -> (codepack_cpu::PipelineStats, codepack_core::FetchStats) {
-    let mut pipeline =
-        codepack_cpu::Pipeline::new(arch.pipeline, arch.icache, arch.dcache, arch.memory, engine);
-    let mut machine = codepack_cpu::Machine::load(program);
-    let stats = pipeline
-        .run(&mut machine, max_insns())
-        .expect("synthetic programs execute cleanly");
-    (stats, pipeline.fetch_engine().stats())
 }
 
 /// Formats a count of bytes as the paper prints sizes.

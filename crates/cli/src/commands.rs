@@ -144,39 +144,54 @@ impl CliError {
     }
 }
 
+/// A command-line misuse error (exit code 2).
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// A required argument, or the usage error `missing` when it is absent.
+fn required<T>(arg: Option<T>, missing: &str) -> Result<T, CliError> {
+    arg.ok_or_else(|| usage(missing))
+}
+
+/// Parses a numeric argument, naming it as `what` when it is malformed.
+fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, CliError> {
+    v.parse().map_err(|_| usage(format!("bad {what} `{v}`")))
+}
+
 /// Rejects any argument past what a subcommand consumed, so typos and
 /// unsupported flags fail loudly instead of being silently ignored.
-fn no_more(cmd: &str, rest: &[String]) -> Result<(), String> {
+fn no_more(cmd: &str, rest: &[String]) -> Result<(), CliError> {
     match rest.first() {
-        Some(a) => Err(format!(
+        Some(a) => Err(usage(format!(
             "{cmd}: unexpected argument `{a}` (see `cpack help` for usage)"
-        )),
+        ))),
         None => Ok(()),
     }
 }
 
-fn profile_by_name(name: &str) -> Result<BenchmarkProfile, String> {
+fn profile_by_name(name: &str) -> Result<BenchmarkProfile, CliError> {
     BenchmarkProfile::suite()
         .into_iter()
         .find(|p| p.name == name)
         .ok_or_else(|| {
-            format!(
+            usage(format!(
                 "unknown profile `{name}` (one of: {})",
                 BenchmarkProfile::suite()
                     .iter()
                     .map(|p| p.name)
                     .collect::<Vec<_>>()
                     .join(", ")
-            )
+            ))
         })
 }
 
-fn program_for(name: &str) -> Result<Program, String> {
+fn program_for(name: &str) -> Result<Program, CliError> {
     Ok(generate(&profile_by_name(name)?, SEED))
 }
 
 /// `cpack list`
-pub fn list(args: &[String]) -> Result<(), String> {
+pub fn list(args: &[String]) -> Result<(), CliError> {
     no_more("list", args)?;
     let mut t = Table::new(
         ["Profile", "Functions", "Text (approx)", "Character"]
@@ -204,8 +219,8 @@ pub fn list(args: &[String]) -> Result<(), String> {
 ///
 /// Reports a frame's composition from the frame linter's static recount,
 /// so a damaged frame fails with the linter's diagnostics.
-pub fn inspect(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("inspect: missing .cpk file")?;
+pub fn inspect(args: &[String]) -> Result<(), CliError> {
+    let path = required(args.first(), "inspect: missing .cpk file")?;
     no_more("inspect", &args[1..])?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut report = LintReport::new(path.as_str());
@@ -217,7 +232,7 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
             .filter(|d| d.severity == Severity::Error)
             .map(|d| d.message.as_str())
             .collect();
-        return Err(format!("inspect: {path}: {}", errors.join("; ")));
+        return Err(format!("inspect: {path}: {}", errors.join("; ")).into());
     }
     println!(
         "{path}: {} instructions, {} blocks, {} groups",
@@ -236,18 +251,16 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
 }
 
 /// `cpack disasm <profile> [N]`
-pub fn disasm(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("disasm: missing profile name")?;
+pub fn disasm(args: &[String]) -> Result<(), CliError> {
+    let name = required(args.first(), "disasm: missing profile name")?;
     let count: usize = match args.get(1).map(String::as_str) {
         None => 32,
         Some(s) if s.starts_with('-') && s.len() > 1 => {
-            return Err(format!(
+            return Err(usage(format!(
                 "disasm: unknown flag `{s}` (see `cpack help` for usage)"
-            ));
+            )));
         }
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("disasm: bad count `{s}` (see `cpack help` for usage)"))?,
+        Some(s) => parse_num(s, "count")?,
     };
     no_more("disasm", args.get(2..).unwrap_or(&[]))?;
     let program = program_for(name)?;
@@ -261,19 +274,20 @@ pub fn disasm(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_insns(args: &[String], idx: usize, default: u64) -> Result<u64, String> {
+fn parse_insns(args: &[String], idx: usize, default: u64) -> Result<u64, CliError> {
     args.get(idx).map_or(Ok(default), |s| {
         if s.starts_with('-') && s.len() > 1 {
-            return Err(format!("unknown flag `{s}` (see `cpack help` for usage)"));
+            return Err(usage(format!(
+                "unknown flag `{s}` (see `cpack help` for usage)"
+            )));
         }
-        s.parse()
-            .map_err(|_| format!("bad instruction count `{s}` (see `cpack help` for usage)"))
+        parse_num(s, "instruction count")
     })
 }
 
 /// `cpack sim <profile> [INSNS]`
-pub fn sim(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("sim: missing profile name")?;
+pub fn sim(args: &[String]) -> Result<(), CliError> {
+    let name = required(args.first(), "sim: missing profile name")?;
     let insns = parse_insns(args, 1, 500_000)?;
     no_more("sim", args.get(2..).unwrap_or(&[]))?;
     let program = program_for(name)?;
@@ -317,7 +331,7 @@ pub fn sim(args: &[String]) -> Result<(), String> {
 /// handle, streaming typed events to a JSONL trace (`--trace`) and
 /// closing the books into a metrics + CPI-attribution report
 /// (`--metrics`). The printed attribution always sums to measured CPI.
-pub fn run(args: &[String]) -> Result<(), String> {
+pub fn run(args: &[String]) -> Result<(), CliError> {
     const RUN_USAGE: &str = "usage: cpack run <profile> [INSNS] \
          [--arch 1|4|8] [--model native|cp-base|cp-opt] \
          [--backend scalar|fast] [--trace FILE.jsonl] [--metrics FILE.json]";
@@ -332,61 +346,63 @@ pub fn run(args: &[String]) -> Result<(), String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--arch" => {
-                let v = it.next().ok_or("run: --arch needs a machine (1|4|8)")?;
+                let v = required(it.next(), "run: --arch needs a machine (1|4|8)")?;
                 arch = match v.as_str() {
                     "1" | "1-issue" => ArchConfig::one_issue(),
                     "4" | "4-issue" => ArchConfig::four_issue(),
                     "8" | "8-issue" => ArchConfig::eight_issue(),
-                    other => return Err(format!("run: unknown arch `{other}` (1|4|8)")),
+                    other => return Err(usage(format!("run: unknown arch `{other}` (1|4|8)"))),
                 };
             }
             "--model" => {
-                let v = it.next().ok_or("run: --model needs a code model")?;
+                let v = required(it.next(), "run: --model needs a code model")?;
                 model = match v.as_str() {
                     "native" => ("native", CodeModel::Native),
                     "cp-base" => ("cp-base", CodeModel::codepack_baseline()),
                     "cp-opt" => ("cp-opt", CodeModel::codepack_optimized()),
                     other => {
-                        return Err(format!(
+                        return Err(usage(format!(
                             "run: unknown model `{other}` (native|cp-base|cp-opt)"
-                        ))
+                        )))
                     }
                 };
             }
             "--backend" => {
-                let v = it.next().ok_or("run: --backend needs a decoder name")?;
-                backend = Some(
-                    DecodeBackend::parse(v)
-                        .ok_or_else(|| format!("run: unknown backend `{v}` (scalar|fast)"))?,
-                );
+                let v = required(it.next(), "run: --backend needs a decoder name")?;
+                backend =
+                    Some(DecodeBackend::parse(v).ok_or_else(|| {
+                        usage(format!("run: unknown backend `{v}` (scalar|fast)"))
+                    })?);
             }
             "--trace" => {
-                trace_path = Some(it.next().ok_or("run: --trace needs a file name")?.clone());
+                trace_path = Some(required(it.next(), "run: --trace needs a file name")?.clone());
             }
             "--metrics" => {
-                metrics_path = Some(it.next().ok_or("run: --metrics needs a file name")?.clone());
+                metrics_path =
+                    Some(required(it.next(), "run: --metrics needs a file name")?.clone());
             }
             flag if flag.starts_with('-') => {
-                return Err(format!("run: unknown flag `{flag}`\n{RUN_USAGE}"));
+                return Err(usage(format!("run: unknown flag `{flag}`\n{RUN_USAGE}")));
             }
             v if profile.is_none() => profile = Some(v.to_string()),
             v if insns.is_none() => {
-                insns = Some(
-                    v.parse()
-                        .map_err(|_| format!("run: bad instruction count `{v}`"))?,
-                );
+                insns = Some(parse_num(v, "instruction count")?);
             }
-            other => return Err(format!("run: unexpected argument `{other}`\n{RUN_USAGE}")),
+            other => {
+                return Err(usage(format!(
+                    "run: unexpected argument `{other}`\n{RUN_USAGE}"
+                )))
+            }
         }
     }
-    let name = profile.ok_or(format!("run: missing profile name\n{RUN_USAGE}"))?;
+    let name = required(profile, &format!("run: missing profile name\n{RUN_USAGE}"))?;
     let program = program_for(&name)?;
     let insns = insns.unwrap_or(500_000);
     if let Some(b) = backend {
         if matches!(model.1, CodeModel::Native) {
-            return Err(format!(
+            return Err(usage(format!(
                 "run: --backend {b} requires a CodePack model (native code is never decoded)"
-            ));
+            )));
         }
         model.1 = model.1.with_decode_backend(b);
     }
@@ -432,7 +448,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 ///
 /// Converts a `--trace` JSONL document into Chrome trace-event JSON
 /// loadable in `chrome://tracing` or Perfetto.
-pub fn trace_export(args: &[String]) -> Result<(), String> {
+pub fn trace_export(args: &[String]) -> Result<(), CliError> {
     const TE_USAGE: &str = "usage: cpack trace-export <FILE.jsonl> --chrome [-o FILE.json]";
     let mut input: Option<String> = None;
     let mut chrome = false;
@@ -442,28 +458,29 @@ pub fn trace_export(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--chrome" => chrome = true,
             "-o" | "--out" => {
-                out = Some(
-                    it.next()
-                        .ok_or("trace-export: -o needs a file name")?
-                        .clone(),
-                );
+                out = Some(required(it.next(), "trace-export: -o needs a file name")?.clone());
             }
             flag if flag.starts_with('-') => {
-                return Err(format!("trace-export: unknown flag `{flag}`\n{TE_USAGE}"));
+                return Err(usage(format!(
+                    "trace-export: unknown flag `{flag}`\n{TE_USAGE}"
+                )));
             }
             v if input.is_none() => input = Some(v.to_string()),
             other => {
-                return Err(format!(
+                return Err(usage(format!(
                     "trace-export: unexpected argument `{other}`\n{TE_USAGE}"
-                ))
+                )))
             }
         }
     }
-    let input = input.ok_or(format!("trace-export: missing trace file\n{TE_USAGE}"))?;
+    let input = required(
+        input,
+        &format!("trace-export: missing trace file\n{TE_USAGE}"),
+    )?;
     if !chrome {
-        return Err(format!(
+        return Err(usage(format!(
             "trace-export: no output format selected (--chrome)\n{TE_USAGE}"
-        ));
+        )));
     }
     let text = std::fs::read_to_string(&input).map_err(|e| format!("reading {input}: {e}"))?;
     let events = parse_jsonl(&text).map_err(|e| format!("trace-export: {input}: {e}"))?;
@@ -488,7 +505,7 @@ pub fn trace_export(args: &[String]) -> Result<(), String> {
 /// journal; `--resume` restores completed cells from it and re-runs only
 /// the missing or failed ones, producing byte-identical output to an
 /// uninterrupted run.
-pub fn matrix(args: &[String]) -> Result<(), String> {
+pub fn matrix(args: &[String]) -> Result<(), CliError> {
     let mut insns = 200_000u64;
     let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = false;
@@ -501,45 +518,33 @@ pub fn matrix(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--json" => json = true,
             "--resume" => resume = true,
-            "--workers" => {
-                let v = it.next().ok_or("matrix: --workers needs a count")?;
-                workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-                if workers == 0 {
-                    return Err("matrix: --workers must be at least 1".into());
-                }
-            }
+            "--workers" => workers = parse_workers("matrix", it.next()).map_err(usage)?,
             "--retries" => {
-                let v = it.next().ok_or("matrix: --retries needs a count")?;
-                retries = Some(v.parse().map_err(|_| format!("bad retry count `{v}`"))?);
+                let v = required(it.next(), "matrix: --retries needs a count")?;
+                retries = Some(parse_num(v, "retry count")?);
             }
             "--journal" => {
-                journal_dir = Some(
-                    it.next()
-                        .ok_or("matrix: --journal needs a directory")?
-                        .clone(),
-                );
+                journal_dir =
+                    Some(required(it.next(), "matrix: --journal needs a directory")?.clone());
             }
             "--metrics-dir" => {
-                metrics_dir = Some(
-                    it.next()
-                        .ok_or("matrix: --metrics-dir needs a directory")?
-                        .clone(),
-                );
+                metrics_dir =
+                    Some(required(it.next(), "matrix: --metrics-dir needs a directory")?.clone());
             }
             flag if flag.starts_with('-') => {
-                return Err(format!(
+                return Err(usage(format!(
                     "matrix: unknown flag `{flag}` (see `cpack help` for usage)"
-                ));
+                )));
             }
             n => {
                 insns = n
                     .parse()
-                    .map_err(|_| format!("matrix: unexpected argument `{n}`"))?
+                    .map_err(|_| usage(format!("matrix: unexpected argument `{n}`")))?
             }
         }
     }
     if resume && journal_dir.is_none() {
-        return Err("matrix: --resume needs --journal DIR".into());
+        return Err(usage("matrix: --resume needs --journal DIR"));
     }
     let mut spec = MatrixSpec::new(SEED, insns);
     if let Some(r) = retries {
@@ -584,7 +589,7 @@ pub fn matrix(args: &[String]) -> Result<(), String> {
 /// profile-guided compressor — which is byte-identical for any worker
 /// count at a fixed seed. `--diff` instead loads two artifacts and
 /// reports per-block fetch movement between them.
-pub fn profile(args: &[String]) -> Result<(), String> {
+pub fn profile(args: &[String]) -> Result<(), CliError> {
     const PROFILE_USAGE: &str = "usage: cpack profile <profile> [INSNS] \
          [--out FILE.json] [--top N] [--workers N] [--json]\n\
          \x20      cpack profile --diff A.json B.json";
@@ -600,52 +605,48 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--json" => json = true,
             "--out" | "-o" => {
-                out = Some(it.next().ok_or("profile: --out needs a file name")?.clone());
+                out = Some(required(it.next(), "profile: --out needs a file name")?.clone());
             }
             "--top" => {
-                let v = it.next().ok_or("profile: --top needs a count")?;
-                top = v.parse().map_err(|_| format!("bad top count `{v}`"))?;
+                let v = required(it.next(), "profile: --top needs a count")?;
+                top = parse_num(v, "top count")?;
             }
-            "--workers" => {
-                let v = it.next().ok_or("profile: --workers needs a count")?;
-                workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-                if workers == 0 {
-                    return Err("profile: --workers must be at least 1".into());
-                }
-            }
+            "--workers" => workers = parse_workers("profile", it.next()).map_err(usage)?,
             "--diff" => {
-                let a = it.next().ok_or("profile: --diff needs two files")?.clone();
-                let b = it.next().ok_or("profile: --diff needs two files")?.clone();
+                let a = required(it.next(), "profile: --diff needs two files")?.clone();
+                let b = required(it.next(), "profile: --diff needs two files")?.clone();
                 diff = Some((a, b));
             }
             flag if flag.starts_with('-') => {
-                return Err(format!("profile: unknown flag `{flag}`\n{PROFILE_USAGE}"));
+                return Err(usage(format!(
+                    "profile: unknown flag `{flag}`\n{PROFILE_USAGE}"
+                )));
             }
             v if name.is_none() => name = Some(v.to_string()),
             v if insns.is_none() => {
-                insns = Some(
-                    v.parse()
-                        .map_err(|_| format!("profile: bad instruction count `{v}`"))?,
-                );
+                insns = Some(parse_num(v, "instruction count")?);
             }
             other => {
-                return Err(format!(
+                return Err(usage(format!(
                     "profile: unexpected argument `{other}`\n{PROFILE_USAGE}"
-                ))
+                )))
             }
         }
     }
 
     if let Some((a, b)) = diff {
         if name.is_some() || out.is_some() || json {
-            return Err(format!(
+            return Err(usage(format!(
                 "profile: --diff takes exactly two artifacts\n{PROFILE_USAGE}"
-            ));
+            )));
         }
         return profile_diff(&a, &b, top);
     }
 
-    let name = name.ok_or(format!("profile: missing profile name\n{PROFILE_USAGE}"))?;
+    let name = required(
+        name,
+        &format!("profile: missing profile name\n{PROFILE_USAGE}"),
+    )?;
     let bench = profile_by_name(&name)?;
     let insns = insns.unwrap_or(200_000);
     // One benchmark, one machine, both decode backends: the merged
@@ -663,14 +664,11 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     let opts = MatrixOptions::new(workers).profiling(true);
     let report = run_matrix_with(&spec, &opts).map_err(|e| format!("profile: {e}"))?;
     if !report.summary().all_ok() {
-        return Err(format!(
-            "profile: cells failed: {}",
-            report.summary().render()
-        ));
+        return Err(format!("profile: cells failed: {}", report.summary().render()).into());
     }
-    let merged = report
-        .profile
-        .ok_or("profile: no profile collected (no compressed block was ever fetched)")?;
+    let merged = report.profile.ok_or_else(|| {
+        "profile: no profile collected (no compressed block was ever fetched)".to_string()
+    })?;
 
     if let Some(path) = &out {
         std::fs::write(path, merged.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
@@ -752,7 +750,7 @@ fn render_profile(name: &str, insns: u64, p: &BlockProfile, top: usize) -> Strin
 
 /// `cpack profile --diff A.json B.json`: loads two artifacts and reports
 /// the blocks whose fetch counts moved the most.
-fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), String> {
+fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), CliError> {
     let load = |path: &str| -> Result<BlockProfile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         BlockProfile::from_json(&text).map_err(|e| format!("{path}: {e}"))
@@ -815,7 +813,7 @@ fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), String> {
 
 /// `cpack faults [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
 /// [--workers N] [--json] [--retries N] [--journal DIR] [--resume]`
-pub fn faults(args: &[String]) -> Result<(), String> {
+pub fn faults(args: &[String]) -> Result<(), CliError> {
     let mut insns = 50_000u64;
     let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = false;
@@ -830,70 +828,63 @@ pub fn faults(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--json" => json = true,
             "--resume" => resume = true,
-            "--workers" => {
-                let v = it.next().ok_or("faults: --workers needs a count")?;
-                workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-                if workers == 0 {
-                    return Err("faults: --workers must be at least 1".into());
-                }
-            }
+            "--workers" => workers = parse_workers("faults", it.next()).map_err(usage)?,
             "--profile" => {
-                let v = it.next().ok_or("faults: --profile needs a name")?;
+                let v = required(it.next(), "faults: --profile needs a name")?;
                 profiles.push(profile_by_name(v)?);
             }
             "--rates" => {
-                let v = it.next().ok_or("faults: --rates needs a ppb list")?;
+                let v = required(it.next(), "faults: --rates needs a ppb list")?;
                 let parsed = v
                     .split(',')
                     .map(|r| {
                         r.parse::<u32>()
                             .ok()
                             .filter(|&ppb| u64::from(ppb) <= PPB_SCALE)
-                            .ok_or_else(|| format!("bad fault rate `{r}` (ppb, at most 1e9)"))
+                            .ok_or_else(|| {
+                                usage(format!("bad fault rate `{r}` (ppb, at most 1e9)"))
+                            })
                     })
-                    .collect::<Result<Vec<u32>, String>>()?;
+                    .collect::<Result<Vec<u32>, CliError>>()?;
                 rates = Some(parsed);
             }
             "--integrity" => {
-                let v = it.next().ok_or("faults: --integrity needs a config list")?;
+                let v = required(it.next(), "faults: --integrity needs a config list")?;
                 let parsed = v
                     .split(',')
                     .map(|c| match c {
                         "none" => Ok(IntegrityConfig::none()),
                         "parity" => Ok(IntegrityConfig::parity()),
                         "crc32" => Ok(IntegrityConfig::crc32()),
-                        other => Err(format!(
+                        other => Err(usage(format!(
                             "unknown integrity config `{other}` (none, parity, crc32)"
-                        )),
+                        ))),
                     })
-                    .collect::<Result<Vec<IntegrityConfig>, String>>()?;
+                    .collect::<Result<Vec<IntegrityConfig>, CliError>>()?;
                 integrity = Some(parsed);
             }
             "--retries" => {
-                let v = it.next().ok_or("faults: --retries needs a count")?;
-                retries = Some(v.parse().map_err(|_| format!("bad retry count `{v}`"))?);
+                let v = required(it.next(), "faults: --retries needs a count")?;
+                retries = Some(parse_num(v, "retry count")?);
             }
             "--journal" => {
-                journal_dir = Some(
-                    it.next()
-                        .ok_or("faults: --journal needs a directory")?
-                        .clone(),
-                );
+                journal_dir =
+                    Some(required(it.next(), "faults: --journal needs a directory")?.clone());
             }
             flag if flag.starts_with('-') => {
-                return Err(format!(
+                return Err(usage(format!(
                     "faults: unknown flag `{flag}` (see `cpack help` for usage)"
-                ));
+                )));
             }
             n => {
                 insns = n
                     .parse()
-                    .map_err(|_| format!("faults: unexpected argument `{n}`"))?
+                    .map_err(|_| usage(format!("faults: unexpected argument `{n}`")))?
             }
         }
     }
     if resume && journal_dir.is_none() {
-        return Err("faults: --resume needs --journal DIR".into());
+        return Err(usage("faults: --resume needs --journal DIR"));
     }
     let mut spec = FaultCampaignSpec::new(SEED, insns);
     if !profiles.is_empty() {
@@ -923,6 +914,7 @@ pub fn faults(args: &[String]) -> Result<(), String> {
     if !report.conservation_holds() {
         return Err(
             "faults: fault ledger does not conserve (injected != recovered + trapped + silent)"
+                .to_string()
                 .into(),
         );
     }
@@ -930,11 +922,9 @@ pub fn faults(args: &[String]) -> Result<(), String> {
 }
 
 /// `cpack sweep <bus|latency|cache> <profile> [INSNS]`
-pub fn sweep(args: &[String]) -> Result<(), String> {
-    let kind = args
-        .first()
-        .ok_or("sweep: missing kind (bus|latency|cache)")?;
-    let name = args.get(1).ok_or("sweep: missing profile name")?;
+pub fn sweep(args: &[String]) -> Result<(), CliError> {
+    let kind = required(args.first(), "sweep: missing kind (bus|latency|cache)")?;
+    let name = required(args.get(1), "sweep: missing profile name")?;
     let insns = parse_insns(args, 2, 300_000)?;
     no_more("sweep", args.get(3..).unwrap_or(&[]))?;
     let program = program_for(name)?;
@@ -978,9 +968,9 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             })
             .collect(),
         other => {
-            return Err(format!(
+            return Err(usage(format!(
                 "sweep: unknown kind `{other}` (bus|latency|cache|l2)"
-            ))
+            )))
         }
     };
 
@@ -1013,8 +1003,8 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
 }
 
 /// `cpack compare <profile>`
-pub fn compare(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("compare: missing profile name")?;
+pub fn compare(args: &[String]) -> Result<(), CliError> {
+    let name = required(args.first(), "compare: missing profile name")?;
     no_more("compare", &args[1..])?;
     let program = program_for(name)?;
     let text = program.text_words();
@@ -1065,18 +1055,16 @@ pub fn compare(args: &[String]) -> Result<(), String> {
 /// image against the native text) or a `.cpk` frame (the static frame
 /// linter — there is no native reference). Exits nonzero when any
 /// Error-severity diagnostic fires, so CI can gate on it.
-pub fn lint(args: &[String]) -> Result<(), String> {
-    let target = args
-        .first()
-        .ok_or("lint: missing profile name or .cpk file")?;
+pub fn lint(args: &[String]) -> Result<(), CliError> {
+    let target = required(args.first(), "lint: missing profile name or .cpk file")?;
     let mut json = false;
     for a in &args[1..] {
         match a.as_str() {
             "--json" => json = true,
             other => {
-                return Err(format!(
+                return Err(usage(format!(
                     "lint: unexpected argument `{other}` (see `cpack help` for usage)"
-                ))
+                )))
             }
         }
     }
@@ -1090,9 +1078,9 @@ pub fn lint(args: &[String]) -> Result<(), String> {
         let bytes = std::fs::read(target).map_err(|e| format!("reading {target}: {e}"))?;
         lint_frame(&bytes, target.as_str())
     } else {
-        return Err(format!(
+        return Err(usage(format!(
             "lint: `{target}` is neither a benchmark profile nor a readable file"
-        ));
+        )));
     };
 
     finish_lint(&report, json)
@@ -1100,7 +1088,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
 
 /// Prints a lint report in the requested form and maps it to the lint
 /// exit status (clean → `Ok`).
-fn finish_lint(report: &LintReport, json: bool) -> Result<(), String> {
+fn finish_lint(report: &LintReport, json: bool) -> Result<(), CliError> {
     if json {
         println!("{}", report.to_json());
     } else {
@@ -1109,11 +1097,7 @@ fn finish_lint(report: &LintReport, json: bool) -> Result<(), String> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!(
-            "lint: {} error(s) in {}",
-            report.errors(),
-            report.target
-        ))
+        Err(format!("lint: {} error(s) in {}", report.errors(), report.target).into())
     }
 }
 
@@ -1151,22 +1135,21 @@ fn write_output(cmd: &str, path: &str, bytes: &[u8]) -> Result<(), String> {
     }
 }
 
-fn parse_frame_workers(cmd: &str, v: Option<&String>, usage: &str) -> Result<usize, String> {
-    let v = v.ok_or(format!("{cmd}: --workers needs a count\n{usage}"))?;
-    let workers: usize = v
-        .parse()
-        .map_err(|_| format!("{cmd}: bad worker count `{v}`\n{usage}"))?;
-    if workers == 0 {
-        return Err(format!("{cmd}: --workers must be at least 1\n{usage}"));
+/// Parses a `--workers N` value: a count of at least 1.
+fn parse_workers(cmd: &str, v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or(format!("{cmd}: --workers needs a count"))?;
+    match v.parse() {
+        Ok(0) => Err(format!("{cmd}: --workers must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{cmd}: bad worker count `{v}`")),
     }
-    Ok(workers)
 }
 
 /// The instruction words a pack input denotes: a benchmark profile's
 /// synthetic program, or raw little-endian words from a file / stdin.
 fn pack_input_words(input: &str) -> Result<Vec<u32>, String> {
-    if BenchmarkProfile::suite().iter().any(|p| p.name == input) {
-        return Ok(program_for(input)?.text_words().to_vec());
+    if let Ok(program) = program_for(input) {
+        return Ok(program.text_words().to_vec());
     }
     let bytes = read_input("pack", input)?;
     if !bytes.len().is_multiple_of(4) {
@@ -1195,7 +1178,7 @@ fn pack_args(args: &[String]) -> Result<(String, String, PackOptions), String> {
                     .ok_or(format!("pack: -o needs a file name\n{PACK_USAGE}"))?
                     .clone();
             }
-            "--workers" => opts.workers = parse_frame_workers("pack", it.next(), PACK_USAGE)?,
+            "--workers" => opts.workers = parse_workers("pack", it.next())?,
             "--integrity" => {
                 let v = it
                     .next()
@@ -1267,7 +1250,7 @@ fn frame_decode_args<'a>(
                     .ok_or(format!("{cmd}: -o needs a file name\n{usage}"))?
                     .clone();
             }
-            "--workers" => opts.workers = parse_frame_workers(cmd, it.next(), usage)?,
+            "--workers" => opts.workers = parse_workers(cmd, it.next())?,
             "--backend" => {
                 let v = it
                     .next()

@@ -37,23 +37,22 @@ mod loadgen;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let legacy = |r: Result<(), String>| r.map_err(CliError::Failure);
     let result: Result<(), CliError> = match args.first().map(String::as_str) {
-        Some("list") => legacy(commands::list(&args[1..])),
-        Some("inspect") => legacy(commands::inspect(&args[1..])),
-        Some("disasm") => legacy(commands::disasm(&args[1..])),
-        Some("sim") => legacy(commands::sim(&args[1..])),
-        Some("run") => legacy(commands::run(&args[1..])),
-        Some("trace-export") => legacy(commands::trace_export(&args[1..])),
-        Some("sweep") => legacy(commands::sweep(&args[1..])),
-        Some("compare") => legacy(commands::compare(&args[1..])),
-        Some("lint") => legacy(commands::lint(&args[1..])),
-        Some("matrix") => legacy(commands::matrix(&args[1..])),
-        Some("profile") => legacy(commands::profile(&args[1..])),
+        Some("list") => commands::list(&args[1..]),
+        Some("inspect") => commands::inspect(&args[1..]),
+        Some("disasm") => commands::disasm(&args[1..]),
+        Some("sim") => commands::sim(&args[1..]),
+        Some("run") => commands::run(&args[1..]),
+        Some("trace-export") => commands::trace_export(&args[1..]),
+        Some("sweep") => commands::sweep(&args[1..]),
+        Some("compare") => commands::compare(&args[1..]),
+        Some("lint") => commands::lint(&args[1..]),
+        Some("matrix") => commands::matrix(&args[1..]),
+        Some("profile") => commands::profile(&args[1..]),
         Some("pack") => commands::pack(&args[1..]),
         Some("unpack") => commands::unpack(&args[1..]),
         Some("cat") => commands::cat(&args[1..]),
-        Some("faults") => legacy(commands::faults(&args[1..])),
+        Some("faults") => commands::faults(&args[1..]),
         Some("loadgen") => loadgen::loadgen(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", commands::USAGE);

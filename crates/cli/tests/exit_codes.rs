@@ -119,12 +119,17 @@ fn command_line_misuse_exits_two() {
     let out = cpack(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 
-    // Unknown flags on the frame commands.
+    // Unknown flags, missing or unknown arguments, on every command.
     for args in [
         &["pack", "pegwit", "--bogus"][..],
         &["unpack", "x.cpk", "--bogus"],
         &["cat", "x.cpk", "--bogus"],
         &["loadgen", "--bogus"],
+        &["matrix", "--bogus"],
+        &["matrix", "--workers"],
+        &["sim"],
+        &["sweep", "nosuch", "pegwit"],
+        &["run", "pegwit", "--arch", "nosuch"],
     ] {
         let out = cpack(args);
         assert_eq!(

@@ -14,6 +14,8 @@
 //! per beat and a 1-instruction/cycle decoder makes the critical (5th)
 //! instruction available at t=25; caching the index and doubling decode
 //! bandwidth pulls it to t=14 (see `tests::figure2_worked_example`).
+//! [`IndexLookup`] and [`decode_schedule`] are the parts every
+//! compressed-fetch engine shares, whatever its codec.
 
 use std::sync::Arc;
 
@@ -41,6 +43,11 @@ fn fault_area(domain: FaultDomain) -> FaultArea {
 }
 
 /// How the decompressor reaches the index table.
+///
+/// Every decompressor service (a miss not served from the output buffer)
+/// makes exactly one index probe, which counts as one hit or one miss in
+/// [`FetchStats`]: `Perfect` always hits, `None` always misses, `Cached`
+/// hits when the entry is resident.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexCacheModel {
     /// Every miss pays a main-memory index fetch (ablation only — even the
@@ -191,9 +198,11 @@ pub struct FetchStats {
     pub misses: u64,
     /// Misses served from the output buffer.
     pub buffer_hits: u64,
-    /// Index-cache probes that hit.
+    /// Index probes that hit (no main-memory index fetch). Each
+    /// decompressor service probes once, so for decompressor engines
+    /// `index_hits + index_misses == misses - buffer_hits`.
     pub index_hits: u64,
-    /// Index-cache probes that missed (index fetched from main memory).
+    /// Index probes that missed (index fetched from main memory).
     pub index_misses: u64,
     /// Total main-memory bus beats used.
     pub memory_beats: u64,
@@ -264,6 +273,87 @@ pub trait FetchEngine {
 
     /// Short human-readable name for tables.
     fn name(&self) -> &'static str;
+}
+
+/// The decompressor's path to its index table: one lookup per service,
+/// optionally through a fully-associative index cache (paper §5.3).
+/// CodePack's index table, HuffPack's and CCRP's Line Address Table all
+/// go through it.
+#[derive(Clone, Debug)]
+pub struct IndexLookup {
+    model: IndexCacheModel,
+    cache: Option<FullyAssociativeCache>,
+}
+
+impl IndexLookup {
+    /// Builds the lookup path `model` describes (an empty cache for
+    /// `Cached`).
+    pub fn new(model: IndexCacheModel) -> IndexLookup {
+        let cache = match model {
+            IndexCacheModel::Cached {
+                lines,
+                entries_per_line,
+            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
+            _ => None,
+        };
+        IndexLookup { model, cache }
+    }
+
+    /// Looks up the `entry_bytes`-wide entry keyed `key`, returning the
+    /// cycles it took and whether the probe hit. A hit is free (the probe
+    /// runs in parallel with the L1); a miss burst-reads the entry from
+    /// main memory. Counts one hit or one miss in `stats` and charges the
+    /// miss's bus beats there.
+    pub fn probe(
+        &mut self,
+        key: u32,
+        entry_bytes: u32,
+        timing: &MemoryTiming,
+        stats: &mut FetchStats,
+    ) -> (u64, bool) {
+        let hit = match self.model {
+            IndexCacheModel::Perfect => true,
+            IndexCacheModel::None => false,
+            IndexCacheModel::Cached { .. } => self.cache.as_mut().is_some_and(|c| c.access(key)),
+        };
+        if hit {
+            stats.index_hits += 1;
+            return (0, true);
+        }
+        stats.index_misses += 1;
+        let (beats, cycles) = timing.burst_read_profile(entry_bytes);
+        stats.memory_beats += u64::from(beats);
+        (cycles, false)
+    }
+}
+
+/// Fills `ready[j]` with the cycle instruction `j` of a compressed block is
+/// decoded when its burst read starts at `t_start`:
+/// `ready[j] = max(arrival[j] + c, ready[j - lanes] + c)`, where
+/// `arrival[j]` is the completion of the bus beat carrying bit
+/// `cum_bits[j + 1]` and `c` is `cycles_per_insn`.
+pub fn decode_schedule(
+    cum_bits: &[u16],
+    timing: &MemoryTiming,
+    t_start: u64,
+    cycles_per_insn: u64,
+    lanes: usize,
+    ready: &mut [u64],
+) {
+    let bus = timing.bus_bytes();
+    let first = u64::from(timing.first_access_cycles());
+    let rate = u64::from(timing.next_access_cycles());
+    for j in 0..ready.len() {
+        let bytes_needed = u32::from(cum_bits[j + 1]).div_ceil(8);
+        let beat = bytes_needed.div_ceil(bus).max(1) - 1; // 0-based beat index
+        let arrival = t_start + first + u64::from(beat) * rate;
+        let capacity_bound = if j >= lanes {
+            ready[j - lanes] + cycles_per_insn
+        } else {
+            0
+        };
+        ready[j] = (arrival + cycles_per_insn).max(capacity_bound);
+    }
 }
 
 /// Native-code fetch: critical-word-first burst read (paper Figure 2-a).
@@ -346,7 +436,7 @@ pub struct CodePackFetch {
     timing: MemoryTiming,
     config: DecompressorConfig,
     text_base: u32,
-    index_cache: Option<FullyAssociativeCache>,
+    index: IndexLookup,
     /// Block number currently held by the 16-instruction output buffer.
     buffer_block: Option<u32>,
     stats: FetchStats,
@@ -366,19 +456,12 @@ impl CodePackFetch {
         config: DecompressorConfig,
         text_base: u32,
     ) -> CodePackFetch {
-        let index_cache = match config.index_cache {
-            IndexCacheModel::Cached {
-                lines,
-                entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
-            _ => None,
-        };
         CodePackFetch {
             image,
             timing,
             config,
             text_base,
-            index_cache,
+            index: IndexLookup::new(config.index_cache),
             buffer_block: None,
             stats: FetchStats::default(),
             protection: None,
@@ -396,11 +479,6 @@ impl CodePackFetch {
     /// The decompressor configuration in effect.
     pub fn config(&self) -> &DecompressorConfig {
         &self.config
-    }
-
-    /// Index-cache statistics (probes/hits), if an index cache is present.
-    pub fn index_cache_stats(&self) -> Option<codepack_mem::CacheStats> {
-        self.index_cache.as_ref().map(FullyAssociativeCache::stats)
     }
 
     /// Emits the injection event plus its outcome event for one fault.
@@ -449,33 +527,6 @@ impl CodePackFetch {
             }
             DecodeBackend::Fast => self.image.fast_decoder().decode_block(&bytes).is_ok(),
         }
-    }
-
-    /// Cycle at which each instruction of `block` is decoded, given the
-    /// code burst starts at `t_start`. Implements
-    /// `ready[j] = max(arrival[j] + 1, ready[j - rate] + 1)` where
-    /// `arrival[j]` is the completion of the bus beat carrying the last bit
-    /// of instruction `j`.
-    fn decode_schedule(&self, block: u32, t_start: u64) -> [u64; BLOCK_INSNS as usize] {
-        let info = self.image.block_info(block);
-        let bus = self.timing.bus_bytes();
-        let first = u64::from(self.timing.first_access_cycles());
-        let rate = u64::from(self.timing.next_access_cycles());
-        let decode_rate = self.config.decode_rate as usize;
-
-        let mut ready = [0u64; BLOCK_INSNS as usize];
-        for j in 0..BLOCK_INSNS as usize {
-            let bytes_needed = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-            let beat = bytes_needed.div_ceil(bus).max(1) - 1; // 0-based beat index
-            let arrival = t_start + first + u64::from(beat) * rate;
-            let capacity_bound = if j >= decode_rate {
-                ready[j - decode_rate] + 1
-            } else {
-                0
-            };
-            ready[j] = (arrival + 1).max(capacity_bound);
-        }
-        ready
     }
 
     /// Folds one decompressor-path service into the armed block profile,
@@ -576,26 +627,9 @@ impl CodePackFetch {
 
         // Index lookup, probed in parallel with the L1: a hit is free.
         let group = self.image.group_of_insn(insn);
-        let (mut t_index, index_hit) = match self.config.index_cache {
-            IndexCacheModel::Perfect => (0, Some(true)),
-            IndexCacheModel::None => {
-                let (beats, cycles) = self.timing.burst_read_profile(INDEX_ENTRY_BYTES);
-                self.stats.memory_beats += u64::from(beats);
-                (cycles, Some(false))
-            }
-            IndexCacheModel::Cached { .. } => {
-                let cache = self.index_cache.as_mut().expect("cache built in new()");
-                if cache.access(group) {
-                    self.stats.index_hits += 1;
-                    (0, Some(true))
-                } else {
-                    self.stats.index_misses += 1;
-                    let (beats, cycles) = self.timing.burst_read_profile(INDEX_ENTRY_BYTES);
-                    self.stats.memory_beats += u64::from(beats);
-                    (cycles, Some(false))
-                }
-            }
-        };
+        let (mut t_index, hit) =
+            self.index
+                .probe(group, INDEX_ENTRY_BYTES, &self.timing, &mut self.stats);
 
         // Index-SRAM fault domain: a struck entry is caught by parity (odd
         // flips only) and cured by re-reading the entry from main memory,
@@ -643,16 +677,14 @@ impl CodePackFetch {
         }
 
         if obs.enabled() {
-            if let Some(hit) = index_hit {
-                obs.emit(
-                    now + t_index,
-                    EventKind::IndexLookup {
-                        group,
-                        hit,
-                        cycles: t_index,
-                    },
-                );
-            }
+            obs.emit(
+                now + t_index,
+                EventKind::IndexLookup {
+                    group,
+                    hit,
+                    cycles: t_index,
+                },
+            );
         }
 
         let info = self.image.block_info(block).clone();
@@ -780,12 +812,12 @@ impl CodePackFetch {
             let elapsed =
                 t_index + u64::from(self.config.request_overhead) + t_extra + stream_extra;
             self.stats.total_critical_cycles += elapsed;
-            self.record_profiled_miss(obs, block, elapsed, index_hit, &before, true);
+            self.record_profiled_miss(obs, block, elapsed, Some(hit), &before, true);
             return MissService {
                 critical_ready: elapsed,
                 line_fill_complete: elapsed,
                 source: MissSource::Decompressor,
-                index_hit,
+                index_hit: Some(hit),
                 index_cycles: t_index,
                 machine_check: true,
             };
@@ -797,7 +829,15 @@ impl CodePackFetch {
         // integrity check completing.
         self.stats.memory_beats += u64::from(self.timing.beats_for(payload + overhead));
         let t_start = t_index + u64::from(self.config.request_overhead) + t_extra + stream_extra;
-        let ready = self.decode_schedule(block, t_start);
+        let mut ready = [0u64; BLOCK_INSNS as usize];
+        decode_schedule(
+            &info.cum_bits,
+            &self.timing,
+            t_start,
+            1,
+            self.config.decode_rate as usize,
+            &mut ready,
+        );
         let gate = match self.protection {
             Some(p) if p.integrity.stream != StreamIntegrity::None => t_start + protected_read,
             _ => 0,
@@ -829,13 +869,13 @@ impl CodePackFetch {
             self.buffer_block = Some(block);
         }
         self.stats.total_critical_cycles += critical_ready;
-        self.record_profiled_miss(obs, block, critical_ready, index_hit, &before, false);
+        self.record_profiled_miss(obs, block, critical_ready, Some(hit), &before, false);
 
         MissService {
             critical_ready,
             line_fill_complete,
             source: MissSource::Decompressor,
-            index_hit,
+            index_hit: Some(hit),
             index_cycles: t_index,
             machine_check: false,
         }
@@ -988,6 +1028,26 @@ mod tests {
         assert_eq!(
             svc.critical_ready, 14,
             "paper Figure 2-c: critical instruction at t=14"
+        );
+    }
+
+    #[test]
+    fn index_lookup_counts_one_probe_per_call() {
+        let timing = MemoryTiming::default();
+        let mut stats = FetchStats::default();
+        let mut cached = IndexLookup::new(IndexCacheModel::Cached {
+            lines: 1,
+            entries_per_line: 1,
+        });
+        assert_eq!(cached.probe(7, 4, &timing, &mut stats), (10, false));
+        assert_eq!(cached.probe(7, 4, &timing, &mut stats), (0, true));
+        let mut perfect = IndexLookup::new(IndexCacheModel::Perfect);
+        assert_eq!(perfect.probe(7, 4, &timing, &mut stats), (0, true));
+        let mut none = IndexLookup::new(IndexCacheModel::None);
+        assert_eq!(none.probe(7, 4, &timing, &mut stats), (10, false));
+        assert_eq!(
+            (stats.index_hits, stats.index_misses, stats.memory_beats),
+            (2, 2, 2)
         );
     }
 

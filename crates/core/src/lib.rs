@@ -70,8 +70,8 @@ pub use fastdecode::{DecodeBackend, DecodeCounters, FastDecoder, LOOKUP_BITS};
 #[doc(hidden)]
 pub use fastdecode::{TableEntry, TableEntryKind, TableView};
 pub use fetch::{
-    CodePackFetch, DecompressorConfig, FetchEngine, FetchStats, IndexCacheModel, MissService,
-    MissSource, NativeFetch,
+    decode_schedule, CodePackFetch, DecompressorConfig, FetchEngine, FetchStats, IndexCacheModel,
+    IndexLookup, MissService, MissSource, NativeFetch,
 };
 pub use frame::{
     pack_frame, scan_frame, unpack_frame, FrameError, FrameReader, FrameRegion, FrameSummary,

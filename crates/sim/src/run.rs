@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use codepack_core::{CodePackFetch, CodePackImage, CompositionStats, FetchStats, NativeFetch};
+use codepack_core::{
+    CodePackFetch, CodePackImage, CompositionStats, FetchEngine, FetchStats, NativeFetch,
+};
 use codepack_cpu::{ExecError, Machine, Pipeline, PipelineStats};
 use codepack_isa::{Program, TEXT_BASE};
 use codepack_mem::FaultStats;
@@ -17,7 +19,8 @@ pub struct SimResult {
     pub benchmark: String,
     /// Architecture name.
     pub arch: &'static str,
-    /// Code model label ("Native"/"CodePack").
+    /// Code model label ("Native"/"CodePack"), or the fetch engine's name
+    /// for a run through [`Simulation::try_run_engine`].
     pub model: &'static str,
     /// Pipeline statistics (cycles, IPC, caches, branches).
     pub pipeline: PipelineStats,
@@ -170,12 +173,10 @@ impl Simulation {
         program: &Program,
         max_insns: u64,
         image: Option<Arc<CodePackImage>>,
-        obs: Obs,
+        mut obs: Obs,
     ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
-        let mut compression = None;
-        let mut protection_armed = None;
-        let engine: Box<dyn codepack_core::FetchEngine> = match &self.model {
-            CodeModel::Native => Box::new(NativeFetch::new(self.arch.memory)),
+        let (engine, compression): (Box<dyn FetchEngine>, _) = match &self.model {
+            CodeModel::Native => (Box::new(NativeFetch::new(self.arch.memory)), None),
             CodeModel::CodePack {
                 decompressor,
                 compression: ccfg,
@@ -192,17 +193,44 @@ impl Simulation {
                     }
                     None => Arc::new(CodePackImage::compress(program.text_words(), ccfg)),
                 };
-                compression = Some(*image.stats());
-                protection_armed = *protection;
+                let stats = *image.stats();
                 let mut fetch =
                     CodePackFetch::new(image, self.arch.memory, *decompressor, TEXT_BASE);
                 if let Some(p) = protection {
                     fetch = fetch.with_protection(*p);
                 }
-                Box::new(fetch)
+                (Box::new(fetch), Some(stats))
             }
         };
+        if let Some(c) = &compression {
+            obs.set_gauge("compression.ratio", c.compression_ratio());
+        }
+        let (mut result, report) = self.try_run_engine(program, max_insns, engine, obs)?;
+        result.model = self.model.label();
+        result.compression = compression;
+        Ok((result, report))
+    }
 
+    /// Runs `program` on this simulation's machine (L2 included) with a
+    /// caller-supplied I-miss service `engine`; every run goes through
+    /// here. The code model only arms soft errors; the result's `model` is
+    /// the engine's name and it carries no compression stats.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] if the program traps.
+    pub fn try_run_engine(
+        &self,
+        program: &Program,
+        max_insns: u64,
+        engine: Box<dyn FetchEngine>,
+        obs: Obs,
+    ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
+        let protection = match self.model {
+            CodeModel::Native => None,
+            CodeModel::CodePack { protection, .. } => protection,
+        };
+        let model = engine.name();
         let mut pipeline = Pipeline::new(
             self.arch.pipeline,
             self.arch.icache,
@@ -213,28 +241,25 @@ impl Simulation {
         if let Some(l2) = self.arch.l2 {
             pipeline.set_l2(l2);
         }
-        pipeline.set_soft_errors(protection_armed);
+        pipeline.set_soft_errors(protection);
         pipeline.set_obs(obs);
         let mut machine = Machine::load(program);
         let stats = pipeline.run(&mut machine, max_insns)?;
-
-        let mut obs = pipeline.take_obs();
-        if let Some(c) = &compression {
-            obs.set_gauge("compression.ratio", c.compression_ratio());
-        }
-        let report = obs.into_report(stats.cycles, stats.instructions);
+        let report = pipeline
+            .take_obs()
+            .into_report(stats.cycles, stats.instructions);
 
         Ok((
             SimResult {
                 benchmark: program.name().to_string(),
                 arch: self.arch.name,
-                model: self.model.label(),
+                model,
                 pipeline: stats,
                 fetch: pipeline.fetch_engine().stats(),
-                compression,
+                compression: None,
                 retired_instructions: stats.instructions,
                 state_hash: machine.state_hash(),
-                faults: protection_armed.map(|_| stats.faults),
+                faults: protection.map(|_| stats.faults),
             },
             report,
         ))
@@ -362,6 +387,23 @@ mod tests {
             .unwrap();
         assert!(none.is_none());
         assert_eq!(unobserved.cycles(), plain.cycles());
+    }
+
+    #[test]
+    fn custom_engine_runs_behind_the_configured_l2() {
+        let p = small_program();
+        let arch = ArchConfig::four_issue().with_l2_kb(128);
+        let engine = Box::new(NativeFetch::new(arch.memory));
+        let (r, report) = Simulation::new(arch, CodeModel::Native)
+            .try_run_engine(&p, 20_000, engine, Obs::disabled())
+            .unwrap();
+        assert!(r.pipeline.l2.is_some(), "the L2 was installed");
+        assert_eq!(r.model, "native");
+        assert!(report.is_none());
+        // The same engine through the code-model path is the same run.
+        let native = Simulation::new(arch, CodeModel::Native).run(&p, 20_000);
+        assert_eq!(r.cycles(), native.cycles());
+        assert_eq!(native.model, "Native");
     }
 
     #[test]
