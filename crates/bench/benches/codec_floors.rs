@@ -19,7 +19,7 @@
 
 use codepack_bench::EXPERIMENT_SEED;
 use codepack_core::frame::{pack_frame, unpack_frame, PackOptions, UnpackOptions};
-use codepack_core::{CodePackImage, CompressionConfig, DecodeBackend};
+use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_synth::{generate, BenchmarkProfile};
 use codepack_testkit::{Bench, Throughput};
 
@@ -48,11 +48,7 @@ fn main() {
                 format!("decode_fast/{}", profile.name),
                 || image.decompress_all_fast().expect("clean image decodes"),
                 format!("decode_scalar/{}", profile.name),
-                || {
-                    image
-                        .decompress_all_with(DecodeBackend::Scalar)
-                        .expect("clean image decodes")
-                },
+                || image.decompress_all().expect("clean image decodes"),
             );
         speedups.push((
             format!("fast vs scalar decode, {}", profile.name),
@@ -78,14 +74,7 @@ fn main() {
             || pack_frame(&corpus, &serial),
         );
         let unpack_at = |workers| {
-            unpack_frame(
-                &frame,
-                &UnpackOptions {
-                    workers,
-                    ..UnpackOptions::default()
-                },
-            )
-            .expect("clean frame unpacks")
+            unpack_frame(&frame, &UnpackOptions { workers }).expect("clean frame unpacks")
         };
         let unpack = b.with_throughput(bytes).paired(
             format!("unpack/{WORKERS}w"),

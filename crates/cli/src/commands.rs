@@ -3,7 +3,7 @@
 use codepack_analyze::{check_frame, lint_compressed, lint_frame, LintReport, Severity};
 use codepack_baselines::{estimate_thumb, CcrpImage, HuffPackImage, InsnDictImage};
 use codepack_core::frame::{pack_frame, unpack_frame, PackOptions, UnpackOptions};
-use codepack_core::{CodePackImage, CompressionConfig, DecodeBackend};
+use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_isa::{decode, Program, TEXT_BASE};
 use codepack_mem::{IntegrityConfig, PPB_SCALE};
 use codepack_obs::{chrome_trace_json, parse_jsonl, BlockProfile, JsonlSink, Obs};
@@ -24,12 +24,9 @@ USAGE:
     cpack disasm   <profile> [N]        disassemble the first N instructions (default 32)
     cpack sim      <profile> [INSNS]    simulate native vs CodePack (default 500000)
     cpack run      <profile> [INSNS] [--arch 1|4|8] [--model native|cp-base|cp-opt]
-                   [--backend scalar|fast] [--trace FILE.jsonl] [--metrics FILE.json]
+                   [--trace FILE.jsonl] [--metrics FILE.json]
                                         one observed run: event trace, metrics
-                                        registry, CPI attribution; --backend
-                                        picks the functional decoder (fast =
-                                        table-driven default, scalar =
-                                        bit-at-a-time reference)
+                                        registry, CPI attribution
     cpack trace-export <FILE.jsonl> --chrome [-o FILE.json]
                                         convert a JSONL trace to Chrome
                                         trace-event format (chrome://tracing)
@@ -53,16 +50,14 @@ USAGE:
                                         degrades, never aborts), --journal
                                         records completed cells crash-safely
                                         and --resume re-runs only the rest
-    cpack profile  <profile> [INSNS] [--out FILE.json] [--top N]
-                   [--workers N] [--json]
+    cpack profile  <profile> [INSNS] [--out FILE.json] [--top N] [--json]
                                         block-level access profile: run the
-                                        benchmark under both decode backends
-                                        with the per-block profiler armed and
-                                        report hot blocks, the cumulative
-                                        hotness curve, working set, and
-                                        decode-path counters; --out writes
-                                        the versioned profile artifact
-                                        (byte-identical for any worker count)
+                                        benchmark on the 4-issue cp-opt
+                                        machine with the per-block profiler
+                                        armed and report hot blocks, the
+                                        cumulative hotness curve, working
+                                        set, and decode-path counters; --out
+                                        writes the versioned profile artifact
     cpack profile  --diff A.json B.json compare two profile artifacts
     cpack pack     <profile|FILE|-> [-o FILE|-] [--workers N]
                    [--integrity none|parity|crc32]
@@ -74,11 +69,11 @@ USAGE:
                                         encoded in parallel and the output
                                         is byte-identical at any worker
                                         count (default output: stdout)
-    cpack unpack   <FILE|-> [-o FILE|-] [--workers N] [--backend scalar|fast]
+    cpack unpack   <FILE|-> [-o FILE|-] [--workers N]
                                         decode a .cpk frame back to the
                                         original words (little-endian bytes;
                                         default output: stdout)
-    cpack cat      <FILE|-> [--workers N] [--backend scalar|fast]
+    cpack cat      <FILE|-> [--workers N]
                                         decode a .cpk frame to stdout
     cpack faults   [INSNS] [--profile P] [--rates PPB,PPB,..]
                    [--integrity none,parity,crc32] [--workers N] [--json]
@@ -334,12 +329,11 @@ pub fn sim(args: &[String]) -> Result<(), CliError> {
 pub fn run(args: &[String]) -> Result<(), CliError> {
     const RUN_USAGE: &str = "usage: cpack run <profile> [INSNS] \
          [--arch 1|4|8] [--model native|cp-base|cp-opt] \
-         [--backend scalar|fast] [--trace FILE.jsonl] [--metrics FILE.json]";
+         [--trace FILE.jsonl] [--metrics FILE.json]";
     let mut profile: Option<String> = None;
     let mut insns: Option<u64> = None;
     let mut arch = ArchConfig::four_issue();
     let mut model = ("cp-opt", CodeModel::codepack_optimized());
-    let mut backend: Option<DecodeBackend> = None;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut it = args.iter();
@@ -367,13 +361,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                     }
                 };
             }
-            "--backend" => {
-                let v = required(it.next(), "run: --backend needs a decoder name")?;
-                backend =
-                    Some(DecodeBackend::parse(v).ok_or_else(|| {
-                        usage(format!("run: unknown backend `{v}` (scalar|fast)"))
-                    })?);
-            }
             "--trace" => {
                 trace_path = Some(required(it.next(), "run: --trace needs a file name")?.clone());
             }
@@ -398,14 +385,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let name = required(profile, &format!("run: missing profile name\n{RUN_USAGE}"))?;
     let program = program_for(&name)?;
     let insns = insns.unwrap_or(500_000);
-    if let Some(b) = backend {
-        if matches!(model.1, CodeModel::Native) {
-            return Err(usage(format!(
-                "run: --backend {b} requires a CodePack model (native code is never decoded)"
-            )));
-        }
-        model.1 = model.1.with_decode_backend(b);
-    }
 
     let obs = match &trace_path {
         Some(p) => {
@@ -506,7 +485,7 @@ pub fn trace_export(args: &[String]) -> Result<(), CliError> {
 /// the missing or failed ones, producing byte-identical output to an
 /// uninterrupted run.
 pub fn matrix(args: &[String]) -> Result<(), CliError> {
-    let mut insns = 200_000u64;
+    let mut insns: Option<u64> = None;
     let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = false;
     let mut metrics_dir: Option<String> = None;
@@ -537,15 +516,18 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
                 )));
             }
             n => {
-                insns = n
-                    .parse()
-                    .map_err(|_| usage(format!("matrix: unexpected argument `{n}`")))?
+                // One instruction count: a second bare argument is misuse.
+                match (insns, n.parse()) {
+                    (None, Ok(v)) => insns = Some(v),
+                    _ => return Err(usage(format!("matrix: unexpected argument `{n}`"))),
+                }
             }
         }
     }
     if resume && journal_dir.is_none() {
         return Err(usage("matrix: --resume needs --journal DIR"));
     }
+    let insns = insns.unwrap_or(200_000);
     let mut spec = MatrixSpec::new(SEED, insns);
     if let Some(r) = retries {
         spec = spec.with_retries(r);
@@ -579,25 +561,23 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack profile <profile> [INSNS] [--out FILE] [--top N] [--workers N]
-/// [--json]`, or `cpack profile --diff A.json B.json`
+/// `cpack profile <profile> [INSNS] [--out FILE] [--top N] [--json]`, or
+/// `cpack profile --diff A.json B.json`
 ///
-/// Runs one benchmark on the 4-issue machine under both decode backends
-/// (fast and scalar) with the per-block profiler armed, merges the
-/// cells' profiles, and prints a hot-block report. `--out` writes the
-/// versioned profile artifact — the input contract of the
-/// profile-guided compressor — which is byte-identical for any worker
-/// count at a fixed seed. `--diff` instead loads two artifacts and
-/// reports per-block fetch movement between them.
+/// Runs one benchmark as one cell (4-issue machine, cp-opt) with the
+/// per-block profiler armed and prints a hot-block report. `--out` writes
+/// the versioned profile artifact — the input contract of the
+/// profile-guided compressor — which is byte-identical across runs at a
+/// fixed seed. `--diff` instead loads two artifacts and reports per-block
+/// fetch movement between them.
 pub fn profile(args: &[String]) -> Result<(), CliError> {
     const PROFILE_USAGE: &str = "usage: cpack profile <profile> [INSNS] \
-         [--out FILE.json] [--top N] [--workers N] [--json]\n\
+         [--out FILE.json] [--top N] [--json]\n\
          \x20      cpack profile --diff A.json B.json";
     let mut name: Option<String> = None;
     let mut insns: Option<u64> = None;
     let mut out: Option<String> = None;
     let mut top = 10usize;
-    let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = false;
     let mut diff: Option<(String, String)> = None;
     let mut it = args.iter();
@@ -611,7 +591,6 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
                 let v = required(it.next(), "profile: --top needs a count")?;
                 top = parse_num(v, "top count")?;
             }
-            "--workers" => workers = parse_workers("profile", it.next()).map_err(usage)?,
             "--diff" => {
                 let a = required(it.next(), "profile: --diff needs two files")?.clone();
                 let b = required(it.next(), "profile: --diff needs two files")?.clone();
@@ -649,19 +628,12 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
     )?;
     let bench = profile_by_name(&name)?;
     let insns = insns.unwrap_or(200_000);
-    // One benchmark, one machine, both decode backends: the merged
-    // artifact then carries fast- and scalar-path counters side by side.
+    // One cell, so each fetch of the run is counted once.
     let spec = MatrixSpec::new(SEED, insns)
         .with_profiles(vec![bench])
         .with_archs(vec![ArchConfig::four_issue()])
-        .with_models(vec![
-            ("cp-opt", CodeModel::codepack_optimized()),
-            (
-                "cp-opt-scalar",
-                CodeModel::codepack_optimized().with_decode_backend(DecodeBackend::Scalar),
-            ),
-        ]);
-    let opts = MatrixOptions::new(workers).profiling(true);
+        .with_models(vec![("cp-opt", CodeModel::codepack_optimized())]);
+    let opts = MatrixOptions::new(1).profiling(true);
     let report = run_matrix_with(&spec, &opts).map_err(|e| format!("profile: {e}"))?;
     if !report.summary().all_ok() {
         return Err(format!("profile: cells failed: {}", report.summary().render()).into());
@@ -684,16 +656,16 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Human rendering of a merged block profile: top-N hot blocks, the
-/// cumulative hotness curve, working-set summary, and decode-backend
-/// totals. Deterministic for a given artifact.
+/// Human rendering of a block profile: top-N hot blocks, the cumulative
+/// hotness curve, working-set summary, and decode-path totals.
+/// Deterministic for a given artifact.
 fn render_profile(name: &str, insns: u64, p: &BlockProfile, top: usize) -> String {
     use std::fmt::Write as _;
     let t = p.totals();
     let mut out = String::new();
     let mut table = Table::new(
         [
-            "Block", "Fetches", "Misses", "Beats", "p50 cyc", "p95 cyc", "Fast", "Scalar",
+            "Block", "Fetches", "Misses", "Beats", "p50 cyc", "p95 cyc", "Decodes",
         ]
         .map(String::from)
         .to_vec(),
@@ -710,8 +682,7 @@ fn render_profile(name: &str, insns: u64, p: &BlockProfile, top: usize) -> Strin
             format!("{}", s.memory_beats),
             format!("{}", s.miss_cycles.percentile(50.0)),
             format!("{}", s.miss_cycles.percentile(95.0)),
-            format!("{}", s.decode_fast),
-            format!("{}", s.decode_scalar),
+            format!("{}", s.decodes),
         ]);
     }
     out.push_str(&table.render());
@@ -730,13 +701,8 @@ fn render_profile(name: &str, insns: u64, p: &BlockProfile, top: usize) -> Strin
     let _ = writeln!(out, "hotness curve: {}", curve.join(", "));
     let _ = writeln!(
         out,
-        "decode: {} fast ({} lookups, {} raw escapes, {} refills, {} fallbacks), {} scalar",
-        t.decode_fast,
-        t.table_lookups,
-        t.raw_escapes,
-        t.refills,
-        t.scalar_fallbacks,
-        t.decode_scalar
+        "decode: {} decodes ({} lookups, {} raw escapes, {} refills, {} fallbacks)",
+        t.decodes, t.table_lookups, t.raw_escapes, t.refills, t.scalar_fallbacks
     );
     if t.faults_injected > 0 || t.machine_checks > 0 {
         let _ = writeln!(
@@ -814,7 +780,7 @@ fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), CliError> 
 /// `cpack faults [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
 /// [--workers N] [--json] [--retries N] [--journal DIR] [--resume]`
 pub fn faults(args: &[String]) -> Result<(), CliError> {
-    let mut insns = 50_000u64;
+    let mut insns: Option<u64> = None;
     let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = false;
     let mut profiles: Vec<BenchmarkProfile> = Vec::new();
@@ -877,15 +843,18 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
                 )));
             }
             n => {
-                insns = n
-                    .parse()
-                    .map_err(|_| usage(format!("faults: unexpected argument `{n}`")))?
+                // One instruction count: a second bare argument is misuse.
+                match (insns, n.parse()) {
+                    (None, Ok(v)) => insns = Some(v),
+                    _ => return Err(usage(format!("faults: unexpected argument `{n}`"))),
+                }
             }
         }
     }
     if resume && journal_dir.is_none() {
         return Err(usage("faults: --resume needs --journal DIR"));
     }
+    let insns = insns.unwrap_or(50_000);
     let mut spec = FaultCampaignSpec::new(SEED, insns);
     if !profiles.is_empty() {
         spec = spec.with_profiles(profiles);
@@ -1103,9 +1072,8 @@ fn finish_lint(report: &LintReport, json: bool) -> Result<(), CliError> {
 
 const PACK_USAGE: &str = "usage: cpack pack <profile|FILE|-> [-o FILE|-] \
 [--workers N] [--integrity none|parity|crc32]";
-const UNPACK_USAGE: &str =
-    "usage: cpack unpack <FILE|-> [-o FILE|-] [--workers N] [--backend scalar|fast]";
-const CAT_USAGE: &str = "usage: cpack cat <FILE|-> [--workers N] [--backend scalar|fast]";
+const UNPACK_USAGE: &str = "usage: cpack unpack <FILE|-> [-o FILE|-] [--workers N]";
+const CAT_USAGE: &str = "usage: cpack cat <FILE|-> [--workers N]";
 
 /// Reads a frame command's input: `-` is stdin, anything else a file path.
 fn read_input(cmd: &str, path: &str) -> Result<Vec<u8>, String> {
@@ -1251,13 +1219,6 @@ fn frame_decode_args<'a>(
                     .clone();
             }
             "--workers" => opts.workers = parse_workers(cmd, it.next())?,
-            "--backend" => {
-                let v = it
-                    .next()
-                    .ok_or(format!("{cmd}: --backend needs a decoder name\n{usage}"))?;
-                opts.backend = DecodeBackend::parse(v)
-                    .ok_or_else(|| format!("{cmd}: unknown backend `{v}` (scalar|fast)"))?;
-            }
             flag if flag.starts_with('-') && flag.len() > 1 => {
                 return Err(format!("{cmd}: unknown flag `{flag}`\n{usage}"));
             }
@@ -1284,7 +1245,7 @@ fn unpack_to(cmd: &str, input: &str, out: &str, opts: &UnpackOptions) -> Result<
     Ok(words.len())
 }
 
-/// `cpack unpack <FILE|-> [-o FILE|-] [--workers N] [--backend scalar|fast]`
+/// `cpack unpack <FILE|-> [-o FILE|-] [--workers N]`
 ///
 /// Exit codes: 0 on success, 1 when the frame is corrupt or I/O fails,
 /// 2 on command-line misuse.
@@ -1293,15 +1254,14 @@ pub fn unpack(args: &[String]) -> Result<(), CliError> {
         frame_decode_args("unpack", args, UNPACK_USAGE, true).map_err(CliError::Usage)?;
     let n = unpack_to("unpack", input, &out, &opts)?;
     eprintln!(
-        "unpack: {n} words ({} bytes), backend {}, {} worker(s)",
+        "unpack: {n} words ({} bytes), {} worker(s)",
         n * 4,
-        opts.backend,
         opts.workers
     );
     Ok(())
 }
 
-/// `cpack cat <FILE|-> [--workers N] [--backend scalar|fast]`
+/// `cpack cat <FILE|-> [--workers N]`
 ///
 /// Exit codes mirror `unpack`: corruption exits 1, misuse exits 2.
 pub fn cat(args: &[String]) -> Result<(), CliError> {

@@ -12,11 +12,11 @@
 //! cpack lint     <profile|FILE.cpk> [--json]  static CFG, image, frame checks
 //! cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
 //!                [--retries N] [--journal DIR] [--resume]
-//! cpack profile  <profile> [INSNS] [--out FILE] [--top N] [--workers N] [--json]
+//! cpack profile  <profile> [INSNS] [--out FILE] [--top N] [--json]
 //! cpack profile  --diff A.json B.json
 //! cpack pack     <profile|FILE|-> [-o FILE|-] [--workers N] [--integrity M]
-//! cpack unpack   <FILE|-> [-o FILE|-] [--workers N] [--backend scalar|fast]
-//! cpack cat      <FILE|-> [--workers N] [--backend scalar|fast]
+//! cpack unpack   <FILE|-> [-o FILE|-] [--workers N]
+//! cpack cat      <FILE|-> [--workers N]
 //! cpack faults   [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
 //!                [--workers N] [--json] [--journal DIR] [--resume]
 //! cpack loadgen  [--requests N] [--clients N] [--seed S] [--connect ADDR]

@@ -54,41 +54,6 @@ fn unknown_command_fails() {
 }
 
 #[test]
-fn run_backend_flag_selects_decoder() {
-    // Both backends run to completion and, being byte-identical decoders,
-    // retire the same instruction stream in the same number of cycles.
-    let outputs: Vec<String> = ["scalar", "fast"]
-        .iter()
-        .map(|b| {
-            let out = cpack(&[
-                "run",
-                "pegwit",
-                "20000",
-                "--model",
-                "cp-base",
-                "--backend",
-                b,
-            ]);
-            assert!(
-                out.status.success(),
-                "run --backend {b} failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            String::from_utf8_lossy(&out.stdout).into_owned()
-        })
-        .collect();
-    assert_eq!(outputs[0], outputs[1], "backends must not change results");
-
-    let bad = cpack(&["run", "pegwit", "--backend", "simd"]);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown backend"));
-
-    let native = cpack(&["run", "pegwit", "--model", "native", "--backend", "fast"]);
-    assert!(!native.status.success());
-    assert!(String::from_utf8_lossy(&native.stderr).contains("CodePack model"));
-}
-
-#[test]
 fn run_writes_parseable_trace_and_metrics() {
     let trace = scratch("run.jsonl");
     let metrics = scratch("run.metrics.json");
@@ -339,6 +304,64 @@ fn profile_artifact_loads_and_every_miss_is_in_its_histogram() {
             "block {block}: histogram count != misses"
         );
     }
+}
+
+#[test]
+fn profile_counts_each_fetch_once() {
+    // The profile is one cell's run, so its per-block counts sum to the
+    // fetch-engine counters of the same run under `cpack run --metrics`.
+    let out = cpack(&["profile", "pegwit", "30000", "--json"]);
+    assert!(
+        out.status.success(),
+        "profile failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("profile JSON parses");
+    let blocks = doc.get("blocks").and_then(json::Value::as_array).unwrap();
+    let sum = |field: &str| -> u64 {
+        blocks
+            .iter()
+            .map(|b| b.get(field).and_then(json::Value::as_u64).unwrap())
+            .sum()
+    };
+
+    let metrics = scratch("profile-vs-run.metrics.json");
+    let run = cpack(&[
+        "run",
+        "pegwit",
+        "30000",
+        "--arch",
+        "4",
+        "--model",
+        "cp-opt",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(
+        run.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let m = json::parse(&std::fs::read_to_string(&metrics).unwrap()).expect("metrics parse");
+    let counter = |name: &str| -> u64 {
+        m.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("metrics lack {name}"))
+    };
+    for (field, name) in [
+        ("fetches", "fetch.misses"),
+        ("buffer_hits", "fetch.buffer_hits"),
+        ("memory_beats", "fetch.memory_beats"),
+    ] {
+        assert_eq!(sum(field), counter(name), "profile {field} vs run {name}");
+    }
+    assert!(sum("fetches") > 0, "the run fetched compressed blocks");
+    let source = doc.get("source").and_then(json::Value::as_str).unwrap();
+    assert!(
+        !source.is_empty() && !source.contains('+'),
+        "the profile names exactly one cell: {source}"
+    );
 }
 
 #[test]

@@ -141,6 +141,28 @@ fn command_line_misuse_exits_two() {
         assert!(!out.stderr.is_empty(), "{args:?} explains the misuse");
     }
 
+    // A second instruction count is misuse, not a silent override.
+    for args in [
+        &["matrix", "10", "20"][..],
+        &[
+            "faults",
+            "100",
+            "200",
+            "--profile",
+            "pegwit",
+            "--rates",
+            "0",
+        ],
+    ] {
+        let out = cpack(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unexpected argument"),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
     // Bad flag values are misuse too.
     let out = cpack(&["pack", "pegwit", "--integrity", "sha9000"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

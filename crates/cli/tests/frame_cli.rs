@@ -109,7 +109,7 @@ fn pack_unpack_round_trip_is_byte_identical_at_any_worker_count() {
 }
 
 /// `pack` writes frames to stdout and `cat` streams the decoded words
-/// back, so the two compose over a pipe; both backends agree.
+/// back, so the two compose over a pipe.
 #[test]
 fn pack_and_cat_compose_over_stdio() {
     let packed = cpack(&["pack", "pegwit", "-o", "-"]);
@@ -117,17 +117,15 @@ fn pack_and_cat_compose_over_stdio() {
     assert!(!packed.stdout.is_empty());
     assert_eq!(&packed.stdout[..4], b"CPKF", "frame leads with its magic");
 
-    let scalar = cpack_stdin(&["cat", "-", "--backend", "scalar"], &packed.stdout);
-    let fast = cpack_stdin(&["cat", "-", "--backend", "fast"], &packed.stdout);
-    assert!(scalar.status.success() && fast.status.success());
-    assert_eq!(scalar.stdout, fast.stdout, "backends must agree");
-    assert_eq!(scalar.stdout.len() % 4, 0, "whole words only");
-    assert!(!scalar.stdout.is_empty());
+    let cat = cpack_stdin(&["cat", "-"], &packed.stdout);
+    assert!(cat.status.success());
+    assert_eq!(cat.stdout.len() % 4, 0, "whole words only");
+    assert!(!cat.stdout.is_empty());
 
     // unpack from stdin to stdout matches cat.
     let unpacked = cpack_stdin(&["unpack", "-", "-o", "-"], &packed.stdout);
     assert!(unpacked.status.success());
-    assert_eq!(unpacked.stdout, scalar.stdout);
+    assert_eq!(unpacked.stdout, cat.stdout);
 }
 
 /// A truncated frame is rejected with a nonzero exit and a typed

@@ -57,47 +57,6 @@ use crate::layout::{
 };
 use crate::DecompressError;
 
-/// Which decoder implementation services decompression requests.
-///
-/// `Scalar` is the bit-at-a-time reference ([`crate::decode_block_bytes`]);
-/// `Fast` is the table-driven hot path of this module. The two are
-/// byte-identical on every input — including corrupt ones, where they return
-/// equal [`DecompressError`] values — so `Fast` is the default everywhere
-/// and `Scalar` remains available as the differential-testing reference.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum DecodeBackend {
-    /// Bit-at-a-time reference decoder.
-    Scalar,
-    /// Table-driven batch decoder (this module).
-    #[default]
-    Fast,
-}
-
-impl DecodeBackend {
-    /// Parses a backend name as used by `cpack run --backend`.
-    pub fn parse(s: &str) -> Option<DecodeBackend> {
-        match s {
-            "scalar" => Some(DecodeBackend::Scalar),
-            "fast" => Some(DecodeBackend::Fast),
-            _ => None,
-        }
-    }
-
-    /// The canonical lower-case name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DecodeBackend::Scalar => "scalar",
-            DecodeBackend::Fast => "fast",
-        }
-    }
-}
-
-impl std::fmt::Display for DecodeBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Default lookup-window width: the longest dictionary codeword (3-bit tag +
 /// 8-bit index). At this width every dictionary codeword resolves in one
 /// lookup and the scalar fallback is unreachable.
@@ -904,18 +863,6 @@ mod tests {
         assert_eq!(got.unwrap()[..], text[..]);
         assert_eq!(c.table_lookups, 0, "raw blocks never touch the tables");
         assert!(c.refills > 0);
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        assert_eq!(DecodeBackend::parse("fast"), Some(DecodeBackend::Fast));
-        assert_eq!(DecodeBackend::parse("scalar"), Some(DecodeBackend::Scalar));
-        assert_eq!(DecodeBackend::parse("simd"), None);
-        assert_eq!(DecodeBackend::default(), DecodeBackend::Fast);
-        for b in [DecodeBackend::Scalar, DecodeBackend::Fast] {
-            assert_eq!(DecodeBackend::parse(b.as_str()), Some(b));
-            assert_eq!(b.to_string(), b.as_str());
-        }
     }
 
     #[test]

@@ -25,8 +25,6 @@ use codepack_mem::{
 };
 use codepack_obs::{EventKind, FaultArea, MissRecord, Obs};
 
-use crate::fastdecode::DecodeBackend;
-use crate::image::decode_block_bytes;
 use crate::layout::{BLOCK_INSNS, INDEX_ENTRY_BYTES};
 use crate::CodePackImage;
 
@@ -94,10 +92,6 @@ pub struct DecompressorConfig {
     /// the idealized Figure-2 timeline. Does not apply to output-buffer
     /// hits.
     pub request_overhead: u32,
-    /// Which decoder implementation services functional decodes (fault
-    /// detection, integrity checks). Purely functional: both backends are
-    /// byte-identical, so timing results never depend on this.
-    pub decode_backend: DecodeBackend,
 }
 
 impl DecompressorConfig {
@@ -113,7 +107,6 @@ impl DecompressorConfig {
             output_buffer: true,
             forwarding: true,
             request_overhead: 2,
-            decode_backend: DecodeBackend::default(),
         }
     }
 
@@ -521,12 +514,7 @@ impl CodePackFetch {
         for &bit in &flips.bits[..flips.count as usize] {
             bytes[bit as usize / 8] ^= 1 << (bit % 8);
         }
-        match self.config.decode_backend {
-            DecodeBackend::Scalar => {
-                decode_block_bytes(&bytes, self.image.high_dict(), self.image.low_dict()).is_ok()
-            }
-            DecodeBackend::Fast => self.image.fast_decoder().decode_block(&bytes).is_ok(),
-        }
+        self.image.fast_decoder().decode_block(&bytes).is_ok()
     }
 
     /// Folds one decompressor-path service into the armed block profile,
@@ -550,7 +538,6 @@ impl CodePackFetch {
                 index_hit,
                 memory_beats: self.stats.memory_beats - before.memory_beats,
                 decompressed: true,
-                fast_decode: self.config.decode_backend == DecodeBackend::Fast,
                 machine_check,
                 faults_injected: self.faults.injected - before.faults.injected,
                 faults_recovered: self.faults.recovered - before.faults.recovered,
@@ -913,23 +900,21 @@ impl FetchEngine for CodePackFetch {
     /// function of its bytes ([`CodePackImage::block_decode_counters`]
     /// computes them once per image), so the armed per-miss path stays
     /// increment-only (the <3% overhead budget) while the profile still
-    /// attributes exact table/escape/refill work. Scalar-backend
-    /// invocations contribute no counters — the counters describe the
-    /// table-driven path.
+    /// attributes exact table/escape/refill work.
     fn finalize_profile(&self, obs: &mut Obs) {
         let Some(profile) = obs.profile_mut() else {
             return;
         };
         let counters = self.image.block_decode_counters();
         for (block, stats) in profile.iter_mut() {
-            if stats.decode_fast == 0 || block >= self.image.num_blocks() {
+            if stats.decodes == 0 || block >= self.image.num_blocks() {
                 continue;
             }
             let c = counters[block as usize];
-            stats.table_lookups += c.table_lookups * stats.decode_fast;
-            stats.raw_escapes += c.raw_escapes * stats.decode_fast;
-            stats.refills += c.refills * stats.decode_fast;
-            stats.scalar_fallbacks += c.scalar_fallbacks * stats.decode_fast;
+            stats.table_lookups += c.table_lookups * stats.decodes;
+            stats.raw_escapes += c.raw_escapes * stats.decodes;
+            stats.refills += c.refills * stats.decodes;
+            stats.scalar_fallbacks += c.scalar_fallbacks * stats.decodes;
         }
     }
 
@@ -1212,7 +1197,7 @@ mod tests {
         assert_eq!(p.blocks_touched(), 2);
         let b0 = p.stats(0).unwrap();
         assert_eq!((b0.fetches, b0.buffer_hits, b0.misses()), (4, 2, 2));
-        assert_eq!(b0.decode_fast, 2);
+        assert_eq!(b0.decodes, 2);
         assert_eq!(b0.miss_cycles.count(), 2, "buffer hits are not misses");
         let b1 = p.stats(1).unwrap();
         assert_eq!((b1.fetches, b1.misses()), (1, 1));
@@ -1233,23 +1218,6 @@ mod tests {
         // Memory beats attributed per block sum to the engine's ledger.
         let total_beats: u64 = p.iter().map(|(_, s)| s.memory_beats).sum();
         assert_eq!(total_beats, prof.stats().memory_beats);
-    }
-
-    #[test]
-    fn scalar_backend_profiles_invocations_without_table_counters() {
-        let image = figure2_image();
-        let cfg = DecompressorConfig {
-            decode_backend: DecodeBackend::Scalar,
-            ..DecompressorConfig::baseline()
-        };
-        let mut f = CodePackFetch::new(image, MemoryTiming::default(), cfg, 0);
-        let mut obs = Obs::with_null_sink();
-        obs.arm_profile();
-        f.service_miss_traced(0, 32, 0, &mut obs);
-        f.finalize_profile(&mut obs);
-        let s = obs.profile().unwrap().stats(0).unwrap().clone();
-        assert_eq!((s.decode_scalar, s.decode_fast), (1, 0));
-        assert_eq!(s.table_lookups, 0);
     }
 
     #[test]

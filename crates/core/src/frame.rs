@@ -42,8 +42,8 @@ use std::io::{self, Read, Write};
 use codepack_mem::{crc32, StreamIntegrity};
 
 use crate::dict::Dictionary;
-use crate::fastdecode::{DecodeBackend, FastDecoder};
-use crate::image::{decode_block_bytes, CompressionConfig, Encoded};
+use crate::fastdecode::FastDecoder;
+use crate::image::{CompressionConfig, Encoded};
 use crate::layout::{
     BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY,
 };
@@ -212,8 +212,6 @@ impl Default for PackOptions {
 /// Knobs of [`unpack_frame`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnpackOptions {
-    /// The functional decoder (fast = table-driven, scalar = reference).
-    pub backend: DecodeBackend,
     /// Worker threads decoding group chunks (1 = fully serial; output is
     /// byte-identical at any count).
     pub workers: usize,
@@ -221,10 +219,7 @@ pub struct UnpackOptions {
 
 impl Default for UnpackOptions {
     fn default() -> UnpackOptions {
-        UnpackOptions {
-            backend: DecodeBackend::Fast,
-            workers: 1,
-        }
+        UnpackOptions { workers: 1 }
     }
 }
 
@@ -570,18 +565,15 @@ fn scan_skeleton(frame: &[u8]) -> Result<(Header, Vec<Chunk<'_>>), FrameError> {
     Ok((header, chunks))
 }
 
-/// Shared state of the group-decode workers: integrity mode, dictionaries,
-/// and the optional table-driven decoder.
+/// Shared state of the group-decode workers: integrity mode and the
+/// table-driven decoder built from the header's dictionaries.
 struct GroupDecoder<'a> {
     integrity: StreamIntegrity,
-    high: &'a Dictionary,
-    low: &'a Dictionary,
-    fast: Option<&'a FastDecoder>,
+    fast: &'a FastDecoder,
 }
 
 impl GroupDecoder<'_> {
-    /// Decodes one group chunk: integrity check, then both blocks through
-    /// the selected backend.
+    /// Decodes one group chunk: integrity check, then both blocks.
     fn decode(
         &self,
         payload: &[u8],
@@ -595,11 +587,9 @@ impl GroupDecoder<'_> {
             });
         }
         let decode = |bytes: &[u8]| -> Result<[u32; BLOCK_WORDS], FrameError> {
-            match self.fast {
-                Some(f) => f.decode_block(bytes),
-                None => decode_block_bytes(bytes, self.high, self.low),
-            }
-            .map_err(|source| FrameError::Corrupt { group, source })
+            self.fast
+                .decode_block(bytes)
+                .map_err(|source| FrameError::Corrupt { group, source })
         };
         let first = decode(&payload[..usize::from(first_len)])?;
         let second = decode(&payload[usize::from(first_len)..])?;
@@ -654,15 +644,10 @@ pub fn scan_frame(frame: &[u8]) -> Result<FrameSummary, FrameError> {
 /// never panics, whatever the bytes.
 pub fn unpack_frame(frame: &[u8], opts: &UnpackOptions) -> Result<Vec<u32>, FrameError> {
     let (header, chunks) = scan_skeleton(frame)?;
-    let fast = match opts.backend {
-        DecodeBackend::Fast => Some(FastDecoder::new(&header.high, &header.low)),
-        DecodeBackend::Scalar => None,
-    };
+    let fast = FastDecoder::new(&header.high, &header.low);
     let decoder = GroupDecoder {
         integrity: header.integrity,
-        high: &header.high,
-        low: &header.low,
-        fast: fast.as_ref(),
+        fast: &fast,
     };
     // Each run stops at its first bad group; runs come back in order, so
     // the first error found is the lowest-numbered group's.
@@ -778,7 +763,7 @@ impl<W: Write> Write for FrameWriter<W> {
 pub struct FrameReader<R: Read> {
     inner: R,
     header: Header,
-    fast: Option<FastDecoder>,
+    fast: FastDecoder,
     /// Content bytes not yet handed to the consumer.
     remaining: u64,
     groups_read: usize,
@@ -794,33 +779,18 @@ pub struct FrameReader<R: Read> {
 }
 
 impl<R: Read> FrameReader<R> {
-    /// Reads and validates the frame header with the default (fast) decode
-    /// backend.
+    /// Reads and validates the frame header and builds the decode tables
+    /// from its dictionaries.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`] the header can produce: truncation, bad magic,
     /// version skew, unknown flags, header checksum mismatch.
-    pub fn new(inner: R) -> Result<FrameReader<R>, FrameError> {
-        FrameReader::with_backend(inner, DecodeBackend::Fast)
-    }
-
-    /// Like [`new`](Self::new) with an explicit decode backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`new`](Self::new).
-    pub fn with_backend(
-        mut inner: R,
-        backend: DecodeBackend,
-    ) -> Result<FrameReader<R>, FrameError> {
+    pub fn new(mut inner: R) -> Result<FrameReader<R>, FrameError> {
         let mut src = Pull::new(&mut inner, 0);
         let header = parse_header(&mut src)?;
         let pos = src.buf.len() as u64;
-        let fast = match backend {
-            DecodeBackend::Fast => Some(FastDecoder::new(&header.high, &header.low)),
-            DecodeBackend::Scalar => None,
-        };
+        let fast = FastDecoder::new(&header.high, &header.low);
         Ok(FrameReader {
             inner,
             remaining: header.content_size,
@@ -856,9 +826,7 @@ impl<R: Read> FrameReader<R> {
         let (payload, trailer) = src.buf[6..].split_at(payload_len as usize);
         let decoder = GroupDecoder {
             integrity: self.header.integrity,
-            high: &self.header.high,
-            low: &self.header.low,
-            fast: self.fast.as_ref(),
+            fast: &self.fast,
         };
         let words = decoder.decode(payload, first_len, trailer, self.groups_read as u32)?;
         let take = self.remaining.min(GROUP_WORDS as u64 * 4) as usize;
@@ -918,17 +886,8 @@ mod tests {
                     ..PackOptions::default()
                 },
             );
-            for backend in [DecodeBackend::Scalar, DecodeBackend::Fast] {
-                let got = unpack_frame(
-                    &frame,
-                    &UnpackOptions {
-                        backend,
-                        workers: 1,
-                    },
-                )
-                .unwrap();
-                assert_eq!(got, words, "{integrity:?}/{backend:?}");
-            }
+            let got = unpack_frame(&frame, &UnpackOptions::default()).unwrap();
+            assert_eq!(got, words, "{integrity:?}");
         }
     }
 
@@ -945,14 +904,7 @@ mod tests {
                 },
             );
             assert_eq!(serial, parallel, "pack at {workers} workers");
-            let got = unpack_frame(
-                &serial,
-                &UnpackOptions {
-                    workers,
-                    ..UnpackOptions::default()
-                },
-            )
-            .unwrap();
+            let got = unpack_frame(&serial, &UnpackOptions { workers }).unwrap();
             assert_eq!(got, words, "unpack at {workers} workers");
         }
     }
@@ -1119,13 +1071,11 @@ mod tests {
         let frame = w.finish().unwrap();
         assert_eq!(frame, pack_frame(&words, &PackOptions::default()));
 
-        for backend in [DecodeBackend::Scalar, DecodeBackend::Fast] {
-            let mut r = FrameReader::with_backend(&frame[..], backend).unwrap();
-            assert_eq!(r.content_size(), bytes.len() as u64);
-            let mut out = Vec::new();
-            r.read_to_end(&mut out).unwrap();
-            assert_eq!(out, bytes, "{backend:?}");
-        }
+        let mut r = FrameReader::new(&frame[..]).unwrap();
+        assert_eq!(r.content_size(), bytes.len() as u64);
+        let mut out = Vec::new();
+        r.read_to_end(&mut out).unwrap();
+        assert_eq!(out, bytes);
     }
 
     #[test]
@@ -1262,15 +1212,17 @@ mod tests {
                 }))
             }
         }
+        let high = Dictionary::from_ranked_values(Vec::new());
+        let low = Dictionary::from_ranked_values(Vec::new());
         let mut r = FrameReader {
             inner: Failing,
+            fast: FastDecoder::new(&high, &low),
             header: Header {
                 integrity: StreamIntegrity::None,
                 content_size: 256,
-                high: Dictionary::from_ranked_values(Vec::new()),
-                low: Dictionary::from_ranked_values(Vec::new()),
+                high,
+                low,
             },
-            fast: None,
             remaining: 256,
             groups_read: 0,
             meta: Vec::new(),

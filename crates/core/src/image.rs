@@ -4,7 +4,7 @@ use std::sync::OnceLock;
 
 use crate::bits::{BitReader, BitWriter};
 use crate::dict::Dictionary;
-use crate::fastdecode::{DecodeBackend, DecodeCounters, FastDecoder};
+use crate::fastdecode::{DecodeCounters, FastDecoder};
 use crate::layout::{
     class_for_rank, CodewordClass, BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS, HIGH_CLASSES,
     HIGH_DICT_CAPACITY, INDEX_ENTRY_BYTES, LOW_CLASSES, LOW_DICT_CAPACITY, RAW_LEN_BITS, RAW_TAG,
@@ -87,7 +87,7 @@ pub struct CodePackImage {
     blocks: Vec<BlockInfo>,
     n_insns: u32,
     stats: CompositionStats,
-    /// Lazily-built decode tables for the fast backend. Depends only on the
+    /// Lazily-built decode tables for the fast decoder. Depends only on the
     /// dictionaries, so it survives `with_corrupted_bytes`.
     fast: OnceLock<FastDecoder>,
     /// Lazily-built per-block decode-path counters (the block profiler's
@@ -267,7 +267,7 @@ impl CodePackImage {
             .get_or_init(|| FastDecoder::new(&self.high_dict, &self.low_dict))
     }
 
-    /// Per-block decode-path counters of the table-driven backend, built
+    /// Per-block decode-path counters of the table-driven decoder, built
     /// on first use and cached: entry `b` is what one counted decode of
     /// block `b` reports ([`FastDecoder::decode_block_counted`] on the
     /// block's exact byte slice). The counters are a pure function of the
@@ -292,7 +292,7 @@ impl CodePackImage {
         })
     }
 
-    /// Decompresses one block with the table-driven fast backend.
+    /// Decompresses one block with the table-driven fast decoder.
     ///
     /// Byte-identical to [`Self::decompress_block`] on every input — equal
     /// words on success, equal [`DecompressError`] values on corrupt or
@@ -310,7 +310,7 @@ impl CodePackImage {
         self.fast_decoder().decode_block(&self.bytes[offset..])
     }
 
-    /// Decompresses the whole image with the table-driven fast backend.
+    /// Decompresses the whole image with the table-driven fast decoder.
     ///
     /// Byte-identical to [`Self::decompress_all`].
     ///
@@ -326,35 +326,6 @@ impl CodePackImage {
         }
         out.truncate(self.n_insns as usize);
         Ok(out)
-    }
-
-    /// Decompresses one block with the selected backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecompressError`] if `block` is out of range or the
-    /// stream is corrupt.
-    pub fn decompress_block_with(
-        &self,
-        block: u32,
-        backend: DecodeBackend,
-    ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
-        match backend {
-            DecodeBackend::Scalar => self.decompress_block(block),
-            DecodeBackend::Fast => self.decode_block_fast(block),
-        }
-    }
-
-    /// Decompresses the whole image with the selected backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecompressError`] on corrupt input.
-    pub fn decompress_all_with(&self, backend: DecodeBackend) -> Result<Vec<u32>, DecompressError> {
-        match backend {
-            DecodeBackend::Scalar => self.decompress_all(),
-            DecodeBackend::Fast => self.decompress_all_fast(),
-        }
     }
 
     /// Test-only: constructs an image with corrupted stream bytes, keeping
@@ -1032,16 +1003,9 @@ mod tests {
         let text = repetitive_text(200);
         let img = CodePackImage::compress(&text, &CompressionConfig::default());
         assert_eq!(img.decompress_all_fast().unwrap(), text);
-        assert_eq!(
-            img.decompress_all_with(crate::DecodeBackend::Fast),
-            img.decompress_all_with(crate::DecodeBackend::Scalar)
-        );
+        assert_eq!(img.decompress_all_fast(), img.decompress_all());
         for b in 0..img.num_blocks() {
             assert_eq!(img.decode_block_fast(b), img.decompress_block(b));
-            assert_eq!(
-                img.decompress_block_with(b, crate::DecodeBackend::Fast),
-                img.decompress_block_with(b, crate::DecodeBackend::Scalar)
-            );
         }
         // Out-of-range blocks error identically too.
         assert_eq!(

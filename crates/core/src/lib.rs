@@ -25,8 +25,9 @@
 //!   full composition accounting of the paper's Tables 3–4
 //!   ([`CompositionStats`]),
 //! * [`Dictionary`] — frequency-ranked half-word dictionaries,
-//! * [`FastDecoder`] / [`DecodeBackend`] — the table-driven batch decoder
-//!   hot path and the selector that keeps the scalar reference available,
+//! * [`FastDecoder`] — the table-driven batch decoder every production
+//!   path uses; [`decode_block_bytes`] stays as its bit-at-a-time test
+//!   reference,
 //! * [`frame`] — the `.cpk` streaming frame format: a self-describing
 //!   container over independently decodable group chunks with integrity
 //!   trailers, parallel [`pack_frame`] / [`unpack_frame`], and
@@ -66,7 +67,7 @@ mod stats;
 pub use bits::{BitReader, BitWriter};
 pub use dict::Dictionary;
 pub use error::DecompressError;
-pub use fastdecode::{DecodeBackend, DecodeCounters, FastDecoder, LOOKUP_BITS};
+pub use fastdecode::{DecodeCounters, FastDecoder, LOOKUP_BITS};
 #[doc(hidden)]
 pub use fastdecode::{TableEntry, TableEntryKind, TableView};
 pub use fetch::{

@@ -694,18 +694,12 @@ impl Pipeline {
         // in the profile artifact, not the registry).
         let summary = self.obs.profile().map(|p| {
             let t = p.totals();
-            (
-                p.blocks_touched() as u64,
-                t.fetches,
-                t.decode_fast,
-                t.decode_scalar,
-            )
+            (p.blocks_touched() as u64, t.fetches, t.decodes)
         });
-        if let Some((touched, fetches, fast, scalar)) = summary {
+        if let Some((touched, fetches, decodes)) = summary {
             self.obs.incr(names::PROFILE_BLOCKS_TOUCHED, touched);
             self.obs.incr(names::PROFILE_FETCHES, fetches);
-            self.obs.incr(names::PROFILE_DECODE_FAST, fast);
-            self.obs.incr(names::PROFILE_DECODE_SCALAR, scalar);
+            self.obs.incr(names::PROFILE_DECODES, decodes);
         }
     }
 

@@ -70,11 +70,8 @@ pub const PROFILE_BLOCKS_TOUCHED: &str = "profile.blocks_touched";
 /// Total fetch services the block profiler attributed.
 pub const PROFILE_FETCHES: &str = "profile.fetches";
 
-/// Profiled decompressor invocations through the fast table backend.
-pub const PROFILE_DECODE_FAST: &str = "profile.decode.fast";
-
-/// Profiled decompressor invocations through the scalar backend.
-pub const PROFILE_DECODE_SCALAR: &str = "profile.decode.scalar";
+/// Profiled decompressor invocations (misses the decompressor served).
+pub const PROFILE_DECODES: &str = "profile.decodes";
 
 /// Requests the `cpackd` service admitted into its queue. Per-endpoint
 /// and per-status breakdowns appear as `svc.requests.<op>` and
@@ -138,8 +135,7 @@ mod tests {
             (super::FAULT_MACHINE_CHECKS, "fault."),
             (super::PROFILE_BLOCKS_TOUCHED, "profile."),
             (super::PROFILE_FETCHES, "profile."),
-            (super::PROFILE_DECODE_FAST, "profile."),
-            (super::PROFILE_DECODE_SCALAR, "profile."),
+            (super::PROFILE_DECODES, "profile."),
             (super::SVC_REQUESTS, "svc."),
             (super::SVC_SHED, "svc."),
             (super::SVC_DEADLINE_EXCEEDED, "svc."),

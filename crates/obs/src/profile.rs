@@ -6,14 +6,14 @@
 //! [`crate::metrics`] cannot answer that — they sum over the whole image.
 //! `BlockProfile` attributes every fetch to its block: fetch and
 //! buffer-hit counts, index-cache behaviour, a log2 [`Histogram`] of
-//! miss-service (critical-word) cycles, decode-backend invocations, the
+//! miss-service (critical-word) cycles, decompressor invocations, the
 //! fast decoder's table/escape/refill counters, and fault events.
 //!
 //! The collector hangs off the [`crate::Obs`] handle as an `Option`, so
 //! the disarmed path keeps the handle's one-branch-per-site guarantee
 //! (bench-guarded in `crates/bench/benches/profile_overhead.rs`).
 //!
-//! # JSON schema (version 1) — the profile artifact contract
+//! # JSON schema (version 2) — the profile artifact contract
 //!
 //! [`BlockProfile::to_json`] renders a versioned document that
 //! [`BlockProfile::from_json`] loads back; this pair is the input
@@ -22,14 +22,14 @@
 //! ```json
 //! {
 //!   "schema": "cpack-block-profile",
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "source": "pegwit seed=42 insns=200000",
 //!   "total_blocks": 1024,
 //!   "blocks": [
 //!     {"block": 0, "fetches": 12, "buffer_hits": 4, "index_hits": 7,
-//!      "index_misses": 1, "memory_beats": 96, "decode_fast": 6,
-//!      "decode_scalar": 2, "table_lookups": 192, "raw_escapes": 5,
-//!      "refills": 102, "scalar_fallbacks": 0, "faults_injected": 0,
+//!      "index_misses": 1, "memory_beats": 96, "decodes": 8,
+//!      "table_lookups": 256, "raw_escapes": 5, "refills": 136,
+//!      "scalar_fallbacks": 0, "faults_injected": 0,
 //!      "faults_recovered": 0, "machine_checks": 0,
 //!      "miss_cycles": {"count": 8, "sum": 201, "min": 21, "max": 30,
 //!                      "p50": 25, "p90": 30, "p99": 30,
@@ -39,7 +39,8 @@
 //! ```
 //!
 //! * `schema` / `schema_version` gate the loader; unknown versions are
-//!   rejected, never guessed at.
+//!   rejected, never guessed at. Version 1 split `decodes` by host
+//!   decoder; version 2 counts one.
 //! * `source` is a free-form provenance label (benchmark, seed,
 //!   instruction budget). Merging unions distinct labels with `+`.
 //! * `total_blocks` is the image's block count, so consumers can tell
@@ -63,7 +64,7 @@ use crate::metrics::Histogram;
 pub const PROFILE_SCHEMA: &str = "cpack-block-profile";
 
 /// The schema version this crate writes and loads.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// Everything known about one compressed block's runtime behaviour.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -78,11 +79,9 @@ pub struct BlockStats {
     pub index_misses: u64,
     /// Memory bus beats spent servicing this block's misses.
     pub memory_beats: u64,
-    /// Modeled decompressor invocations through the fast table backend.
-    pub decode_fast: u64,
-    /// Modeled decompressor invocations through the scalar backend.
-    pub decode_scalar: u64,
-    /// Fast-path decode-table lookups (per `decode_fast` invocation).
+    /// Modeled decompressor invocations (misses the decompressor served).
+    pub decodes: u64,
+    /// Fast-path decode-table lookups, summed over the `decodes`.
     pub table_lookups: u64,
     /// Raw-escape entries taken on the fast path.
     pub raw_escapes: u64,
@@ -113,8 +112,7 @@ impl BlockStats {
         self.index_hits += other.index_hits;
         self.index_misses += other.index_misses;
         self.memory_beats += other.memory_beats;
-        self.decode_fast += other.decode_fast;
-        self.decode_scalar += other.decode_scalar;
+        self.decodes += other.decodes;
         self.table_lookups += other.table_lookups;
         self.raw_escapes += other.raw_escapes;
         self.refills += other.refills;
@@ -140,8 +138,6 @@ pub struct MissRecord {
     pub memory_beats: u64,
     /// Was the line produced by the decompressor (vs. straight memory)?
     pub decompressed: bool,
-    /// Did the modeled decompressor use the fast table backend?
-    pub fast_decode: bool,
     /// Did the service end in a machine-check trap?
     pub machine_check: bool,
     /// Faults injected during the service.
@@ -163,13 +159,12 @@ pub struct MissRecord {
 ///         index_hit: Some(true),
 ///         memory_beats: 9,
 ///         decompressed: true,
-///         fast_decode: true,
 ///         ..MissRecord::default()
 ///     },
 /// );
 /// p.record_buffer_hit(3);
 /// let s = p.stats(3).unwrap();
-/// assert_eq!((s.fetches, s.misses(), s.decode_fast), (2, 1, 1));
+/// assert_eq!((s.fetches, s.misses(), s.decodes), (2, 1, 1));
 /// let reloaded = BlockProfile::from_json(&p.to_json()).unwrap();
 /// assert_eq!(reloaded, p);
 /// ```
@@ -253,11 +248,7 @@ impl BlockProfile {
         }
         s.memory_beats += m.memory_beats;
         if m.decompressed {
-            if m.fast_decode {
-                s.decode_fast += 1;
-            } else {
-                s.decode_scalar += 1;
-            }
+            s.decodes += 1;
         }
         if m.machine_check {
             s.machine_checks += 1;
@@ -332,8 +323,8 @@ impl BlockProfile {
                 out,
                 "{comma}\n    {{\"block\": {block}, \"fetches\": {}, \"buffer_hits\": {}, \
                  \"index_hits\": {}, \"index_misses\": {}, \"memory_beats\": {}, \
-                 \"decode_fast\": {}, \"decode_scalar\": {}, \"table_lookups\": {}, \
-                 \"raw_escapes\": {}, \"refills\": {}, \"scalar_fallbacks\": {}, \
+                 \"decodes\": {}, \"table_lookups\": {}, \"raw_escapes\": {}, \
+                 \"refills\": {}, \"scalar_fallbacks\": {}, \
                  \"faults_injected\": {}, \"faults_recovered\": {}, \"machine_checks\": {}, \
                  \"miss_cycles\": {}}}",
                 s.fetches,
@@ -341,8 +332,7 @@ impl BlockProfile {
                 s.index_hits,
                 s.index_misses,
                 s.memory_beats,
-                s.decode_fast,
-                s.decode_scalar,
+                s.decodes,
                 s.table_lookups,
                 s.raw_escapes,
                 s.refills,
@@ -401,8 +391,7 @@ impl BlockProfile {
                 index_hits: field_u64(rec, "index_hits")?,
                 index_misses: field_u64(rec, "index_misses")?,
                 memory_beats: field_u64(rec, "memory_beats")?,
-                decode_fast: field_u64(rec, "decode_fast")?,
-                decode_scalar: field_u64(rec, "decode_scalar")?,
+                decodes: field_u64(rec, "decodes")?,
                 table_lookups: field_u64(rec, "table_lookups")?,
                 raw_escapes: field_u64(rec, "raw_escapes")?,
                 refills: field_u64(rec, "refills")?,
@@ -489,7 +478,6 @@ mod tests {
             index_hit: Some(false),
             memory_beats: 4,
             decompressed: true,
-            fast_decode: true,
             ..MissRecord::default()
         }
     }
@@ -506,7 +494,7 @@ mod tests {
         assert_eq!(s.fetches, 3);
         assert_eq!(s.misses(), 2);
         assert_eq!(s.buffer_hits, 1);
-        assert_eq!(s.decode_fast, 2);
+        assert_eq!(s.decodes, 2);
         assert_eq!(s.miss_cycles.count(), 2);
         assert_eq!(s.miss_cycles.max(), 30);
         assert!(p.stats(3).is_none());
@@ -546,7 +534,6 @@ mod tests {
                 index_hit: Some(true),
                 memory_beats: 12,
                 decompressed: true,
-                fast_decode: false,
                 machine_check: true,
                 faults_injected: 2,
                 faults_recovered: 1,
@@ -568,8 +555,11 @@ mod tests {
         let mut p = BlockProfile::new();
         p.record_miss(1, &miss(5));
         let doc = p.to_json();
-        let wrong_version = doc.replace("\"schema_version\": 1", "\"schema_version\": 99");
-        assert!(BlockProfile::from_json(&wrong_version).is_err());
+        for v in [1, 99] {
+            let wrong_version =
+                doc.replace("\"schema_version\": 2", &format!("\"schema_version\": {v}"));
+            assert!(BlockProfile::from_json(&wrong_version).is_err());
+        }
         let wrong_count = doc.replace("\"count\": 1", "\"count\": 3");
         assert!(BlockProfile::from_json(&wrong_count).is_err());
     }

@@ -30,7 +30,6 @@ fn events() -> codepack_testkit::prop::Gen<Vec<Event>> {
             },
             memory_beats: beats,
             decompressed: flags & 0b100 != 0,
-            fast_decode: flags & 0b1 != 0,
             machine_check: false,
             faults_injected: u64::from(flags >> 2),
             faults_recovered: u64::from(flags >> 2),
@@ -128,8 +127,7 @@ fn merge_totals_add_and_touched_blocks_union() {
         let tm = m.totals();
         assert_eq!(tm.fetches, ta.fetches + tb.fetches);
         assert_eq!(tm.buffer_hits, ta.buffer_hits + tb.buffer_hits);
-        assert_eq!(tm.decode_fast, ta.decode_fast + tb.decode_fast);
-        assert_eq!(tm.decode_scalar, ta.decode_scalar + tb.decode_scalar);
+        assert_eq!(tm.decodes, ta.decodes + tb.decodes);
         assert!(m.blocks_touched() >= a.blocks_touched().max(b.blocks_touched()));
         assert!(m.blocks_touched() <= a.blocks_touched() + b.blocks_touched());
     });

@@ -1,6 +1,6 @@
 //! Whole-machine configurations (the paper's Table 2) and code models.
 
-use codepack_core::{CompressionConfig, DecodeBackend, DecompressorConfig};
+use codepack_core::{CompressionConfig, DecompressorConfig};
 use codepack_cpu::{L2Config, PipelineConfig};
 use codepack_mem::{CacheConfig, MemoryTiming, SoftErrorConfig};
 
@@ -153,16 +153,6 @@ impl CodeModel {
         self
     }
 
-    /// Same model with the given functional decode backend (a no-op on
-    /// [`CodeModel::Native`]). Both backends are byte-identical; `Scalar`
-    /// keeps the bit-at-a-time reference in the loop for differential runs.
-    pub fn with_decode_backend(mut self, backend: DecodeBackend) -> CodeModel {
-        if let CodeModel::CodePack { decompressor, .. } = &mut self {
-            decompressor.decode_backend = backend;
-        }
-        self
-    }
-
     /// Short label for experiment tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -199,27 +189,5 @@ mod tests {
     fn code_model_labels() {
         assert_eq!(CodeModel::Native.label(), "Native");
         assert_eq!(CodeModel::codepack_baseline().label(), "CodePack");
-    }
-
-    #[test]
-    fn decode_backend_builder_selects_backend() {
-        let scalar = CodeModel::codepack_baseline().with_decode_backend(DecodeBackend::Scalar);
-        match scalar {
-            CodeModel::CodePack { decompressor, .. } => {
-                assert_eq!(decompressor.decode_backend, DecodeBackend::Scalar);
-            }
-            CodeModel::Native => panic!("builder must preserve the CodePack model"),
-        }
-        // Defaults to the fast backend; a no-op on native code.
-        match CodeModel::codepack_baseline() {
-            CodeModel::CodePack { decompressor, .. } => {
-                assert_eq!(decompressor.decode_backend, DecodeBackend::Fast);
-            }
-            CodeModel::Native => unreachable!(),
-        }
-        assert_eq!(
-            CodeModel::Native.with_decode_backend(DecodeBackend::Scalar),
-            CodeModel::Native
-        );
     }
 }

@@ -8,9 +8,7 @@
 //! the raw image parts without touching either decoder's code — a genuine
 //! third opinion, not a re-run of the same routine.
 
-use codepack::core::{
-    decode_block_bytes, CodePackImage, CompressionConfig, DecodeBackend, FastDecoder,
-};
+use codepack::core::{decode_block_bytes, CodePackImage, CompressionConfig, FastDecoder};
 use codepack::synth::{generate, BenchmarkProfile};
 use codepack_analyze::{check_image, ImageParts, LintReport};
 use codepack_testkit::forall;
@@ -27,7 +25,7 @@ fn build(profile: &BenchmarkProfile, seed: u64) -> (Vec<u32>, CodePackImage) {
 /// recover the original text; block-level decodes agree pairwise.
 fn assert_three_way(text: &[u32], image: &CodePackImage, context: &str) {
     let scalar = image
-        .decompress_all_with(DecodeBackend::Scalar)
+        .decompress_all()
         .expect("scalar decodes a clean image");
     let fast = image
         .decompress_all_fast()
@@ -49,7 +47,7 @@ fn assert_three_way(text: &[u32], image: &CodePackImage, context: &str) {
     for b in 0..image.num_blocks() {
         assert_eq!(
             image.decode_block_fast(b),
-            image.decompress_block_with(b, DecodeBackend::Scalar),
+            image.decompress_block(b),
             "{context}: block {b} diverges"
         );
     }
@@ -108,8 +106,8 @@ fn fast_roundtrips_any_text_any_config() {
         let image = CodePackImage::compress(&text, &config);
         assert_eq!(image.decompress_all_fast().unwrap(), text);
         assert_eq!(
-            image.decompress_all_with(DecodeBackend::Fast).unwrap(),
-            image.decompress_all_with(DecodeBackend::Scalar).unwrap(),
+            image.decompress_all_fast().unwrap(),
+            image.decompress_all().unwrap(),
         );
     });
 }
@@ -155,7 +153,7 @@ fn corruption_yields_identical_results() {
             for b in 0..corrupt.num_blocks() {
                 assert_eq!(
                     corrupt.decode_block_fast(b),
-                    corrupt.decompress_block_with(b, DecodeBackend::Scalar),
+                    corrupt.decompress_block(b),
                     "block {b} after corrupting byte {at} to {value:#04x}"
                 );
             }

@@ -158,13 +158,7 @@ fn mutated_frames_never_panic_and_stay_typed() {
         }
 
         let serial = unpack_frame(&bytes, &UnpackOptions::default());
-        let parallel = unpack_frame(
-            &bytes,
-            &UnpackOptions {
-                workers: 3,
-                ..UnpackOptions::default()
-            },
-        );
+        let parallel = unpack_frame(&bytes, &UnpackOptions { workers: 3 });
         assert_eq!(
             serial, parallel,
             "round {round}: serial and parallel unpack disagree on a mutated frame"
