@@ -242,7 +242,10 @@ wait "$SVC2_PID" 2>/dev/null || true
 
 # Chaos run (in-process server): worker kills, garbage, torn frames and
 # burn bursts riding alongside the workload — still zero lost, zero
-# mismatched, or loadgen itself exits nonzero.
+# mismatched, and the server's final counters balance (each of svc.shed,
+# svc.deadline_exceeded, svc.shutting_down equals its svc.responses.<status>
+# counter; svc.requests is the sum of svc.requests.<op>), or loadgen itself
+# exits nonzero.
 "$CPACK" loadgen --requests 20000 --clients 4 --seed 42 --chaos \
     --out /dev/null 2> /dev/null \
     || { echo "chaos loadgen violated the zero-loss contract"; exit 1; }

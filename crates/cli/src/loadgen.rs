@@ -14,6 +14,10 @@
 //! Typed failures (`Overloaded`, `WorkerLost`, …) are expected and
 //! counted; lost or wrong responses fail the run with exit 1.
 //!
+//! In-process, the server's final counters are checked too: every
+//! status aggregate must equal the `svc.responses.<status>` counter it
+//! derives from, and `svc.requests` the sum of `svc.requests.<op>`.
+//!
 //! The latency scorecard (exact sorted-sample percentiles, microseconds)
 //! is written as a `BENCH_service.json` document (schema_version 1,
 //! suite "service"), whose schema `crates/cli/tests/exit_codes.rs`
@@ -27,8 +31,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use codepack_core::frame::{pack_frame, PackOptions};
+use codepack_obs::names::{SVC_DEADLINE_EXCEEDED, SVC_REQUESTS, SVC_SHED, SVC_SHUTTING_DOWN};
+use codepack_obs::MetricsRegistry;
 use codepack_svc::{
-    send_raw, server, CallError, Client, ClientConfig, Op, RetryPolicy, ServerConfig,
+    send_raw, server, CallError, Client, ClientConfig, Op, RetryPolicy, ServerConfig, Status,
     CHAOS_EXIT_AFTER_REPLY, CHAOS_PANIC_MID_REQUEST,
 };
 use codepack_testkit::{mix_seed, Rng};
@@ -489,7 +495,68 @@ pub fn loadgen(args: &[String]) -> Result<(), CliError> {
         ));
     }
     if let Some(handle) = in_process {
-        handle.shutdown();
+        check_counters(&handle.shutdown())
+            .map_err(|e| CliError::Failure(format!("loadgen: server counters disagree: {e}")))?;
     }
     Ok(())
+}
+
+/// Checks the identities the server's counters keep on its final
+/// snapshot: `svc.requests` is the sum of `svc.requests.<op>`, and each
+/// status aggregate equals its `svc.responses.<status>` counter.
+fn check_counters(m: &MetricsRegistry) -> Result<(), String> {
+    let get = |name: &str| m.counter_value(name).unwrap_or(0);
+    let per_op: u64 = Op::all()
+        .iter()
+        .map(|op| get(&format!("{SVC_REQUESTS}.{}", op.name())))
+        .sum();
+    if per_op != get(SVC_REQUESTS) {
+        return Err(format!(
+            "{SVC_REQUESTS} = {} but svc.requests.<op> sum to {per_op}",
+            get(SVC_REQUESTS)
+        ));
+    }
+    for (aggregate, status) in [
+        (SVC_SHED, Status::Overloaded),
+        (SVC_DEADLINE_EXCEEDED, Status::DeadlineExceeded),
+        (SVC_SHUTTING_DOWN, Status::ShuttingDown),
+    ] {
+        let by_status = format!("svc.responses.{}", status.name());
+        if get(aggregate) != get(&by_status) {
+            return Err(format!(
+                "{aggregate} = {} but {by_status} = {}",
+                get(aggregate),
+                get(&by_status)
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counter_check_flags_each_broken_identity() {
+        let mut m = MetricsRegistry::new();
+        m.incr(SVC_REQUESTS, 2);
+        m.incr("svc.requests.ping", 1);
+        m.incr("svc.requests.lint", 1);
+        m.incr("svc.responses.deadline_exceeded", 1);
+        m.incr(SVC_DEADLINE_EXCEEDED, 1);
+        assert_eq!(check_counters(&m), Ok(()));
+
+        let mut double = MetricsRegistry::new();
+        double.merge(&m);
+        double.incr(SVC_DEADLINE_EXCEEDED, 1);
+        let err = check_counters(&double).unwrap_err();
+        assert!(err.contains("svc.deadline_exceeded = 2"), "{err}");
+
+        let mut unsplit = MetricsRegistry::new();
+        unsplit.merge(&m);
+        unsplit.incr(SVC_REQUESTS, 1);
+        let err = check_counters(&unsplit).unwrap_err();
+        assert!(err.contains("sum to 2"), "{err}");
+    }
 }

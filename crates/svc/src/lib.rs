@@ -13,6 +13,7 @@
 //! - [`server`] — acceptor / connection threads / bounded admission
 //!   queue / self-healing worker pool / graceful drain, with `svc.*`
 //!   metrics through `codepack-obs`.
+//! - [`lifecycle`] — each request's reply decision, sans IO, and its counters.
 //! - [`client`] — deadline-carrying calls with bounded, deterministic
 //!   retry/backoff (testkit-PRNG jitter; fixed seed ⇒ identical
 //!   schedules at any worker count).
@@ -29,6 +30,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod lifecycle;
 pub mod proto;
 pub mod retry;
 pub mod server;

@@ -3,20 +3,22 @@
 //!
 //! The design goal is *typed degradation*: every way the service can fail
 //! a request maps to a [`Status`] the client can reason about, never a
-//! hang and never a silently dropped connection. The moving parts:
+//! hang and never a silently dropped connection. The threads only do IO;
+//! each request's [`Lifecycle`] decides its one reply. The moving parts:
 //!
 //! - **Acceptor thread** — accepts connections and spawns one connection
 //!   thread each; woken for shutdown by a self-connect.
-//! - **Connection threads** — parse requests, enforce admission and
-//!   deadlines, and write responses. A connection thread is the single
-//!   writer for its socket, so responses are never interleaved.
+//! - **Connection threads** — parse requests, check the drain flag,
+//!   enqueue, wait out the deadline, and write the reply the lifecycle
+//!   decides. A connection thread is the single writer for its socket,
+//!   so responses are never interleaved.
 //! - **Bounded admission queue** — an `mpsc::sync_channel` of configured
 //!   depth. Admission uses `try_send`: a full queue sheds the request
 //!   with a typed [`Status::Overloaded`] instead of queueing unboundedly
 //!   or blocking the connection.
 //! - **Worker pool** — threads draining the queue. A worker that dies
-//!   mid-request (chaos kill, panic) drops its response channel, which
-//!   the waiting connection observes as a typed [`Status::WorkerLost`];
+//!   mid-request (chaos kill, panic) drops its reply channel, which the
+//!   waiting connection observes as a typed [`Status::WorkerLost`];
 //!   a drop guard respawns the worker so capacity recovers without
 //!   operator action.
 //! - **Deadlines** — every request carries one (clamped to the server's
@@ -27,12 +29,10 @@
 //!   (late requests get [`Status::ShuttingDown`]), lets in-flight work
 //!   finish, joins every thread, and returns a final metrics snapshot.
 //!
-//! All `svc.*` accounting flows through one [`MetricsRegistry`];
-//! response-status counters are incremented by the connection thread at
-//! write time, so `svc.responses.<status>` counts exactly what clients
-//! were told.
+//! All `svc.*` accounting flows through one [`MetricsRegistry`]; every
+//! status counter is derived by [`count_reply`] from the reply written,
+//! so `svc.responses.<status>` counts exactly what clients were told.
 
-use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -43,19 +43,15 @@ use std::time::{Duration, Instant};
 
 use codepack_analyze::{check_frame, LintReport};
 use codepack_core::frame::{pack_frame, scan_frame, unpack_frame, PackOptions, UnpackOptions};
-use codepack_mem::StreamIntegrity;
 use codepack_obs::names::{
-    SVC_CACHE_EVICTIONS, SVC_CACHE_HITS, SVC_CACHE_MISSES, SVC_DEADLINE_EXCEEDED, SVC_LATENCY_US,
-    SVC_PROTO_ERRORS, SVC_REQUESTS, SVC_SHED, SVC_SHUTTING_DOWN, SVC_WORKER_DEATHS,
+    SVC_CACHE_EVICTIONS, SVC_CACHE_HITS, SVC_CACHE_MISSES, SVC_PROTO_ERRORS, SVC_WORKER_DEATHS,
     SVC_WORKER_RESPAWNS,
 };
 use codepack_obs::MetricsRegistry;
 
 use crate::cache::{content_hash, CacheConfig, ShardedCache};
-use crate::proto::{
-    self, Op, ProtoError, Request, Response, Status, CHAOS_EXIT_AFTER_REPLY,
-    CHAOS_PANIC_MID_REQUEST,
-};
+use crate::lifecycle::{count_admitted, count_reply, Event, Lifecycle};
+use crate::proto::{self, Op, Request, Status, CHAOS_EXIT_AFTER_REPLY, CHAOS_PANIC_MID_REQUEST};
 
 /// Longest sleep one `Burn` request can hold a worker, milliseconds.
 /// Bounds how much backlog a hostile client can manufacture per request.
@@ -108,13 +104,13 @@ impl ServerConfig {
 }
 
 /// One unit of admitted work, in flight between a connection thread and
-/// a worker. Dropping `resp_tx` unanswered is how a dead worker turns
-/// into a typed `WorkerLost` at the connection.
+/// a worker. The worker answers with [`Event::Executed`] or
+/// [`Event::ExpiredInQueue`]; dropping `resp_tx` unanswered is how a dead
+/// worker becomes [`Event::WorkerGone`] at the connection.
 struct Job {
     req: Request,
-    accepted_at: Instant,
-    deadline: Duration,
-    resp_tx: mpsc::Sender<Response>,
+    expires_at: Instant,
+    resp_tx: mpsc::Sender<Event>,
 }
 
 /// State shared by every thread of one server.
@@ -181,10 +177,7 @@ pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> 
                     if shared.shutting_down.load(Ordering::SeqCst) {
                         break;
                     }
-                    let stream = match stream {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
+                    let Ok(stream) = stream else { continue };
                     let Ok(registered) = stream.try_clone() else {
                         continue;
                     };
@@ -248,14 +241,11 @@ impl ServerHandle {
         // With every connection gone, dropping the last job sender lets
         // the workers drain the queue and exit.
         self.job_tx = None;
-        loop {
-            let handle = lock(&self.shared.workers).pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+        // Pop outside the loop body: a dying worker's guard takes the
+        // lock to register its replacement.
+        let pop = || lock(&self.shared.workers).pop();
+        while let Some(h) = pop() {
+            let _ = h.join();
         }
     }
 }
@@ -316,26 +306,19 @@ fn run_worker(shared: &Arc<Shared>) {
         shared: Arc::clone(shared),
         armed: true,
     };
-    loop {
-        // Hold the receiver lock only for the dequeue, never during
-        // request execution.
-        let job = lock(&shared.job_rx).recv();
-        match job {
-            // Every sender is gone: the server is draining. Disarm so
-            // the guard treats this as a clean exit.
-            Err(_) => {
-                guard.armed = false;
-                return;
-            }
-            Ok(job) => {
-                if serve(shared, job).is_break() {
-                    // Chaos exit-after-reply: die with the guard armed
-                    // so the pool respawns a replacement.
-                    return;
-                }
-            }
+    // Hold the receiver lock only for the dequeue, never during request
+    // execution.
+    let dequeue = || lock(&shared.job_rx).recv();
+    while let Ok(job) = dequeue() {
+        if serve(shared, job).is_break() {
+            // Chaos exit-after-reply: die with the guard armed so the
+            // pool respawns a replacement.
+            return;
         }
     }
+    // Every sender is gone: the server is draining. Disarm so the guard
+    // treats this as a clean exit.
+    guard.armed = false;
 }
 
 /// Executes one admitted job. `Break` means the worker thread must die
@@ -343,30 +326,17 @@ fn run_worker(shared: &Arc<Shared>) {
 /// unanswered (→ `WorkerLost` at the connection) and the respawn guard
 /// heals the pool.
 fn serve(shared: &Arc<Shared>, job: Job) -> ControlFlow<()> {
-    let Job {
-        req,
-        accepted_at,
-        deadline,
-        resp_tx,
-    } = job;
-    if accepted_at.elapsed() >= deadline {
+    let Job { req, resp_tx, .. } = job;
+    if Instant::now() >= job.expires_at {
         // Expired while queued: refuse to burn worker time on an answer
         // nobody is waiting for.
-        let _ = resp_tx.send(Response {
-            id: req.id,
-            status: Status::DeadlineExceeded,
-            payload: b"deadline expired while queued".to_vec(),
-        });
+        let _ = resp_tx.send(Event::ExpiredInQueue);
         return ControlFlow::Continue(());
     }
     let (status, payload) = match req.op {
         Op::ChaosKill => match req.payload.first().copied() {
             Some(CHAOS_EXIT_AFTER_REPLY) => {
-                let _ = resp_tx.send(Response {
-                    id: req.id,
-                    status: Status::Ok,
-                    payload: Vec::new(),
-                });
+                let _ = resp_tx.send(Event::Executed(Status::Ok, Vec::new()));
                 return ControlFlow::Break(());
             }
             Some(CHAOS_PANIC_MID_REQUEST) => {
@@ -392,20 +362,8 @@ fn serve(shared: &Arc<Shared>, job: Job) -> ControlFlow<()> {
         },
         op => execute(shared, op, &req.payload),
     };
-    let _ = resp_tx.send(Response {
-        id: req.id,
-        status,
-        payload,
-    });
+    let _ = resp_tx.send(Event::Executed(status, payload));
     ControlFlow::Continue(())
-}
-
-fn integrity_name(i: StreamIntegrity) -> &'static str {
-    match i {
-        StreamIntegrity::None => "none",
-        StreamIntegrity::Parity => "parity",
-        StreamIntegrity::Crc32 => "crc32",
-    }
 }
 
 fn words_from_le(payload: &[u8]) -> Option<Vec<u32>> {
@@ -468,7 +426,7 @@ fn execute(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
                  \"warnings\":{},\"checks_run\":{}}}",
                 walk.content_size,
                 walk.groups,
-                integrity_name(walk.integrity),
+                walk.integrity.as_str(),
                 payload.len(),
                 report.warnings(),
                 report.checks_run.len(),
@@ -515,29 +473,8 @@ fn execute(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
     }
 }
 
-/// Writes `resp` and does the authoritative client-visible accounting:
-/// `svc.responses.<status>` counts exactly what was written to the wire.
-fn respond(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    resp: &Response,
-    latency: Option<Duration>,
-) -> Result<(), ProtoError> {
-    {
-        let mut m = lock(&shared.metrics);
-        m.incr(&format!("svc.responses.{}", resp.status.name()), 1);
-        if resp.status == Status::DeadlineExceeded {
-            m.incr(SVC_DEADLINE_EXCEEDED, 1);
-        }
-        if resp.status == Status::Ok {
-            if let Some(lat) = latency {
-                m.observe(SVC_LATENCY_US, lat.as_micros() as u64);
-            }
-        }
-    }
-    proto::write_response(stream, resp)
-}
-
+/// Serves one connection: reports what happens to each request to its
+/// [`Lifecycle`], then counts and writes the reply that decides.
 fn run_conn(shared: &Arc<Shared>, mut stream: TcpStream, job_tx: &mpsc::SyncSender<Job>) {
     if shared.config.idle_timeout_ms > 0 {
         let idle = Duration::from_millis(shared.config.idle_timeout_ms);
@@ -545,128 +482,65 @@ fn run_conn(shared: &Arc<Shared>, mut stream: TcpStream, job_tx: &mpsc::SyncSend
     }
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
+    let limit = shared.config.max_payload;
     loop {
-        let req = match proto::read_request(&mut stream, shared.config.max_payload) {
+        let mut life = Lifecycle::default();
+        let (reply, accepted_at) = match proto::read_request(&mut stream, limit) {
             Ok(None) => return, // clean close between frames
-            Ok(Some(r)) => r,
             Err(e) => {
                 lock(&shared.metrics).incr(SVC_PROTO_ERRORS, 1);
-                let status = match &e {
-                    // The peer is gone or the stream died: nothing to say.
-                    ProtoError::Truncated | ProtoError::Io(_) => return,
-                    ProtoError::TooLarge { .. } => Status::TooLarge,
-                    _ => Status::BadRequest,
+                (life.on(Event::ParseFailed(e)), None)
+            }
+            Ok(Some(req)) if shared.shutting_down.load(Ordering::SeqCst) => {
+                life.on(Event::Read(req.id));
+                (life.on(Event::Draining), Some(Instant::now()))
+            }
+            Ok(Some(req)) => {
+                life.on(Event::Read(req.id));
+                let accepted_at = Instant::now();
+                let op = req.op;
+                let deadline = shared.config.effective_deadline(req.deadline_ms);
+                let (resp_tx, resp_rx) = mpsc::channel();
+                let job = Job {
+                    req,
+                    expires_at: accepted_at + deadline,
+                    resp_tx,
                 };
-                // A parse error loses the request id, so the reply
-                // carries id 0; the stream may be desynchronized, so the
-                // connection closes after answering.
-                let _ = respond(
-                    shared,
-                    &mut stream,
-                    &Response {
-                        id: 0,
-                        status,
-                        payload: e.to_string().into_bytes(),
-                    },
-                    None,
-                );
-                return;
+                let queued = match job_tx.try_send(job) {
+                    Ok(()) => {
+                        count_admitted(&mut lock(&shared.metrics), op);
+                        Event::Admitted
+                    }
+                    Err(TrySendError::Full(_)) => Event::QueueFull,
+                    Err(TrySendError::Disconnected(_)) => Event::QueueClosed,
+                };
+                let reply = life.on(queued).or_else(|| {
+                    life.on(match resp_rx.recv_timeout(deadline) {
+                        Ok(event) => event,
+                        Err(RecvTimeoutError::Timeout) => Event::DeadlinePassed,
+                        Err(RecvTimeoutError::Disconnected) => Event::WorkerGone,
+                    })
+                });
+                (reply, Some(accepted_at))
             }
         };
-        let accepted_at = Instant::now();
-        let deadline = shared.config.effective_deadline(req.deadline_ms);
-        let id = req.id;
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            lock(&shared.metrics).incr(SVC_SHUTTING_DOWN, 1);
-            let _ = respond(
-                shared,
-                &mut stream,
-                &Response {
-                    id,
-                    status: Status::ShuttingDown,
-                    payload: b"server is draining".to_vec(),
-                },
-                None,
-            );
-            continue;
-        }
-        let (resp_tx, resp_rx) = mpsc::channel();
-        let op_name = req.op.name();
-        let job = Job {
-            req,
-            accepted_at,
-            deadline,
-            resp_tx,
-        };
-        match job_tx.try_send(job) {
-            Ok(()) => {
-                let mut m = lock(&shared.metrics);
-                m.incr(SVC_REQUESTS, 1);
-                m.incr(&format!("svc.requests.{op_name}"), 1);
-            }
-            Err(TrySendError::Full(_)) => {
-                // Typed load shedding: the request never executes and the
-                // client is told exactly why.
-                lock(&shared.metrics).incr(SVC_SHED, 1);
-                let _ = respond(
-                    shared,
-                    &mut stream,
-                    &Response {
-                        id,
-                        status: Status::Overloaded,
-                        payload: b"admission queue full".to_vec(),
-                    },
-                    None,
-                );
-                continue;
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                lock(&shared.metrics).incr(SVC_SHUTTING_DOWN, 1);
-                let _ = respond(
-                    shared,
-                    &mut stream,
-                    &Response {
-                        id,
-                        status: Status::ShuttingDown,
-                        payload: b"server is draining".to_vec(),
-                    },
-                    None,
-                );
-                continue;
-            }
-        }
-        let resp = match resp_rx.recv_timeout(deadline) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => {
-                lock(&shared.metrics).incr(SVC_DEADLINE_EXCEEDED, 1);
-                Response {
-                    id,
-                    status: Status::DeadlineExceeded,
-                    payload: b"deadline exceeded".to_vec(),
-                }
-            }
-            // The worker died before answering: its end of the channel
-            // dropped without a send. The respawn guard is already
-            // healing the pool; the client gets a typed, retryable
-            // status instead of a hang.
-            Err(RecvTimeoutError::Disconnected) => Response {
-                id,
-                status: Status::WorkerLost,
-                payload: b"worker died mid-request".to_vec(),
-            },
-        };
-        // recv_timeout already bumped the deadline aggregate above;
-        // responses.<status> is counted (once) inside respond().
-        let latency = accepted_at.elapsed();
-        if respond(shared, &mut stream, &resp, Some(latency)).is_err() {
+        let Some(resp) = reply else { return };
+        let latency = accepted_at.map(|t| t.elapsed());
+        count_reply(&mut lock(&shared.metrics), resp.status, latency);
+        // After a parse error the stream may be desynchronized: close.
+        if proto::write_response(&mut stream, &resp).is_err() || accepted_at.is_none() {
             return;
         }
-        let _ = stream.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+
+    use codepack_mem::StreamIntegrity;
+    use codepack_testkit::Rng;
+
     use super::*;
 
     #[test]
@@ -759,6 +633,164 @@ mod tests {
         torn[5] ^= 0xff;
         let (status, _) = execute(&shared, Op::Lint, &torn);
         assert_eq!(status, Status::Corrupt);
+    }
+
+    /// One mutation of `valid`: bit flips, a truncation, an overwritten
+    /// byte run, or trailing garbage.
+    fn mutate(rng: &mut Rng, valid: &[u8]) -> Vec<u8> {
+        let mut m = valid.to_vec();
+        let kind = if m.is_empty() {
+            3
+        } else {
+            rng.gen_range(0..4u32)
+        };
+        match kind {
+            0 => {
+                for _ in 0..rng.gen_range(1..=3u32) {
+                    let bit = rng.gen_range(0..m.len() * 8);
+                    m[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => m.truncate(rng.gen_range(0..m.len())),
+            2 => {
+                let at = rng.gen_range(0..m.len());
+                let end = (at + rng.gen_range(1..=8usize)).min(m.len());
+                for b in &mut m[at..end] {
+                    *b = rng.gen_u32() as u8;
+                }
+            }
+            _ => m.extend((0..rng.gen_range(1..=16u32)).map(|_| rng.gen_u32() as u8)),
+        }
+        m
+    }
+
+    /// What the library says of `payload` for `op`, as the handler must
+    /// answer it. `Metrics` is checked separately: it ignores its payload.
+    fn library_answer(op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
+        let words = words_from_le(payload);
+        match (op, words) {
+            (Op::Ping, _) => (Status::Ok, payload.to_vec()),
+            (Op::Compress, Some(w)) => (Status::Ok, pack_frame(&w, &PackOptions::default())),
+            (Op::Decompress, _) => match unpack_frame(payload, &UnpackOptions::default()) {
+                Ok(w) => (Status::Ok, words_to_le(&w)),
+                Err(e) => (Status::Corrupt, e.to_string().into_bytes()),
+            },
+            (Op::Lint, _) => {
+                let mut report = LintReport::new("stream");
+                let walk = check_frame(payload, &mut report);
+                if !report.is_clean() {
+                    return (Status::Corrupt, report.to_json().into_bytes());
+                }
+                let integrity = match walk.integrity {
+                    StreamIntegrity::None => "none",
+                    StreamIntegrity::Parity => "parity",
+                    StreamIntegrity::Crc32 => "crc32",
+                };
+                let verdict = format!(
+                    "{{\"schema\":\"cpackd.lint.v1\",\"ok\":true,\"content_size\":{},\
+                     \"groups\":{},\"integrity\":\"{integrity}\",\"frame_bytes\":{},\
+                     \"warnings\":{},\"checks_run\":{}}}",
+                    walk.content_size,
+                    walk.groups,
+                    payload.len(),
+                    report.warnings(),
+                    report.checks_run.len(),
+                );
+                (Status::Ok, verdict.into_bytes())
+            }
+            (Op::Profile, Some(w)) => {
+                let frame = pack_frame(&w, &PackOptions::default());
+                let head = format!(
+                    "{{\"schema\":\"cpackd.profile.v1\",\"in_bytes\":{},\"out_bytes\":{},",
+                    payload.len(),
+                    frame.len()
+                );
+                (Status::Ok, head.into_bytes())
+            }
+            (Op::Compress | Op::Profile, None) => (Status::BadRequest, Vec::new()),
+            (op, _) => unreachable!("{op} has no library counterpart"),
+        }
+    }
+
+    /// Fixed-seed fuzz of the endpoint handlers. Every executable op gets
+    /// valid payloads (frames under each integrity mode, texts of several
+    /// sizes) and mutations of them. A valid payload answers exactly what
+    /// the library call returns; a mutated one answers what the library
+    /// says of the same bytes, with a typed status and no panic.
+    #[test]
+    fn handlers_answer_mutated_payloads_like_the_library() {
+        const CASES: usize = 100;
+        let shared = bare_shared();
+        let mut rng = Rng::seed_from_u64(0xF022_0007);
+        let integrities = [
+            StreamIntegrity::None,
+            StreamIntegrity::Parity,
+            StreamIntegrity::Crc32,
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for (n, integrity) in [0usize, 1, 63, 200]
+            .into_iter()
+            .zip(integrities.into_iter().cycle())
+        {
+            let words = sample_words(n);
+            let text = words_to_le(&words);
+            let options = PackOptions {
+                integrity,
+                ..PackOptions::default()
+            };
+            let frame = pack_frame(&words, &options);
+            let ops = [
+                (Op::Ping, &text),
+                (Op::Compress, &text),
+                (Op::Decompress, &frame),
+                (Op::Lint, &frame),
+                (Op::Profile, &text),
+                (Op::Metrics, &text),
+            ];
+            for (op, valid) in ops {
+                for case in 0..=CASES {
+                    // Case 0 is the valid payload itself.
+                    let payload = if case == 0 {
+                        valid.clone()
+                    } else {
+                        mutate(&mut rng, valid)
+                    };
+                    let answer =
+                        panic::catch_unwind(AssertUnwindSafe(|| execute(&shared, op, &payload)));
+                    let Ok((status, out)) = answer else {
+                        panic!("{op} panicked on case {case} of {n} words: {payload:02x?}");
+                    };
+                    let what = format!("{op}, case {case} of {n} words");
+                    if case == 0 {
+                        assert_eq!(status, Status::Ok, "{what}");
+                    }
+                    seen.insert((op.name(), status.name()));
+                    if op == Op::Metrics {
+                        assert_eq!(status, Status::Ok, "{what}");
+                        let snap = snapshot_metrics(&shared).to_json().into_bytes();
+                        assert_eq!(out, snap, "{what}");
+                        continue;
+                    }
+                    let (want_status, want) = library_answer(op, &payload);
+                    assert_eq!(status, want_status, "{what}");
+                    match (op, status) {
+                        (Op::Profile, Status::Ok) => assert!(out.starts_with(&want), "{what}"),
+                        (_, Status::BadRequest) => assert!(!out.is_empty(), "{what}"),
+                        _ => assert_eq!(out, want, "{what}"),
+                    }
+                }
+            }
+        }
+        // The mutations reach every answer each handler can give.
+        for (op, status) in [
+            ("compress", "bad_request"),
+            ("decompress", "corrupt"),
+            ("lint", "corrupt"),
+            ("profile", "bad_request"),
+        ] {
+            assert!(seen.contains(&(op, "ok")), "{op} never answered ok");
+            assert!(seen.contains(&(op, status)), "{op} never answered {status}");
+        }
     }
 
     #[test]

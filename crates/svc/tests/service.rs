@@ -174,6 +174,10 @@ fn overload_sheds_with_typed_overloaded() {
     assert_eq!(probe.call(Op::Ping, b"after").unwrap(), b"after");
     let snap = handle.shutdown();
     assert!(snap.counter_value(SVC_SHED).unwrap_or(0) >= 1);
+    assert_eq!(
+        snap.counter_value(SVC_SHED),
+        snap.counter_value("svc.responses.overloaded")
+    );
 }
 
 #[test]
@@ -195,7 +199,11 @@ fn deadlines_produce_typed_deadline_exceeded() {
         "client must not wait out the burn: {elapsed:?}"
     );
     let snap = handle.shutdown();
-    assert!(snap.counter_value(SVC_DEADLINE_EXCEEDED).unwrap_or(0) >= 1);
+    assert_eq!(snap.counter_value(SVC_DEADLINE_EXCEEDED), Some(1));
+    assert_eq!(
+        snap.counter_value("svc.responses.deadline_exceeded"),
+        Some(1)
+    );
 }
 
 #[test]
