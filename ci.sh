@@ -141,12 +141,20 @@ TESTKIT_BENCH_FAST=1 \
     cargo bench -q --offline -p codepack-bench --bench codec_floors > /dev/null \
     || { echo "codec speedup below its floor"; exit 1; }
 
-echo "== tier-2: baseline-scheme benches =="
-# CCRP, HuffPack and software decompression run end to end through the
-# decompressor model they share with CodePack (index lookup, decode
-# schedule). baselines_ratio and futurework_huffpack assert their images
-# round-trip losslessly; every bench panics if a run traps.
-for b in baselines_ratio software_decompression futurework_huffpack; do
+echo "== tier-2: paper and baseline-scheme benches =="
+# Every table bench, the ablations and the beyond-paper benches run end
+# to end at a short length. The simulated ones run their cells through
+# run_matrix and panic through MatrixCell::expect_ok if a cell fails;
+# their output at 5000 instructions is pinned by tests/paper_tables.rs.
+# CCRP, HuffPack and software decompression run through the decompressor
+# model they share with CodePack (index lookup, decode schedule);
+# baselines_ratio and futurework_huffpack assert their images round-trip
+# losslessly.
+for b in table1_benchmarks table2_architectures table3_compression_ratio \
+    table4_composition table5_ipc table6_index_cache table7_index_cache_speedup \
+    table8_decoders table9_combined table10_icache_size table11_bus_width \
+    table12_latency ablation beyond_l2 compiler_assist fig2_timeline \
+    baselines_ratio software_decompression futurework_huffpack; do
     CODEPACK_INSNS=20000 cargo bench -q --offline -p codepack-bench --bench "$b" > /dev/null \
         || { echo "bench $b failed"; exit 1; }
 done

@@ -6,114 +6,8 @@
 //! 16-instruction output buffer (the paper's "inherent prefetching"),
 //! instruction forwarding, and the index cache itself.
 
-use codepack_bench::Workload;
-use codepack_core::{CodePackImage, CompressionConfig, DecompressorConfig, IndexCacheModel};
-use codepack_sim::{ArchConfig, CodeModel, Table};
-use codepack_synth::{generate, BenchmarkProfile};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    compression_ablation();
-    println!();
-    timing_ablation();
-}
-
-fn compression_ablation() {
-    let mut table = Table::new(
-        ["Variant", "cc1", "go", "pegwit"]
-            .map(String::from)
-            .to_vec(),
-    )
-    .with_title("Ablation A: compression ratio by codec feature");
-
-    let texts: Vec<Vec<u32>> = [
-        BenchmarkProfile::cc1_like(),
-        BenchmarkProfile::go_like(),
-        BenchmarkProfile::pegwit_like(),
-    ]
-    .iter()
-    .map(|p| generate(p, 42).text_words().to_vec())
-    .collect();
-
-    let variants: [(&str, CompressionConfig); 4] = [
-        ("full CodePack", CompressionConfig::default()),
-        (
-            "no raw-block fallback",
-            CompressionConfig {
-                raw_block_fallback: false,
-                ..CompressionConfig::default()
-            },
-        ),
-        (
-            "no low-zero codeword",
-            CompressionConfig {
-                pin_low_zero: false,
-                ..CompressionConfig::default()
-            },
-        ),
-        (
-            "admit singletons to dict",
-            CompressionConfig {
-                dict_min_count: 1,
-                ..CompressionConfig::default()
-            },
-        ),
-    ];
-
-    for (label, cfg) in variants {
-        let mut row = vec![label.to_string()];
-        for text in &texts {
-            let img = CodePackImage::compress(text, &cfg);
-            row.push(format!("{:.1}%", img.stats().compression_ratio() * 100.0));
-        }
-        table.row(row);
-    }
-    table.print();
-}
-
-fn timing_ablation() {
-    let w = Workload::new(BenchmarkProfile::go_like());
-    let arch = ArchConfig::four_issue();
-    let native = w.run(arch, CodeModel::Native);
-
-    let variants: [(&str, DecompressorConfig); 5] = [
-        ("baseline", DecompressorConfig::baseline()),
-        (
-            "no output buffer",
-            DecompressorConfig {
-                output_buffer: false,
-                ..DecompressorConfig::baseline()
-            },
-        ),
-        (
-            "no forwarding",
-            DecompressorConfig {
-                forwarding: false,
-                ..DecompressorConfig::baseline()
-            },
-        ),
-        (
-            "no index cache at all",
-            DecompressorConfig {
-                index_cache: IndexCacheModel::None,
-                ..DecompressorConfig::baseline()
-            },
-        ),
-        ("optimized", DecompressorConfig::optimized()),
-    ];
-
-    let mut table = Table::new(
-        ["Variant", "speedup vs native", "avg miss penalty (cyc)"]
-            .map(String::from)
-            .to_vec(),
-    )
-    .with_title("Ablation B: decompressor features (go, 4-issue)");
-    for (label, cfg) in variants {
-        let r = w.run(arch, CodeModel::codepack_with(cfg));
-        table.row(vec![
-            label.to_string(),
-            format!("{:.3}", r.speedup_over(&native)),
-            format!("{:.1}", r.fetch.avg_miss_penalty()),
-        ]);
-    }
-    table.print();
+    tables::ablation(max_insns()).print();
 }

@@ -4,51 +4,8 @@
 //! compression helps when misses reach slow memory — predicts the benefit
 //! and the penalty should both shrink as the L2 absorbs the miss stream.
 
-use codepack_bench::Workload;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let mut table = Table::new(
-        [
-            "Bench",
-            "no-L2 CP",
-            "no-L2 Opt",
-            "128KB-L2 CP",
-            "128KB-L2 Opt",
-            "L2 missrate",
-        ]
-        .map(String::from)
-        .to_vec(),
-    )
-    .with_title("CodePack behind a unified L2 (speedup over native, 4-issue)");
-
-    for w in Workload::suite() {
-        let flat = ArchConfig::four_issue();
-        let l2 = ArchConfig::four_issue().with_l2_kb(128);
-
-        let native_flat = w.run(flat, CodeModel::Native);
-        let cp_flat = w.run(flat, CodeModel::codepack_baseline());
-        let opt_flat = w.run(flat, CodeModel::codepack_optimized());
-
-        let native_l2 = w.run(l2, CodeModel::Native);
-        let cp_l2 = w.run(l2, CodeModel::codepack_baseline());
-        let opt_l2 = w.run(l2, CodeModel::codepack_optimized());
-
-        let l2_missrate = opt_l2.pipeline.l2.map_or(0.0, |s| s.miss_ratio());
-
-        table.row(vec![
-            w.profile.name.to_string(),
-            format!("{:.2}", cp_flat.speedup_over(&native_flat)),
-            format!("{:.2}", opt_flat.speedup_over(&native_flat)),
-            format!("{:.2}", cp_l2.speedup_over(&native_l2)),
-            format!("{:.2}", opt_l2.speedup_over(&native_l2)),
-            format!("{:.0}%", l2_missrate * 100.0),
-        ]);
-    }
-    table.print();
-    println!(
-        "(an L2 compresses the spread toward 1.0 from both sides: the decompressor \
-         neither hurts nor helps much once the L2 absorbs the miss stream — \
-         but the 40% ROM saving remains)"
-    );
+    tables::beyond_l2(max_insns()).print();
 }

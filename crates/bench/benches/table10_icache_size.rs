@@ -2,31 +2,8 @@
 //! and optimized CodePack over native code with 1/4/16/64 KB caches on the
 //! 4-issue machine (native is re-simulated at each size).
 
-use codepack_bench::Workload;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let sizes_kb = [1u32, 4, 16, 64];
-    let mut headers = vec!["Bench".to_string()];
-    for kb in sizes_kb {
-        headers.push(format!("{kb}KB CP"));
-        headers.push(format!("{kb}KB Opt"));
-    }
-    let mut table =
-        Table::new(headers).with_title("Table 10: speedup over native by I-cache size (4-issue)");
-
-    for w in Workload::suite() {
-        let mut row = vec![w.profile.name.to_string()];
-        for kb in sizes_kb {
-            let arch = ArchConfig::four_issue().with_icache_kb(kb);
-            let native = w.run(arch, CodeModel::Native);
-            let packed = w.run(arch, CodeModel::codepack_baseline());
-            let opt = w.run(arch, CodeModel::codepack_optimized());
-            row.push(format!("{:.2}", packed.speedup_over(&native)));
-            row.push(format!("{:.2}", opt.speedup_over(&native)));
-        }
-        table.row(row);
-    }
-    table.print();
-    println!("(paper: optimized CodePack beats native at every size; both converge to 1.0 as the cache grows)");
+    tables::table10(max_insns()).print();
 }

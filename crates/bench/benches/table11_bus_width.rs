@@ -2,31 +2,8 @@
 //! baseline and optimized CodePack over native with 16/32/64/128-bit buses
 //! on the 4-issue machine.
 
-use codepack_bench::Workload;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let widths = [16u32, 32, 64, 128];
-    let mut headers = vec!["Bench".to_string()];
-    for bits in widths {
-        headers.push(format!("{bits}b CP"));
-        headers.push(format!("{bits}b Opt"));
-    }
-    let mut table = Table::new(headers)
-        .with_title("Table 11: speedup over native by memory bus width (4-issue)");
-
-    for w in Workload::suite() {
-        let mut row = vec![w.profile.name.to_string()];
-        for bits in widths {
-            let arch = ArchConfig::four_issue().with_bus_bits(bits);
-            let native = w.run(arch, CodeModel::Native);
-            let packed = w.run(arch, CodeModel::codepack_baseline());
-            let opt = w.run(arch, CodeModel::codepack_optimized());
-            row.push(format!("{:.2}", packed.speedup_over(&native)));
-            row.push(format!("{:.2}", opt.speedup_over(&native)));
-        }
-        table.row(row);
-    }
-    table.print();
-    println!("(paper: compression wins on narrow buses — fewer beats per line — and loses its edge on wide ones)");
+    tables::table11(max_insns()).print();
 }

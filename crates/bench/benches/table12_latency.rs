@@ -2,31 +2,8 @@
 //! baseline and optimized CodePack over native with memory latency scaled
 //! 0.5×–8× on the 4-issue machine.
 
-use codepack_bench::Workload;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let scales = [0.5f64, 1.0, 2.0, 4.0, 8.0];
-    let mut headers = vec!["Bench".to_string()];
-    for s in scales {
-        headers.push(format!("{s}x CP"));
-        headers.push(format!("{s}x Opt"));
-    }
-    let mut table =
-        Table::new(headers).with_title("Table 12: speedup over native by memory latency (4-issue)");
-
-    for w in Workload::suite() {
-        let mut row = vec![w.profile.name.to_string()];
-        for s in scales {
-            let arch = ArchConfig::four_issue().with_memory_scale(s);
-            let native = w.run(arch, CodeModel::Native);
-            let packed = w.run(arch, CodeModel::codepack_baseline());
-            let opt = w.run(arch, CodeModel::codepack_optimized());
-            row.push(format!("{:.2}", packed.speedup_over(&native)));
-            row.push(format!("{:.2}", opt.speedup_over(&native)));
-        }
-        table.row(row);
-    }
-    table.print();
-    println!("(paper: as latency grows the optimized decompressor gains — it makes fewer, denser memory accesses)");
+    tables::table12(max_insns()).print();
 }

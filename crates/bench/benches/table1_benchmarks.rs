@@ -4,30 +4,8 @@
 //! The paper runs each benchmark to completion (>1 billion instructions);
 //! we simulate `CODEPACK_INSNS` instructions (shapes, not absolute counts).
 
-use codepack_bench::{max_insns, paper, Workload};
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let mut table = Table::new(
-        ["Bench", "Insns simulated", "I-miss rate (4-issue)", "paper"]
-            .map(String::from)
-            .to_vec(),
-    )
-    .with_title("Table 1: Benchmarks");
-
-    for (i, w) in Workload::suite().into_iter().enumerate() {
-        let r = w.run(ArchConfig::four_issue(), CodeModel::Native);
-        table.row(vec![
-            w.profile.name.to_string(),
-            format!("{}", r.retired_instructions),
-            format!("{:.2}%", r.imiss_per_insn() * 100.0),
-            format!("{:.1}%", paper::TABLE1_MISS[i].1),
-        ]);
-    }
-    table.print();
-    println!(
-        "(paper column: miss rates reported in Table 1 for >1e9-instruction runs; \
-              ours use {} instructions)",
-        max_insns()
-    );
+    tables::table1(max_insns()).print();
 }

@@ -2,36 +2,8 @@
 //! CodePack, and the optimized CodePack model across the 1-, 4-, and
 //! 8-issue architectures.
 
-use codepack_bench::Workload;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let workloads = Workload::suite();
-    let archs = [
-        ArchConfig::one_issue(),
-        ArchConfig::four_issue(),
-        ArchConfig::eight_issue(),
-    ];
-
-    for arch in archs {
-        let mut table = Table::new(
-            ["Bench", "Native", "CodePack", "Optimized"]
-                .map(String::from)
-                .to_vec(),
-        )
-        .with_title(format!("Table 5 ({}): instructions per cycle", arch.name));
-        for w in &workloads {
-            let native = w.run(arch, CodeModel::Native);
-            let packed = w.run(arch, CodeModel::codepack_baseline());
-            let opt = w.run(arch, CodeModel::codepack_optimized());
-            table.row(vec![
-                w.profile.name.to_string(),
-                format!("{:.2}", native.ipc()),
-                format!("{:.2}", packed.ipc()),
-                format!("{:.2}", opt.ipc()),
-            ]);
-        }
-        table.print();
-        println!();
-    }
+    tables::table5(max_insns()).print();
 }

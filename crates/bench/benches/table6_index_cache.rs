@@ -3,39 +3,8 @@
 //! per line. The probe stream is the L1 I-miss stream of the baseline
 //! CodePack run.
 
-use codepack_bench::{paper, Workload};
-use codepack_core::{DecompressorConfig, IndexCacheModel};
-use codepack_sim::{ArchConfig, CodeModel, Table};
-use codepack_synth::BenchmarkProfile;
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let w = Workload::new(BenchmarkProfile::cc1_like());
-    let lines = [1usize, 4, 16, 64];
-    let entries = [1u32, 2, 4, 8];
-
-    let mut headers = vec!["Lines".to_string()];
-    headers.extend(entries.iter().map(|e| format!("{e} entries")));
-    headers.extend(entries.iter().map(|e| format!("paper {e}")));
-    let mut table = Table::new(headers)
-        .with_title("Table 6: index-cache miss ratio for cc1 (4-issue, fully associative)");
-
-    for (li, &l) in lines.iter().enumerate() {
-        let mut row = vec![format!("{l}")];
-        for &e in &entries {
-            let cfg = DecompressorConfig {
-                index_cache: IndexCacheModel::Cached {
-                    lines: l,
-                    entries_per_line: e,
-                },
-                ..DecompressorConfig::baseline()
-            };
-            let r = w.run(ArchConfig::four_issue(), CodeModel::codepack_with(cfg));
-            row.push(format!("{:.1}%", r.fetch.index_miss_ratio() * 100.0));
-        }
-        for (ei, _) in entries.iter().enumerate() {
-            row.push(format!("{:.1}%", paper::TABLE6_CC1[li][ei]));
-        }
-        table.row(row);
-    }
-    table.print();
+    tables::table6(max_insns()).print();
 }

@@ -2,32 +2,8 @@
 //! optimization — baseline CodePack, a 64-line × 4-entry index cache, and a
 //! perfect (always-hit) index cache, on the 4-issue machine.
 
-use codepack_bench::Workload;
-use codepack_core::DecompressorConfig;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let mut table = Table::new(
-        ["Bench", "CodePack", "Index Cache", "Perfect"]
-            .map(String::from)
-            .to_vec(),
-    )
-    .with_title("Table 7: speedup over native due to index cache (4-issue)");
-
-    let arch = ArchConfig::four_issue();
-    for w in Workload::suite() {
-        let native = w.run(arch, CodeModel::Native);
-        let speedup = |cfg: DecompressorConfig| {
-            w.run(arch, CodeModel::codepack_with(cfg))
-                .speedup_over(&native)
-        };
-        table.row(vec![
-            w.profile.name.to_string(),
-            format!("{:.2}", speedup(DecompressorConfig::baseline())),
-            format!("{:.2}", speedup(DecompressorConfig::index_cache_only())),
-            format!("{:.2}", speedup(DecompressorConfig::perfect_index())),
-        ]);
-    }
-    table.print();
-    println!("(values > 1.00 mean compressed code outruns native)");
+    tables::table7(max_insns()).print();
 }

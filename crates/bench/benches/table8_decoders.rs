@@ -3,34 +3,8 @@
 //! 4-issue machine. 16 decoders is the fastest possible: a compression
 //! block holds only 16 instructions.
 
-use codepack_bench::Workload;
-use codepack_core::DecompressorConfig;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let mut table = Table::new(
-        ["Bench", "CodePack", "2 decoders", "16 decoders"]
-            .map(String::from)
-            .to_vec(),
-    )
-    .with_title("Table 8: speedup over native due to decompression rate (4-issue)");
-
-    let arch = ArchConfig::four_issue();
-    for w in Workload::suite() {
-        let native = w.run(arch, CodeModel::Native);
-        let speedup = |rate: u32| {
-            w.run(
-                arch,
-                CodeModel::codepack_with(DecompressorConfig::decoders(rate)),
-            )
-            .speedup_over(&native)
-        };
-        table.row(vec![
-            w.profile.name.to_string(),
-            format!("{:.2}", speedup(1)),
-            format!("{:.2}", speedup(2)),
-            format!("{:.2}", speedup(16)),
-        ]);
-    }
-    table.print();
+    tables::table8(max_insns()).print();
 }

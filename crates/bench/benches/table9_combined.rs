@@ -2,32 +2,8 @@
 //! index cache only, 2-wide decoder only, and both ("All"), as speedup
 //! over native on the 4-issue machine.
 
-use codepack_bench::Workload;
-use codepack_core::DecompressorConfig;
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
-    let mut table = Table::new(
-        ["Bench", "CodePack", "Index", "Decompress", "All"]
-            .map(String::from)
-            .to_vec(),
-    )
-    .with_title("Table 9: comparison of optimizations (speedup over native, 4-issue)");
-
-    let arch = ArchConfig::four_issue();
-    for w in Workload::suite() {
-        let native = w.run(arch, CodeModel::Native);
-        let speedup = |cfg: DecompressorConfig| {
-            w.run(arch, CodeModel::codepack_with(cfg))
-                .speedup_over(&native)
-        };
-        table.row(vec![
-            w.profile.name.to_string(),
-            format!("{:.2}", speedup(DecompressorConfig::baseline())),
-            format!("{:.2}", speedup(DecompressorConfig::index_cache_only())),
-            format!("{:.2}", speedup(DecompressorConfig::decoders(2))),
-            format!("{:.2}", speedup(DecompressorConfig::optimized())),
-        ]);
-    }
-    table.print();
+    tables::table9(max_insns()).print();
 }

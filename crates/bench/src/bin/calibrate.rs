@@ -5,42 +5,10 @@
 
 #![forbid(unsafe_code)]
 
-use codepack_bench::{max_insns, paper, Workload};
-use codepack_sim::{ArchConfig, CodeModel, Table};
+use codepack_bench::{max_insns, tables};
 
 fn main() {
     let start = std::time::Instant::now();
-    let mut table = Table::new(
-        [
-            "bench", "text KB", "paperKB", "ratio", "paper", "raw%", "imiss%", "paper", "IPCn",
-            "IPCc", "IPCo",
-        ]
-        .map(String::from)
-        .to_vec(),
-    )
-    .with_title(format!("calibration ({} insns/run)", max_insns()));
-
-    let paper_kb = [1083, 310, 118, 89, 267, 495];
-    for (i, w) in Workload::suite().into_iter().enumerate() {
-        let stats = w.image.stats();
-        let native = w.run(ArchConfig::four_issue(), CodeModel::Native);
-        let packed = w.run(ArchConfig::four_issue(), CodeModel::codepack_baseline());
-        let opt = w.run(ArchConfig::four_issue(), CodeModel::codepack_optimized());
-        let raw_frac = stats.fraction_of_total(stats.raw_tag_bits + stats.raw_literal_bits);
-        table.row(vec![
-            w.profile.name.to_string(),
-            format!("{}", w.program.text_size_bytes() / 1024),
-            format!("{}", paper_kb[i]),
-            format!("{:.1}%", stats.compression_ratio() * 100.0),
-            format!("{:.1}%", paper::TABLE3_RATIO[i].1),
-            format!("{:.1}%", raw_frac * 100.0),
-            format!("{:.2}%", native.imiss_per_insn() * 100.0),
-            format!("{:.1}%", paper::TABLE1_MISS[i].1),
-            format!("{:.3}", native.ipc()),
-            format!("{:.3}", packed.ipc()),
-            format!("{:.3}", opt.ipc()),
-        ]);
-    }
-    table.print();
+    tables::calibrate(max_insns()).print();
     eprintln!("elapsed: {:.1}s", start.elapsed().as_secs_f64());
 }

@@ -2,8 +2,9 @@
 //!
 //! One `cargo bench` target per table/figure of the paper (see DESIGN.md's
 //! experiment index). This library holds the shared machinery: workload
-//! sizing, program/image caching, and paper reference values for
-//! side-by-side reporting.
+//! sizing, program/image generation, the simulated tables as experiment
+//! cubes ([`tables`]), and paper reference values for side-by-side
+//! reporting.
 //!
 //! Workload length per simulation comes from the `CODEPACK_INSNS`
 //! environment variable (default 1,000,000 instructions — the paper runs
@@ -14,11 +15,11 @@
 
 use std::sync::Arc;
 
-use codepack_core::{CodePackImage, CompressionConfig, FetchEngine};
+use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_isa::Program;
-use codepack_obs::Obs;
-use codepack_sim::{ArchConfig, CodeModel, SimResult, Simulation};
 use codepack_synth::{generate, BenchmarkProfile};
+
+pub mod tables;
 
 /// Seed used by every experiment so all tables describe the same programs.
 pub const EXPERIMENT_SEED: u64 = 42;
@@ -31,8 +32,15 @@ pub fn max_insns() -> u64 {
         .unwrap_or(1_000_000)
 }
 
-/// A generated benchmark with its compressed image, built once and shared
-/// across all the experiment's simulations.
+/// Worker threads the benches run their cubes on: every core. The
+/// printed tables are identical at any worker count.
+pub fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A generated benchmark with its compressed image, for the experiments
+/// that read the program or its image directly: the codec tables and the
+/// custom-engine cells.
 pub struct Workload {
     /// The profile it was generated from.
     pub profile: BenchmarkProfile,
@@ -63,35 +71,6 @@ impl Workload {
             .into_iter()
             .map(Workload::new)
             .collect()
-    }
-
-    /// Runs this workload on `arch` under `model`, reusing the cached image
-    /// for CodePack models with default compression.
-    pub fn run(&self, arch: ArchConfig, model: CodeModel) -> SimResult {
-        let image = match &model {
-            CodeModel::CodePack { compression, .. }
-                if *compression == CompressionConfig::default() =>
-            {
-                Some(Arc::clone(&self.image))
-            }
-            _ => None,
-        };
-        Simulation::new(arch, model).run_with_image(&self.program, max_insns(), image)
-    }
-
-    /// Runs this workload on `arch` with a custom I-miss service engine
-    /// (for the baseline-scheme benches that go beyond [`CodeModel`]'s
-    /// variants).
-    pub fn run_engine(&self, arch: ArchConfig, engine: impl FetchEngine + 'static) -> SimResult {
-        Simulation::new(arch, CodeModel::Native)
-            .try_run_engine(
-                &self.program,
-                max_insns(),
-                Box::new(engine),
-                Obs::disabled(),
-            )
-            .expect("synthetic programs execute cleanly")
-            .0
     }
 }
 
@@ -138,23 +117,9 @@ pub mod paper {
     ];
 }
 
-/// Formats a count of bytes as the paper prints sizes.
-pub fn fmt_bytes(b: u64) -> String {
-    format!("{b}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_builds_and_runs_briefly() {
-        std::env::set_var("CODEPACK_INSNS", "20000");
-        let w = Workload::new(BenchmarkProfile::pegwit_like());
-        let r = w.run(ArchConfig::four_issue(), CodeModel::codepack_baseline());
-        assert!(r.cycles() > 0);
-        assert!(r.compression.is_some());
-    }
 
     #[test]
     fn paper_tables_cover_all_six_benchmarks() {

@@ -8,8 +8,9 @@ use codepack_isa::{decode, Program, TEXT_BASE};
 use codepack_mem::{IntegrityConfig, PPB_SCALE};
 use codepack_obs::{chrome_trace_json, parse_jsonl, BlockProfile, JsonlSink, Obs};
 use codepack_sim::{
-    run_fault_campaign, run_matrix_with, ArchConfig, CodeModel, FaultCampaignSpec, MatrixOptions,
-    MatrixSpec, Simulation, Table,
+    run_fault_campaign, run_matrix, run_matrix_with, ArchConfig, CodeModel, FaultCampaignSpec,
+    MatrixCell, MatrixOptions, MatrixSpec, SimResult, Simulation, Table, BUS_SWEEP_BITS,
+    ICACHE_SWEEP_KB, L2_SWEEP_KB, LATENCY_SWEEP_SCALES,
 };
 use codepack_synth::{generate, BenchmarkProfile};
 
@@ -280,16 +281,38 @@ fn parse_insns(args: &[String], idx: usize, default: u64) -> Result<u64, CliErro
     })
 }
 
+/// Worker threads for the simulation cubes: every core.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `profile` on each of `archs` under native, baseline and
+/// optimized CodePack as one cube on every core, and returns the results
+/// in (arch, model) order. A failed cell is an operation failure.
+fn native_and_codepack(
+    profile: BenchmarkProfile,
+    archs: Vec<ArchConfig>,
+    insns: u64,
+) -> Result<Vec<SimResult>, CliError> {
+    let spec = MatrixSpec::new(SEED, insns)
+        .with_profiles(vec![profile])
+        .with_archs(archs);
+    let report = run_matrix(&spec, all_cores());
+    let failed = |c: &MatrixCell| format!("cell {} failed: {:?}", c.file_stem(), c.outcome);
+    let result = |c: &MatrixCell| c.result.clone().ok_or_else(|| failed(c).into());
+    report.cells.iter().map(result).collect()
+}
+
 /// `cpack sim <profile> [INSNS]`
 pub fn sim(args: &[String]) -> Result<(), CliError> {
     let name = required(args.first(), "sim: missing profile name")?;
     let insns = parse_insns(args, 1, 500_000)?;
     no_more("sim", args.get(2..).unwrap_or(&[]))?;
-    let program = program_for(name)?;
-    let arch = ArchConfig::four_issue();
-    let native = Simulation::new(arch, CodeModel::Native).run(&program, insns);
-    let packed = Simulation::new(arch, CodeModel::codepack_baseline()).run(&program, insns);
-    let opt = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, insns);
+    let profile = profile_by_name(name)?;
+    let results = native_and_codepack(profile, vec![ArchConfig::four_issue()], insns)?;
+    let [native, packed, opt] = &results[..] else {
+        unreachable!("one arch, three models")
+    };
 
     let mut t = Table::new(
         ["Model", "Cycles", "IPC", "Speedup", "I-miss/insn"]
@@ -300,20 +323,20 @@ pub fn sim(args: &[String]) -> Result<(), CliError> {
         "{name} on the 4-issue machine ({insns} instructions)"
     ));
     for (label, r) in [
-        ("Native", &native),
-        ("CodePack baseline", &packed),
-        ("CodePack optimized", &opt),
+        ("Native", native),
+        ("CodePack baseline", packed),
+        ("CodePack optimized", opt),
     ] {
         t.row(vec![
             label.to_string(),
             format!("{}", r.cycles()),
             format!("{:.3}", r.ipc()),
-            format!("{:.2}x", r.speedup_over(&native)),
+            format!("{:.2}x", r.speedup_over(native)),
             format!("{:.2}%", r.imiss_per_insn() * 100.0),
         ]);
     }
     t.print();
-    if let Some(c) = packed.compression {
+    if let Some(c) = &packed.compression {
         println!("compression ratio: {:.1}%", c.compression_ratio() * 100.0);
     }
     Ok(())
@@ -486,7 +509,7 @@ pub fn trace_export(args: &[String]) -> Result<(), CliError> {
 /// uninterrupted run.
 pub fn matrix(args: &[String]) -> Result<(), CliError> {
     let mut insns: Option<u64> = None;
-    let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut workers = all_cores();
     let mut json = false;
     let mut metrics_dir: Option<String> = None;
     let mut retries: Option<u32> = None;
@@ -781,7 +804,7 @@ fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), CliError> 
 /// [--workers N] [--json] [--retries N] [--journal DIR] [--resume]`
 pub fn faults(args: &[String]) -> Result<(), CliError> {
     let mut insns: Option<u64> = None;
-    let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut workers = all_cores();
     let mut json = false;
     let mut profiles: Vec<BenchmarkProfile> = Vec::new();
     let mut rates: Option<Vec<u32>> = None;
@@ -890,51 +913,34 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack sweep <bus|latency|cache> <profile> [INSNS]`
+/// `cpack sweep <bus|latency|cache|l2> <profile> [INSNS]`
 pub fn sweep(args: &[String]) -> Result<(), CliError> {
     let kind = required(args.first(), "sweep: missing kind (bus|latency|cache)")?;
     let name = required(args.get(1), "sweep: missing profile name")?;
     let insns = parse_insns(args, 2, 300_000)?;
     no_more("sweep", args.get(3..).unwrap_or(&[]))?;
-    let program = program_for(name)?;
+    let profile = profile_by_name(name)?;
 
+    let four = ArchConfig::four_issue();
     let points: Vec<(String, ArchConfig)> = match kind.as_str() {
-        "bus" => [16u32, 32, 64, 128]
+        "bus" => BUS_SWEEP_BITS
             .iter()
-            .map(|&b| {
-                (
-                    format!("{b}-bit"),
-                    ArchConfig::four_issue().with_bus_bits(b),
-                )
-            })
+            .map(|&b| (format!("{b}-bit"), four.with_bus_bits(b)))
             .collect(),
-        "latency" => [0.5f64, 1.0, 2.0, 4.0, 8.0]
+        "latency" => LATENCY_SWEEP_SCALES
             .iter()
-            .map(|&s| {
-                (
-                    format!("{s}x"),
-                    ArchConfig::four_issue().with_memory_scale(s),
-                )
-            })
+            .map(|&s| (format!("{s}x"), four.with_memory_scale(s)))
             .collect(),
-        "cache" => [1u32, 4, 16, 64]
+        "cache" => ICACHE_SWEEP_KB
             .iter()
-            .map(|&k| {
-                (
-                    format!("{k} KB"),
-                    ArchConfig::four_issue().with_icache_kb(k),
-                )
-            })
+            .map(|&k| (format!("{k} KB"), four.with_icache_kb(k)))
             .collect(),
-        "l2" => [0u32, 64, 128, 256, 512]
-            .iter()
-            .map(|&k| {
-                if k == 0 {
-                    ("no L2".to_string(), ArchConfig::four_issue())
-                } else {
-                    (format!("{k} KB L2"), ArchConfig::four_issue().with_l2_kb(k))
-                }
-            })
+        "l2" => std::iter::once(("no L2".to_string(), four))
+            .chain(
+                L2_SWEEP_KB
+                    .iter()
+                    .map(|&k| (format!("{k} KB L2"), four.with_l2_kb(k))),
+            )
             .collect(),
         other => {
             return Err(usage(format!(
@@ -955,16 +961,18 @@ pub fn sweep(args: &[String]) -> Result<(), CliError> {
         .to_vec(),
     )
     .with_title(format!("{name}: {kind} sweep (4-issue)"));
-    for (label, arch) in points {
-        let native = Simulation::new(arch, CodeModel::Native).run(&program, insns);
-        let packed = Simulation::new(arch, CodeModel::codepack_baseline()).run(&program, insns);
-        let opt = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, insns);
+    let (labels, archs): (Vec<String>, Vec<ArchConfig>) = points.into_iter().unzip();
+    let results = native_and_codepack(profile, archs, insns)?;
+    for (label, point) in labels.into_iter().zip(results.chunks_exact(3)) {
+        let [native, packed, opt] = point else {
+            unreachable!("three models")
+        };
         t.row(vec![
             label,
             format!("{:.3}", native.ipc()),
             format!("{:.3}", packed.ipc()),
             format!("{:.3}", opt.ipc()),
-            format!("{:.2}x", opt.speedup_over(&native)),
+            format!("{:.2}x", opt.speedup_over(native)),
         ]);
     }
     t.print();

@@ -98,6 +98,19 @@ impl ArchConfig {
     }
 }
 
+/// L1 I-cache sizes in KiB swept by Table 10 and `cpack sweep cache`.
+pub const ICACHE_SWEEP_KB: [u32; 4] = [1, 4, 16, 64];
+
+/// Main-memory bus widths in bits swept by Table 11 and `cpack sweep bus`.
+pub const BUS_SWEEP_BITS: [u32; 4] = [16, 32, 64, 128];
+
+/// Main-memory latency scales swept by Table 12 and `cpack sweep latency`.
+pub const LATENCY_SWEEP_SCALES: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
+
+/// Unified L2 sizes in KiB swept by `cpack sweep l2`, after its no-L2
+/// point.
+pub const L2_SWEEP_KB: [u32; 4] = [64, 128, 256, 512];
+
 /// How instructions reach the L1 I-cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodeModel {

@@ -25,7 +25,9 @@ mod matrix;
 mod report;
 mod run;
 
-pub use arch::{ArchConfig, CodeModel};
+pub use arch::{
+    ArchConfig, CodeModel, BUS_SWEEP_BITS, ICACHE_SWEEP_KB, L2_SWEEP_KB, LATENCY_SWEEP_SCALES,
+};
 pub use faults::{run_fault_campaign, FaultCampaignSpec, FaultReport};
 pub use journal::{journal_exists, read_journal, JournalContents, JournalEntry, JOURNAL_FILE};
 pub use matrix::{

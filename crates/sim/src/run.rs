@@ -131,35 +131,17 @@ impl Simulation {
     /// Returns [`ExecError`] if the program traps (illegal instruction,
     /// wild PC, unknown syscall).
     pub fn try_run(&self, program: &Program, max_insns: u64) -> Result<SimResult, ExecError> {
-        self.try_run_with_image(program, max_insns, None)
-    }
-
-    /// Like [`Self::try_run`], but reuses a pre-compressed `image` (the
-    /// compression step dominates setup time in large sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] if the program traps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` was compressed from a different text section.
-    pub fn try_run_with_image(
-        &self,
-        program: &Program,
-        max_insns: u64,
-        image: Option<Arc<CodePackImage>>,
-    ) -> Result<SimResult, ExecError> {
-        self.try_run_observed(program, max_insns, image, Obs::disabled())
+        self.try_run_observed(program, max_insns, None, Obs::disabled())
             .map(|(result, _)| result)
     }
 
-    /// Like [`Self::try_run_with_image`], but threads an [`Obs`] handle
-    /// through the pipeline and returns the closed-out [`ObsReport`]
-    /// alongside the result. A disabled handle yields `None` for the
-    /// report; an enabled one must not change any timing statistic (the
-    /// traced fetch engines reconstruct their timeline from results, they
-    /// never participate in it).
+    /// Like [`Self::try_run`], but reuses a pre-compressed `image` when
+    /// one is given (the compression step dominates setup time in large
+    /// sweeps), threads an [`Obs`] handle through the pipeline, and returns
+    /// the closed-out [`ObsReport`] alongside the result. A disabled
+    /// handle yields `None` for the report; an enabled one must not change
+    /// any timing statistic (the traced fetch engines reconstruct their
+    /// timeline from results, they never participate in it).
     ///
     /// # Errors
     ///
@@ -267,30 +249,16 @@ impl Simulation {
 
     /// Runs `program`, panicking on functional-execution errors.
     ///
-    /// Synthetic benchmarks are well-formed by construction, so the
-    /// experiment harness uses this convenience wrapper; prefer
-    /// [`Self::try_run`] for untrusted programs.
+    /// Synthetic benchmarks are well-formed by construction, so examples
+    /// and tests use this convenience wrapper (the paper's tables run their
+    /// cells through [`crate::run_matrix`]); prefer [`Self::try_run`] for
+    /// untrusted programs.
     ///
     /// # Panics
     ///
     /// Panics if the program traps during execution.
     pub fn run(&self, program: &Program, max_insns: u64) -> SimResult {
         self.try_run(program, max_insns)
-            .unwrap_or_else(|e| panic!("program {:?} trapped: {e}", program.name()))
-    }
-
-    /// Like [`Self::run`] with a pre-compressed image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program traps or the image does not match.
-    pub fn run_with_image(
-        &self,
-        program: &Program,
-        max_insns: u64,
-        image: Option<Arc<CodePackImage>>,
-    ) -> SimResult {
-        self.try_run_with_image(program, max_insns, image)
             .unwrap_or_else(|e| panic!("program {:?} trapped: {e}", program.name()))
     }
 }
@@ -353,7 +321,9 @@ mod tests {
             p.text_words(),
             &codepack_core::CompressionConfig::default(),
         ));
-        let reused = sim.run_with_image(&p, 30_000, Some(image));
+        let (reused, _) = sim
+            .try_run_observed(&p, 30_000, Some(image), Obs::disabled())
+            .unwrap();
         assert_eq!(fresh.cycles(), reused.cycles());
     }
 

@@ -26,8 +26,6 @@ pub enum Event {
     Admitted,
     /// The admission queue was full.
     QueueFull,
-    /// The admission queue is closed: the server is draining.
-    QueueClosed,
     /// The worker ran the handler, which answered this status and payload.
     Executed(Status, Vec<u8>),
     /// The worker dequeued the job after its deadline and did not run it.
@@ -80,9 +78,7 @@ impl Lifecycle {
                 (Status::TooLarge, e.to_string().into())
             }
             (Phase::Reading, Event::ParseFailed(e)) => (Status::BadRequest, e.to_string().into()),
-            (Phase::Read, Event::Draining | Event::QueueClosed) => {
-                (Status::ShuttingDown, "server is draining".into())
-            }
+            (Phase::Read, Event::Draining) => (Status::ShuttingDown, "server is draining".into()),
             (Phase::Read, Event::QueueFull) => (Status::Overloaded, "admission queue full".into()),
             (Phase::Admitted, Event::Executed(status, payload)) => (status, payload),
             (Phase::Admitted, Event::ExpiredInQueue) => (

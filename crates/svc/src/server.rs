@@ -512,7 +512,10 @@ fn run_conn(shared: &Arc<Shared>, mut stream: TcpStream, job_tx: &mpsc::SyncSend
                         Event::Admitted
                     }
                     Err(TrySendError::Full(_)) => Event::QueueFull,
-                    Err(TrySendError::Disconnected(_)) => Event::QueueClosed,
+                    // `Shared` owns the receiver and this thread holds
+                    // `Shared`, so the queue never closes under a
+                    // connection; drain refuses through its flag.
+                    Err(TrySendError::Disconnected(_)) => Event::Draining,
                 };
                 let reply = life.on(queued).or_else(|| {
                     life.on(match resp_rx.recv_timeout(deadline) {

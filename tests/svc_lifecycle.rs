@@ -76,7 +76,8 @@ enum Action {
     ReplyThenDie(usize),
     /// The server starts draining.
     Drain,
-    /// The admission queue closes (only while draining).
+    /// The admission queue closes (only while draining); an enqueue then
+    /// gets the drain reply.
     CloseQueue,
     /// A garbage frame arrives on a fresh connection.
     Garbage(u8),
@@ -89,8 +90,7 @@ enum Action {
 /// `None` where the payload is the handler's or the parser's own.
 fn expected(conn: Conn, event: &Event) -> Option<(Status, Option<&'static str>)> {
     match (conn, event) {
-        (Conn::Read, Event::Draining) => Some((Status::ShuttingDown, Some("server is draining"))),
-        (Conn::Checked, Event::QueueClosed) => {
+        (Conn::Read | Conn::Checked, Event::Draining) => {
             Some((Status::ShuttingDown, Some("server is draining")))
         }
         (Conn::Checked, Event::QueueFull) => {
@@ -126,16 +126,15 @@ fn show(reply: &Option<Response>) -> String {
 
 /// Every event kind, for late deliveries.
 fn any_event(k: u8, id: u64) -> Event {
-    match k % 10 {
+    match k % 9 {
         0 => Event::Read(id),
         1 => Event::ParseFailed(ProtoError::BadMagic),
         2 => Event::Draining,
         3 => Event::Admitted,
         4 => Event::QueueFull,
-        5 => Event::QueueClosed,
-        6 => Event::Executed(Status::Ok, b"late".to_vec()),
-        7 => Event::ExpiredInQueue,
-        8 => Event::DeadlinePassed,
+        5 => Event::Executed(Status::Ok, b"late".to_vec()),
+        6 => Event::ExpiredInQueue,
+        7 => Event::DeadlinePassed,
         _ => Event::WorkerGone,
     }
 }
@@ -329,7 +328,7 @@ impl Model {
             Action::Enqueue(i) => {
                 let event = if self.closed {
                     self.races.insert("queue closed after the drain check");
-                    Event::QueueClosed
+                    Event::Draining
                 } else if self.queue.len() >= self.depth {
                     Event::QueueFull
                 } else {
