@@ -85,7 +85,8 @@ USAGE:
                                         detected/recovered/trapped/silent
                                         and protection slowdown vs native
     cpack loadgen  [--requests N] [--clients N] [--seed S] [--connect ADDR]
-                   [--mode smoke|full] [--out FILE.json] [--chaos]
+                   [--mode smoke|full] [--out FILE.json] [--deadline-ms D]
+                   [--chaos]
                                         drive cpackd with a fixed-seed mixed
                                         workload (compress/decompress/ping/
                                         lint/profile), verify every response
@@ -915,7 +916,7 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
 
 /// `cpack sweep <bus|latency|cache|l2> <profile> [INSNS]`
 pub fn sweep(args: &[String]) -> Result<(), CliError> {
-    let kind = required(args.first(), "sweep: missing kind (bus|latency|cache)")?;
+    let kind = required(args.first(), "sweep: missing kind (bus|latency|cache|l2)")?;
     let name = required(args.get(1), "sweep: missing profile name")?;
     let insns = parse_insns(args, 2, 300_000)?;
     no_more("sweep", args.get(3..).unwrap_or(&[]))?;

@@ -7,7 +7,7 @@
 //! cpack sim      <profile> [INSNS]    native vs CodePack on the 4-issue machine
 //! cpack run      <profile> [INSNS] [--arch A] [--model M] [--trace F] [--metrics F]
 //! cpack trace-export <FILE> --chrome [-o FILE]
-//! cpack sweep    <bus|latency|cache> <profile> [INSNS]
+//! cpack sweep    <bus|latency|cache|l2> <profile> [INSNS]
 //! cpack compare  <profile>            compression ratio across schemes
 //! cpack lint     <profile|FILE.cpk> [--json]  static CFG, image, frame checks
 //! cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
@@ -18,9 +18,9 @@
 //! cpack unpack   <FILE|-> [-o FILE|-] [--workers N]
 //! cpack cat      <FILE|-> [--workers N]
 //! cpack faults   [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
-//!                [--workers N] [--json] [--journal DIR] [--resume]
+//!                [--workers N] [--json] [--retries N] [--journal DIR] [--resume]
 //! cpack loadgen  [--requests N] [--clients N] [--seed S] [--connect ADDR]
-//!                [--mode smoke|full] [--out FILE] [--chaos]
+//!                [--mode smoke|full] [--out FILE] [--deadline-ms D] [--chaos]
 //! ```
 //!
 //! Exit codes: 0 success, 1 the operation failed (corrupt data, I/O,

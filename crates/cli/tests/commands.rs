@@ -13,6 +13,19 @@ fn help_prints_usage() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("pack") && text.contains("inspect") && text.contains("sweep"));
+    assert!(
+        text.contains("--deadline-ms"),
+        "loadgen's --deadline-ms is listed"
+    );
+    assert!(text.contains("cache|l2"), "sweep's l2 kind is listed");
+}
+
+#[test]
+fn sweep_without_a_kind_is_misuse_naming_every_kind() {
+    let out = cpack().arg("sweep").output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bus|latency|cache|l2"), "{err}");
 }
 
 #[test]

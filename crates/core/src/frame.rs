@@ -1,5 +1,4 @@
-//! The `.cpk` streaming frame format (`CPKF`) — CodePack as a production
-//! container.
+//! The `.cpk` frame format (`CPKF`) — CodePack as a production container.
 //!
 //! A [`CodePackImage`](crate::CodePackImage) is an in-memory artifact bound
 //! to one text section; the frame format is the wire/file form of the same
@@ -37,7 +36,6 @@
 //! parallel workers instead of forcing a serial whole-stream scan.
 
 use std::fmt;
-use std::io::{self, Read, Write};
 
 use codepack_mem::{crc32, StreamIntegrity};
 
@@ -122,8 +120,6 @@ pub enum FrameError {
     },
     /// A declared size or structural invariant is internally inconsistent.
     Inconsistent(&'static str),
-    /// The underlying reader or writer failed.
-    Io(String),
 }
 
 impl fmt::Display for FrameError {
@@ -143,7 +139,6 @@ impl fmt::Display for FrameError {
                 write!(f, "group {group} does not decode: {source}")
             }
             FrameError::Inconsistent(what) => write!(f, "frame inconsistent: {what}"),
-            FrameError::Io(what) => write!(f, "frame i/o error: {what}"),
         }
     }
 }
@@ -153,36 +148,6 @@ impl std::error::Error for FrameError {
         match self {
             FrameError::Corrupt { source, .. } => Some(source),
             _ => None,
-        }
-    }
-}
-
-impl From<FrameError> for io::Error {
-    /// Wraps a frame error so it can travel through `io::Error` without
-    /// losing identity: the original [`FrameError`] rides along as the
-    /// error's source and [`FrameError::from_io_error`] recovers it.
-    /// Truncation maps to [`io::ErrorKind::UnexpectedEof`] (it *is* an
-    /// unexpected end of input); everything else is `InvalidData`.
-    fn from(e: FrameError) -> io::Error {
-        let kind = match &e {
-            FrameError::Truncated { .. } => io::ErrorKind::UnexpectedEof,
-            _ => io::ErrorKind::InvalidData,
-        };
-        io::Error::new(kind, e)
-    }
-}
-
-impl FrameError {
-    /// Recovers the original frame error from an `io::Error` produced by
-    /// [`From<FrameError>`] (directly or through a nested [`FrameReader`]).
-    /// An `io::Error` that does not carry a `FrameError` becomes
-    /// [`FrameError::Io`] with the error's message — the round trip
-    /// `FrameError -> io::Error -> FrameError` is the identity for every
-    /// variant.
-    pub fn from_io_error(e: &io::Error) -> FrameError {
-        match e.get_ref().and_then(|s| s.downcast_ref::<FrameError>()) {
-            Some(frame_err) => frame_err.clone(),
-            None => FrameError::Io(e.to_string()),
         }
     }
 }
@@ -318,45 +283,15 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
     out
 }
 
-/// Where the frame parser reads from: a whole frame in memory
-/// ([`Cursor`]) or a stream ([`Pull`]). Either reports a short read as
-/// [`FrameError::Truncated`] at the offset where the wanted bytes start,
-/// so the one parser gives the same verdict on both.
-trait Source {
-    /// The next `n` bytes.
-    fn take(&mut self, n: usize) -> Result<&[u8], FrameError>;
-
-    /// Every byte taken so far (what the header CRC covers).
-    fn taken(&self) -> &[u8];
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-/// Byte cursor over an in-memory frame.
+/// Byte cursor over an in-memory frame. A short read is
+/// [`FrameError::Truncated`] at the offset where the wanted bytes start.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    /// Like [`Source::take`], borrowing from the frame rather than the
-    /// cursor.
+    /// The next `n` bytes, borrowed from the frame.
     fn slice(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         let s = self
             .pos
@@ -368,61 +303,28 @@ impl<'a> Cursor<'a> {
         self.pos += n;
         Ok(s)
     }
-}
 
-impl Source for Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
-        self.slice(n)
-    }
-
-    fn taken(&self) -> &[u8] {
+    /// Every byte read so far (what the header CRC covers).
+    fn taken(&self) -> &'a [u8] {
         &self.bytes[..self.pos]
     }
-}
 
-/// A stream as a [`Source`]: each field is read from `inner` when the
-/// parser asks for it, so a bad field fails as soon as its bytes arrive.
-/// `at` is the stream offset of the first byte this source reads.
-struct Pull<'r, R> {
-    inner: &'r mut R,
-    at: u64,
-    buf: Vec<u8>,
-}
-
-impl<'r, R: Read> Pull<'r, R> {
-    fn new(inner: &'r mut R, at: u64) -> Pull<'r, R> {
-        Pull {
-            inner,
-            at,
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl<R: Read> Source for Pull<'_, R> {
-    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
-        let start = self.buf.len();
-        self.buf.resize(start + n, 0);
-        let mut filled = start;
-        while filled < self.buf.len() {
-            match self.inner.read(&mut self.buf[filled..]) {
-                Ok(0) => {
-                    return Err(FrameError::Truncated {
-                        at: self.at + start as u64,
-                    })
-                }
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Recover a nested frame error (e.g. reading from another
-                // FrameReader) instead of flattening it to a string.
-                Err(e) => return Err(FrameError::from_io_error(&e)),
-            }
-        }
-        Ok(&self.buf[start..])
+    fn u16(&mut self) -> Result<u16, FrameError> {
+        Ok(u16::from_le_bytes(
+            self.slice(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
-    fn taken(&self) -> &[u8] {
-        &self.buf
+    fn u32(&mut self) -> Result<u32, FrameError> {
+        Ok(u32::from_le_bytes(
+            self.slice(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    fn u64(&mut self) -> Result<u64, FrameError> {
+        Ok(u64::from_le_bytes(
+            self.slice(8)?.try_into().expect("8 bytes"),
+        ))
     }
 }
 
@@ -445,8 +347,8 @@ impl Header {
 }
 
 /// Reads and validates a frame header from the start of `s`.
-fn parse_header(s: &mut impl Source) -> Result<Header, FrameError> {
-    if s.take(4)? != FRAME_MAGIC {
+fn parse_header(s: &mut Cursor<'_>) -> Result<Header, FrameError> {
+    if s.slice(4)? != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
     let version = s.u16()?;
@@ -495,7 +397,7 @@ fn parse_header(s: &mut impl Source) -> Result<Header, FrameError> {
 
 /// Reads one chunk's `payload_len` and `first_len`, checks them against
 /// the format, and appends them to `meta` (the trailer CRC's input).
-fn chunk_lens(s: &mut impl Source, meta: &mut Vec<u8>) -> Result<(u32, u16), FrameError> {
+fn chunk_lens(s: &mut Cursor<'_>, meta: &mut Vec<u8>) -> Result<(u32, u16), FrameError> {
     let payload_len = s.u32()?;
     if payload_len == 0 {
         return Err(FrameError::Inconsistent("zero-length group chunk"));
@@ -519,7 +421,7 @@ fn chunk_lens(s: &mut impl Source, meta: &mut Vec<u8>) -> Result<(u32, u16), Fra
 /// Reads the end-of-frame marker and the structural trailer CRC over
 /// `meta` (every chunk's lengths, then the content size).
 fn end_of_frame(
-    s: &mut impl Source,
+    s: &mut Cursor<'_>,
     meta: &mut Vec<u8>,
     content_size: u64,
 ) -> Result<(), FrameError> {
@@ -669,194 +571,6 @@ pub fn unpack_frame(frame: &[u8], opts: &UnpackOptions) -> Result<Vec<u32>, Fram
     Ok(out)
 }
 
-/// Streaming `.cpk` writer: an [`io::Write`] adapter over [`pack_frame`].
-///
-/// CodePack's dictionaries are built over the *whole* text, so the adapter
-/// buffers everything written to it and emits the frame in one shot on
-/// [`finish`](Self::finish) — the streaming side of the format is the
-/// reader. Input bytes are little-endian 32-bit instruction words; a length
-/// that is not a multiple of 4 fails at `finish`.
-///
-/// ```
-/// use std::io::Write;
-/// use codepack_core::frame::{FrameReader, FrameWriter};
-/// let mut w = FrameWriter::new(Vec::new());
-/// w.write_all(&0x2402_0001u32.to_le_bytes()).unwrap();
-/// let frame = w.finish().unwrap();
-/// let mut decoded = Vec::new();
-/// std::io::Read::read_to_end(
-///     &mut FrameReader::new(&frame[..]).unwrap(),
-///     &mut decoded,
-/// ).unwrap();
-/// assert_eq!(decoded, 0x2402_0001u32.to_le_bytes());
-/// ```
-pub struct FrameWriter<W: Write> {
-    inner: W,
-    buf: Vec<u8>,
-    opts: PackOptions,
-}
-
-impl<W: Write> FrameWriter<W> {
-    /// Creates a writer with default [`PackOptions`].
-    pub fn new(inner: W) -> FrameWriter<W> {
-        FrameWriter::with_options(inner, PackOptions::default())
-    }
-
-    /// Creates a writer with explicit options.
-    pub fn with_options(inner: W, opts: PackOptions) -> FrameWriter<W> {
-        FrameWriter {
-            inner,
-            buf: Vec::new(),
-            opts,
-        }
-    }
-
-    /// Packs the buffered input, writes the frame, and returns the inner
-    /// writer.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` if the buffered length is not a multiple of 4; any
-    /// error of the inner writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        if !self.buf.len().is_multiple_of(4) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "input is {} bytes — not a whole number of 32-bit instruction words",
-                    self.buf.len()
-                ),
-            ));
-        }
-        let words: Vec<u32> = self
-            .buf
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        let frame = pack_frame(&words, &self.opts);
-        self.inner.write_all(&frame)?;
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-}
-
-impl<W: Write> Write for FrameWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Streaming `.cpk` reader: an [`io::Read`] adapter yielding the decoded
-/// text as little-endian instruction-word bytes.
-///
-/// The header is read and validated up front (in [`new`](Self::new)); group
-/// chunks are then decoded one at a time as the consumer reads, so memory
-/// stays bounded by one chunk regardless of content size. The structural
-/// trailer is verified when the last chunk has been consumed. Frame errors
-/// surface as [`io::ErrorKind::InvalidData`] with the [`FrameError`] as
-/// source.
-pub struct FrameReader<R: Read> {
-    inner: R,
-    header: Header,
-    fast: FastDecoder,
-    /// Content bytes not yet handed to the consumer.
-    remaining: u64,
-    groups_read: usize,
-    /// Accumulated chunk metadata for the trailer check.
-    meta: Vec<u8>,
-    /// Decoded bytes waiting for the consumer.
-    pending: Vec<u8>,
-    pending_pos: usize,
-    /// Bytes consumed from `inner` (for `Truncated { at }`).
-    pos: u64,
-    /// The trailer has been verified; subsequent reads return EOF.
-    finished: bool,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Reads and validates the frame header and builds the decode tables
-    /// from its dictionaries.
-    ///
-    /// # Errors
-    ///
-    /// Any [`FrameError`] the header can produce: truncation, bad magic,
-    /// version skew, unknown flags, header checksum mismatch.
-    pub fn new(mut inner: R) -> Result<FrameReader<R>, FrameError> {
-        let mut src = Pull::new(&mut inner, 0);
-        let header = parse_header(&mut src)?;
-        let pos = src.buf.len() as u64;
-        let fast = FastDecoder::new(&header.high, &header.low);
-        Ok(FrameReader {
-            inner,
-            remaining: header.content_size,
-            header,
-            fast,
-            groups_read: 0,
-            meta: Vec::new(),
-            pending: Vec::new(),
-            pending_pos: 0,
-            pos,
-            finished: false,
-        })
-    }
-
-    /// The original text size in bytes, as the header declares.
-    pub fn content_size(&self) -> u64 {
-        self.header.content_size
-    }
-
-    /// Reads, verifies, and decodes the next group chunk into `pending`,
-    /// or verifies the end-of-frame structure after the last chunk.
-    fn advance(&mut self) -> Result<(), FrameError> {
-        let mut src = Pull::new(&mut self.inner, self.pos);
-        if self.groups_read == self.header.n_groups() {
-            end_of_frame(&mut src, &mut self.meta, self.header.content_size)?;
-            self.finished = true;
-            return Ok(());
-        }
-        let (payload_len, first_len) = chunk_lens(&mut src, &mut self.meta)?;
-        src.take(payload_len as usize)?;
-        src.take(self.header.integrity.overhead_bytes(payload_len) as usize)?;
-        self.pos += src.buf.len() as u64;
-        let (payload, trailer) = src.buf[6..].split_at(payload_len as usize);
-        let decoder = GroupDecoder {
-            integrity: self.header.integrity,
-            fast: &self.fast,
-        };
-        let words = decoder.decode(payload, first_len, trailer, self.groups_read as u32)?;
-        let take = self.remaining.min(GROUP_WORDS as u64 * 4) as usize;
-        self.pending.clear();
-        self.pending_pos = 0;
-        for w in &words {
-            self.pending.extend_from_slice(&w.to_le_bytes());
-        }
-        self.pending.truncate(take);
-        self.remaining -= take as u64;
-        self.groups_read += 1;
-        Ok(())
-    }
-}
-
-impl<R: Read> Read for FrameReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        while self.pending_pos == self.pending.len() {
-            if self.finished {
-                return Ok(0);
-            }
-            self.advance().map_err(io::Error::from)?;
-        }
-        let n = buf.len().min(self.pending.len() - self.pending_pos);
-        buf[..n].copy_from_slice(&self.pending[self.pending_pos..self.pending_pos + n]);
-        self.pending_pos += n;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,10 +642,6 @@ mod tests {
             unpack_frame(&frame, &UnpackOptions::default()).unwrap(),
             Vec::<u32>::new()
         );
-        let mut r = FrameReader::new(&frame[..]).unwrap();
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -1053,190 +763,6 @@ mod tests {
         assert_eq!(
             unpack_frame(&frame, &UnpackOptions::default()),
             Err(FrameError::Inconsistent("trailing bytes after frame"))
-        );
-    }
-
-    #[test]
-    fn writer_reader_round_trip_streams() {
-        let words = text(200);
-        let mut bytes = Vec::new();
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let mut w = FrameWriter::new(Vec::new());
-        // Write in awkward splits to exercise buffering.
-        for piece in bytes.chunks(13) {
-            w.write_all(piece).unwrap();
-        }
-        let frame = w.finish().unwrap();
-        assert_eq!(frame, pack_frame(&words, &PackOptions::default()));
-
-        let mut r = FrameReader::new(&frame[..]).unwrap();
-        assert_eq!(r.content_size(), bytes.len() as u64);
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(out, bytes);
-    }
-
-    #[test]
-    fn writer_rejects_partial_words() {
-        let mut w = FrameWriter::new(Vec::new());
-        w.write_all(&[1, 2, 3]).unwrap();
-        let err = w.finish().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn reader_surfaces_frame_errors_as_invalid_data() {
-        let mut frame = pack_frame(&text(64), &PackOptions::default());
-        let at = frame.len() - 9;
-        frame[at] ^= 0xff;
-        let mut r = FrameReader::new(&frame[..]).unwrap();
-        let mut out = Vec::new();
-        let err = r.read_to_end(&mut out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let source = err.get_ref().expect("frame error attached");
-        assert!(source.downcast_ref::<FrameError>().is_some());
-    }
-
-    #[test]
-    fn reader_rejects_truncated_input() {
-        let frame = pack_frame(&text(64), &PackOptions::default());
-        let cut = frame.len() - 20;
-        let mut r = FrameReader::new(&frame[..cut]).unwrap();
-        let mut out = Vec::new();
-        assert!(r.read_to_end(&mut out).is_err());
-    }
-
-    #[test]
-    fn reader_reports_header_errors_like_unpack() {
-        // The streaming reader checks magic, version and flags as soon as
-        // their bytes arrive, so a short or foreign input fails with the
-        // header error, not with `Truncated`.
-        let frame = pack_frame(&text(32), &PackOptions::default());
-        let mut skew = frame[..12].to_vec();
-        skew[4] = 9;
-        let mut flags = frame[..14].to_vec();
-        flags[6] = 0xF0;
-        for (input, want) in [
-            (b"not a frame".to_vec(), FrameError::BadMagic),
-            (vec![b'x'; 64], FrameError::BadMagic),
-            (skew, FrameError::VersionSkew { version: 9 }),
-            (flags, FrameError::UnknownFlags { flags: 0x00F0 }),
-        ] {
-            let unpacked = unpack_frame(&input, &UnpackOptions::default());
-            assert_eq!(unpacked, Err(want.clone()));
-            assert_eq!(FrameReader::new(&input[..]).err(), Some(want));
-        }
-        // Truncation inside the header is reported where the missing
-        // field starts, by both.
-        let dict_len = |at: usize| usize::from(u16::from_le_bytes([frame[at], frame[at + 1]]));
-        let header_len = 20 + 2 * (dict_len(16) + dict_len(18)) + 4;
-        for cut in 0..header_len {
-            let cut_frame = &frame[..cut];
-            assert_eq!(
-                FrameReader::new(cut_frame).err(),
-                unpack_frame(cut_frame, &UnpackOptions::default()).err(),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_frame_error_variant_round_trips_through_io_error() {
-        // The service layer and the streaming reader both push FrameErrors
-        // through io::Error; none of the variants may lose identity.
-        let variants = vec![
-            FrameError::Truncated { at: 123 },
-            FrameError::BadMagic,
-            FrameError::VersionSkew { version: 9 },
-            FrameError::UnknownFlags { flags: 0x8002 },
-            FrameError::ChecksumMismatch {
-                region: FrameRegion::Header,
-            },
-            FrameError::ChecksumMismatch {
-                region: FrameRegion::Group(17),
-            },
-            FrameError::ChecksumMismatch {
-                region: FrameRegion::Trailer,
-            },
-            FrameError::Corrupt {
-                group: 3,
-                source: DecompressError::Truncated { at_bit: 7 },
-            },
-            FrameError::Inconsistent("zero-length group chunk"),
-            FrameError::Io("disk on fire".to_string()),
-        ];
-        for v in variants {
-            let io_err = io::Error::from(v.clone());
-            assert_eq!(FrameError::from_io_error(&io_err), v, "{v:?}");
-        }
-        // Truncation is an EOF condition; data damage is InvalidData.
-        assert_eq!(
-            io::Error::from(FrameError::Truncated { at: 0 }).kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        assert_eq!(
-            io::Error::from(FrameError::BadMagic).kind(),
-            io::ErrorKind::InvalidData
-        );
-        // A foreign io::Error degrades to FrameError::Io with the message.
-        let foreign = io::Error::new(io::ErrorKind::PermissionDenied, "nope");
-        assert_eq!(
-            FrameError::from_io_error(&foreign),
-            FrameError::Io("nope".to_string())
-        );
-    }
-
-    #[test]
-    fn reader_truncation_survives_the_io_layer() {
-        let frame = pack_frame(&text(64), &PackOptions::default());
-        let mut r = FrameReader::new(&frame[..frame.len() - 20]).unwrap();
-        let mut out = Vec::new();
-        let err = r.read_to_end(&mut out).unwrap_err();
-        match FrameError::from_io_error(&err) {
-            FrameError::Truncated { .. } => {}
-            other => panic!("expected Truncated through io::Error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn nested_reader_errors_keep_their_variant() {
-        // A FrameReader reading from a source that fails with a wrapped
-        // FrameError must surface that error, not a stringified Io copy.
-        struct Failing;
-        impl Read for Failing {
-            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-                Err(io::Error::from(FrameError::ChecksumMismatch {
-                    region: FrameRegion::Group(5),
-                }))
-            }
-        }
-        let high = Dictionary::from_ranked_values(Vec::new());
-        let low = Dictionary::from_ranked_values(Vec::new());
-        let mut r = FrameReader {
-            inner: Failing,
-            fast: FastDecoder::new(&high, &low),
-            header: Header {
-                integrity: StreamIntegrity::None,
-                content_size: 256,
-                high,
-                low,
-            },
-            remaining: 256,
-            groups_read: 0,
-            meta: Vec::new(),
-            pending: Vec::new(),
-            pending_pos: 0,
-            pos: 0,
-            finished: false,
-        };
-        let err = r.advance().unwrap_err();
-        assert_eq!(
-            err,
-            FrameError::ChecksumMismatch {
-                region: FrameRegion::Group(5)
-            }
         );
     }
 

@@ -28,10 +28,10 @@
 //! * [`FastDecoder`] — the table-driven batch decoder every production
 //!   path uses; [`decode_block_bytes`] stays as its bit-at-a-time test
 //!   reference,
-//! * [`frame`] — the `.cpk` streaming frame format: a self-describing
-//!   container over independently decodable group chunks with integrity
-//!   trailers, parallel [`pack_frame`] / [`unpack_frame`], and
-//!   [`FrameWriter`] / [`FrameReader`] io adapters,
+//! * [`frame`] — the `.cpk` frame format: a self-describing container
+//!   over independently decodable group chunks with integrity trailers,
+//!   packed and unpacked in memory on parallel workers by [`pack_frame`] /
+//!   [`unpack_frame`], with [`scan_frame`] for the skeleton alone,
 //! * [`pool`] — the deterministic worker pool the codec and the
 //!   experiment matrix share,
 //! * [`NativeFetch`] / [`CodePackFetch`] — cycle-level models of the L1
@@ -75,8 +75,8 @@ pub use fetch::{
     IndexLookup, MissService, MissSource, NativeFetch,
 };
 pub use frame::{
-    pack_frame, scan_frame, unpack_frame, FrameError, FrameReader, FrameRegion, FrameSummary,
-    FrameWriter, PackOptions, UnpackOptions, FRAME_MAGIC, FRAME_VERSION,
+    pack_frame, scan_frame, unpack_frame, FrameError, FrameRegion, FrameSummary, PackOptions,
+    UnpackOptions, FRAME_MAGIC, FRAME_VERSION,
 };
 pub use image::{
     decode_block_bytes, BlockInfo, CodePackImage, CompressionConfig, CorruptionOutOfRange,

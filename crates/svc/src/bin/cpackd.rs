@@ -13,7 +13,18 @@ use codepack_svc::{server, ServerConfig};
 const USAGE: &str = "usage: cpackd [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
        serves until stdin closes, then drains gracefully";
 
-fn parse_args() -> Result<(String, ServerConfig), String> {
+/// Parses a `--workers`/`--queue-depth` value: a count of at least 1.
+fn count(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
+/// The address and config to serve with, or `None` when `--help` asked
+/// for the usage text.
+fn parse_args() -> Result<Option<(String, ServerConfig)>, String> {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
@@ -24,26 +35,24 @@ fn parse_args() -> Result<(String, ServerConfig), String> {
         };
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
+            "--workers" => config.workers = count("--workers", &value("--workers")?)?,
             "--queue-depth" => {
-                config.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?;
+                config.queue_depth = count("--queue-depth", &value("--queue-depth")?)?;
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    Ok((addr, config))
+    Ok(Some((addr, config)))
 }
 
 fn main() -> ExitCode {
     let (addr, config) = match parse_args() {
-        Ok(parsed) => parsed,
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);

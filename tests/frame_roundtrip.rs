@@ -10,7 +10,7 @@
 //!    same text — the frame layer adds transport, never semantics.
 
 use codepack::core::frame::{
-    pack_frame, unpack_frame, FrameError, FrameRegion, PackOptions, UnpackOptions,
+    pack_frame, scan_frame, unpack_frame, FrameError, FrameRegion, PackOptions, UnpackOptions,
 };
 use codepack::core::{CodePackImage, CompressionConfig};
 use codepack::mem::StreamIntegrity;
@@ -187,4 +187,61 @@ fn header_damage_is_pinned_to_exact_variants() {
             region: FrameRegion::Header
         })
     );
+}
+
+/// Inputs that are not frames, or that stop right after a bad version or
+/// flags field, fail with that header error rather than with `Truncated`:
+/// the parser checks each field as soon as its bytes are in.
+#[test]
+fn short_and_foreign_inputs_fail_with_their_header_error() {
+    let text = generate(&BenchmarkProfile::go_like(), 4)
+        .text_words()
+        .to_vec();
+    let frame = pack_frame(&text[..32], &PackOptions::default());
+    let mut skew = frame[..12].to_vec();
+    skew[4] = 9;
+    let mut flags = frame[..14].to_vec();
+    flags[6] = 0xF0;
+    for (input, want) in [
+        (b"not a frame".to_vec(), FrameError::BadMagic),
+        (vec![b'x'; 64], FrameError::BadMagic),
+        (skew, FrameError::VersionSkew { version: 9 }),
+        (flags, FrameError::UnknownFlags { flags: 0x00F0 }),
+    ] {
+        assert_eq!(
+            unpack_frame(&input, &UnpackOptions::default()),
+            Err(want),
+            "{input:?}"
+        );
+    }
+}
+
+/// A cut inside the header is `Truncated` at the start of the field that
+/// holds the first missing byte, from both `unpack_frame` and `scan_frame`.
+#[test]
+fn header_cuts_report_the_start_of_the_missing_field() {
+    let text = generate(&BenchmarkProfile::cc1_like(), 6)
+        .text_words()
+        .to_vec();
+    let frame = pack_frame(&text[..256], &PackOptions::default());
+    let dict_len = |at: usize| usize::from(u16::from_le_bytes([frame[at], frame[at + 1]]));
+    let entries = dict_len(16) + dict_len(18);
+    assert!(entries > 0, "the header should carry dictionary entries");
+    // Field starts: magic, version, flags, content size, both dictionary
+    // lengths, every dictionary entry, then the header CRC.
+    let mut starts = vec![0, 4, 6, 8, 16, 18];
+    starts.extend((0..entries).map(|i| 20 + 2 * i));
+    let crc_at = 20 + 2 * entries;
+    starts.push(crc_at);
+    for cut in 0..crc_at + 4 {
+        let field = *starts.iter().rev().find(|&&s| s <= cut).unwrap();
+        let want = Some(FrameError::Truncated { at: field as u64 });
+        let cut_frame = &frame[..cut];
+        assert_eq!(
+            unpack_frame(cut_frame, &UnpackOptions::default()).err(),
+            want,
+            "unpack, cut at {cut}"
+        );
+        assert_eq!(scan_frame(cut_frame).err(), want, "scan, cut at {cut}");
+    }
 }

@@ -11,15 +11,18 @@
 //! Every mutated input is decoded through *both* backends — the scalar
 //! reference and the table-driven fast path — and the two `Result`s are
 //! diffed: under fuzz the backends must stay byte- and error-identical.
-
-use std::mem::discriminant;
+//!
+//! Mutated `.cpk` frames go through `unpack_frame` (serial and parallel)
+//! and `scan_frame`, and the verdicts of the two parsers must agree.
 
 use codepack::core::frame::{
-    pack_frame, unpack_frame, FrameError, FrameReader, FrameRegion, PackOptions, UnpackOptions,
+    pack_frame, scan_frame, unpack_frame, FrameError, FrameRegion, PackOptions, UnpackOptions,
 };
 use codepack::core::{
-    decode_block_bytes, CodePackImage, CompressionConfig, DecompressError, FastDecoder, BLOCK_INSNS,
+    decode_block_bytes, CodePackImage, CompressionConfig, DecompressError, FastDecoder,
+    BLOCK_INSNS, GROUP_INSNS,
 };
+use codepack::mem::StreamIntegrity;
 use codepack::synth::{generate, BenchmarkProfile};
 use codepack_testkit::Rng;
 
@@ -131,14 +134,81 @@ fn mutated_images_never_panic_across_all_blocks() {
     }
 }
 
-/// Mutated `.cpk` frames never panic the frame parser: every outcome is
-/// either a clean decode or a typed [`FrameError`], identically through
-/// the one-shot unpacker (serial and parallel) and the streaming reader.
+/// Runs one frame through the serial and parallel unpacker and through
+/// [`scan_frame`], and asserts that their verdicts agree: serial and
+/// parallel unpack exactly; `scan_frame` the identical error for skeleton
+/// damage, `Ok` when only the per-group decode stage (a group's integrity
+/// trailer or codec) rejects the frame, and on a clean decode the content
+/// size and group count of the unpacked words.
+fn assert_verdicts_agree(bytes: &[u8], context: &str) {
+    let serial = unpack_frame(bytes, &UnpackOptions::default());
+    let parallel = unpack_frame(bytes, &UnpackOptions { workers: 3 });
+    assert_eq!(
+        serial, parallel,
+        "{context}: serial and parallel unpack disagree"
+    );
+
+    let scanned = scan_frame(bytes);
+    match &serial {
+        Ok(words) => {
+            let summary = scanned.unwrap_or_else(|e| {
+                panic!("{context}: scan rejects a frame unpack accepts: {e:?}")
+            });
+            assert_eq!(
+                summary.content_size,
+                4 * words.len() as u64,
+                "{context}: scanned content size"
+            );
+            assert_eq!(
+                summary.group_payload_lens.len(),
+                words.len().div_ceil(GROUP_INSNS as usize),
+                "{context}: scanned group count"
+            );
+        }
+        Err(
+            FrameError::ChecksumMismatch {
+                region: FrameRegion::Group(_),
+            }
+            | FrameError::Corrupt { .. },
+        ) => assert!(
+            scanned.is_ok(),
+            "{context}: scan rejects a frame whose skeleton unpack accepted: {scanned:?}"
+        ),
+        Err(e) => assert_eq!(
+            scanned.as_ref().err(),
+            Some(e),
+            "{context}: skeleton verdicts diverge"
+        ),
+    }
+}
+
+/// Mutated `.cpk` frames never panic the frame parsers: every outcome is
+/// a clean decode or a typed [`FrameError`], and [`scan_frame`] (the
+/// skeleton-only parser behind `cpackd`'s profile op) agrees with
+/// `unpack_frame` as [`assert_verdicts_agree`] spells out. The clean frame
+/// in every integrity mode goes through the same check first, which is
+/// where the success arm runs: under CRC-32 integrity a mutation almost
+/// never leaves a frame that decodes.
 #[test]
 fn mutated_frames_never_panic_and_stay_typed() {
     let text = generate(&BenchmarkProfile::pegwit_like(), 11)
         .text_words()
         .to_vec();
+    for integrity in [
+        StreamIntegrity::None,
+        StreamIntegrity::Parity,
+        StreamIntegrity::Crc32,
+    ] {
+        let opts = PackOptions {
+            integrity,
+            ..PackOptions::default()
+        };
+        for n in [0, 1, 33, 640] {
+            let frame = pack_frame(&text[..n], &opts);
+            assert_verdicts_agree(&frame, &format!("clean {n}-word frame, {integrity:?}"));
+        }
+    }
+
     let base = pack_frame(&text[..640], &PackOptions::default());
     let mut rng = Rng::seed_from_u64(FUZZ_SEED ^ 2);
     for round in 0..400 {
@@ -156,60 +226,7 @@ fn mutated_frames_never_panic_and_stay_typed() {
             1 => bytes.extend((0..rng.gen_range(1usize..=8)).map(|_| rng.gen_u32() as u8)),
             _ => {}
         }
-
-        let serial = unpack_frame(&bytes, &UnpackOptions::default());
-        let parallel = unpack_frame(&bytes, &UnpackOptions { workers: 3 });
-        assert_eq!(
-            serial, parallel,
-            "round {round}: serial and parallel unpack disagree on a mutated frame"
-        );
-
-        // The streaming reader must reach the same verdict: the same words
-        // on success, an error (wrapped in io::Error) on failure. A failure
-        // inside the header is the same FrameError variant on both sides.
-        let mut streamed = Vec::new();
-        let outcome = match FrameReader::new(&bytes[..]) {
-            Err(header_error) => {
-                let Err(e) = &serial else {
-                    panic!("round {round}: the reader rejects a header unpack accepts")
-                };
-                assert_eq!(
-                    discriminant(e),
-                    discriminant(&header_error),
-                    "round {round}: header verdicts diverge: unpack {e:?}, reader {header_error:?}"
-                );
-                Err(header_error)
-            }
-            Ok(mut r) => {
-                if let Err(
-                    e @ (FrameError::BadMagic
-                    | FrameError::VersionSkew { .. }
-                    | FrameError::UnknownFlags { .. }
-                    | FrameError::ChecksumMismatch {
-                        region: FrameRegion::Header,
-                    }),
-                ) = &serial
-                {
-                    panic!("round {round}: the reader accepts a header unpack rejects: {e:?}");
-                }
-                std::io::copy(&mut r, &mut streamed).map_err(|e| FrameError::from_io_error(&e))
-            }
-        };
-        match (&serial, outcome) {
-            (Ok(words), Ok(_)) => {
-                let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-                assert_eq!(
-                    streamed, le,
-                    "round {round}: reader decoded different words"
-                );
-            }
-            (Err(_), Err(_)) => {}
-            (s, r) => panic!(
-                "round {round}: one-shot ({}) and streaming ({}) verdicts diverge",
-                if s.is_ok() { "ok" } else { "err" },
-                if r.is_ok() { "ok" } else { "err" },
-            ),
-        }
+        assert_verdicts_agree(&bytes, &format!("round {round}"));
     }
 }
 
