@@ -5,21 +5,31 @@
 //! tag and index bit-by-bit. The two are differentially *tested* against
 //! each other elsewhere — this module instead **proves** the table sound
 //! by exhaustive enumeration: for every possible bit window (all
-//! `2^window_bits` of them) it re-derives, from the scalar tag semantics
-//! and the dictionary alone, what the table entry must say, and compares
+//! `2^window_bits` of them) it re-derives, from the codeword layout and
+//! the dictionary alone, what the table entry must say, and compares
 //! against the entry the decoder actually built (read through the hidden
 //! [`codepack_core::TableView`] inspection surface).
 //!
-//! The derivation is the scalar protocol verbatim: read 2 bits through a
-//! real `BitReader` positioned over the window; a value `<= 0b01` is a
-//! complete 2-bit tag, otherwise one more bit completes a 3-bit tag. The
-//! raw tag (`111`) must map to a `Raw` entry consuming exactly the tag.
-//! Any other tag selects a codeword class from [`codepack_core::layout`];
-//! if tag + index bits exceed the window the entry must be `TooLong`,
-//! otherwise the index bits give a rank whose entry must be a `Hit`
+//! The derivation follows the prefix code instead of reading each window
+//! bit by bit. The tags of [`codepack_core::layout`] form a prefix code,
+//! so every tag heads one contiguous range of windows: the windows whose
+//! leading bits are that tag. The raw tag (`111`) range must hold `Raw`
+//! entries consuming exactly the tag. A class whose tag + index bits
+//! exceed the window holds `TooLong` entries over its whole range. Over
+//! any other class, the index bits after the tag, read with a shift and a
+//! mask, give a rank `base + i`, so each rank's codeword begins
+//! `2^(window − tag − index bits)` windows; they must hold a `Hit`
 //! carrying the dictionary value (rank in range) or a `BadRank` carrying
-//! the offending rank (out of range) — consuming tag + index bits either
-//! way.
+//! the offending rank (out of range), consuming tag + index bits either
+//! way. The ranges must tile the table in window order, so every window
+//! is still compared on kind, consumed bits and payload. Nothing is
+//! formatted unless an entry disagrees.
+//!
+//! The test module keeps the scalar protocol verbatim as the reference —
+//! a real `BitReader` over each window: read 2 bits, a value `<= 0b01` is
+//! a complete 2-bit tag, otherwise one more bit completes a 3-bit tag,
+//! then the index bits — and pins the derivation to it for every window
+//! width 3..=16 over empty, small and full dictionaries.
 //!
 //! Checks (stable names, all Error severity — a wrong table entry means
 //! the hot path can silently mis-decode):
@@ -33,70 +43,126 @@
 //!   or rank.
 
 use codepack_core::layout::{CodewordClass, HIGH_CLASSES, LOW_CLASSES, RAW_TAG, RAW_TAG_BITS};
-use codepack_core::{BitReader, Dictionary, FastDecoder, TableEntry, TableEntryKind, TableView};
+use codepack_core::{Dictionary, FastDecoder, TableEntry, TableEntryKind, TableView};
 
 use crate::diag::{Capped, Diagnostic, LintReport};
 
 /// How many diagnostics each table check emits before suppressing.
 const PER_CHECK_CAP: usize = 8;
 
-/// Derives the entry a sound table must hold for `window`, from the scalar
-/// tag semantics (via a real [`BitReader`] over the window bits) and the
-/// dictionary contents alone.
-fn expected_entry(
-    window: u32,
-    window_bits: u32,
-    dict: &Dictionary,
-    classes: &[CodewordClass; 5],
-) -> TableEntry {
-    // The window, left-aligned in two bytes: the reader sees exactly the
-    // stream prefix the table indexes on. Reads beyond `window_bits` are
-    // guarded below, never issued against the padding.
-    let bytes = ((window as u16) << (16 - window_bits)).to_be_bytes();
-    let mut reader = BitReader::new(&bytes);
+/// The windows that begin with one tag: a contiguous range, because the
+/// tags form a prefix code.
+#[derive(Clone, Copy)]
+struct TagRange {
+    /// The range's first window.
+    first: u32,
+    /// How many windows begin with the tag.
+    windows: u32,
+    /// The entries a sound table holds over the range.
+    expect: Expect,
+}
 
-    let first_two = reader.read(2).expect("window_bits >= 3") as u8;
-    let (tag, tag_bits) = if first_two <= 0b01 {
-        (first_two, 2u8)
-    } else {
-        (
-            (first_two << 1) | reader.read(1).expect("window_bits >= 3") as u8,
-            3u8,
-        )
+/// What a sound table holds over one tag range.
+#[derive(Clone, Copy)]
+enum Expect {
+    /// One entry throughout: the raw escape, or a class whose codewords
+    /// are longer than the window.
+    Same(TableEntry),
+    /// The codeword of rank `base + i`, `needed` bits long, where `i` is
+    /// the window's `index_bits` after the tag.
+    Ranked {
+        needed: u32,
+        index_bits: u32,
+        base: u16,
+    },
+}
+
+impl TagRange {
+    /// Calls `visit` with every window of the range, in order, and the
+    /// entry a sound `window_bits`-wide table holds for it.
+    fn for_each(
+        &self,
+        window_bits: u32,
+        dict: &Dictionary,
+        mut visit: impl FnMut(u32, TableEntry),
+    ) {
+        let windows = self.first..self.first + self.windows;
+        match self.expect {
+            Expect::Same(entry) => windows.for_each(|window| visit(window, entry)),
+            Expect::Ranked {
+                needed,
+                index_bits,
+                base,
+            } => {
+                // The index bits follow the tag; the bits after them belong
+                // to the next codeword, so each rank repeats for
+                // 2^(window - needed) windows.
+                let after_index = window_bits - needed;
+                let index_mask = (1 << index_bits) - 1;
+                for window in windows {
+                    let rank = base + ((window >> after_index) & index_mask) as u16;
+                    let entry = match dict.value(rank) {
+                        Some(v) => TableEntry {
+                            kind: TableEntryKind::Hit,
+                            consumed: needed,
+                            payload: v,
+                        },
+                        None => TableEntry {
+                            kind: TableEntryKind::BadRank,
+                            consumed: needed,
+                            payload: rank,
+                        },
+                    };
+                    visit(window, entry);
+                }
+            }
+        }
+    }
+}
+
+/// The six tag ranges of a `window_bits`-wide table: the five classes in
+/// layout order, then the raw tag. They must tile the table in window
+/// order: each range starts where the previous one ends, and the last
+/// ends at `2^window_bits`.
+fn tag_ranges(window_bits: u32, classes: &[CodewordClass; 5]) -> [TagRange; 6] {
+    let range = |tag: u8, tag_bits: u8, expect| {
+        let after_tag = window_bits - u32::from(tag_bits);
+        TagRange {
+            first: u32::from(tag) << after_tag,
+            windows: 1 << after_tag,
+            expect,
+        }
     };
-    if tag == RAW_TAG {
-        return TableEntry {
-            kind: TableEntryKind::Raw,
-            consumed: u32::from(RAW_TAG_BITS),
-            payload: 0,
+    let raw = TableEntry {
+        kind: TableEntryKind::Raw,
+        consumed: u32::from(RAW_TAG_BITS),
+        payload: 0,
+    };
+    let mut ranges = [range(RAW_TAG, RAW_TAG_BITS, Expect::Same(raw)); 6];
+    for (slot, class) in ranges.iter_mut().zip(classes) {
+        let needed = u32::from(class.len_bits());
+        let expect = if needed > window_bits {
+            Expect::Same(TableEntry {
+                kind: TableEntryKind::TooLong,
+                consumed: 0,
+                payload: 0,
+            })
+        } else {
+            Expect::Ranked {
+                needed,
+                index_bits: u32::from(class.index_bits),
+                base: class.base,
+            }
         };
+        *slot = range(class.tag, class.tag_bits, expect);
     }
-    let class = classes
-        .iter()
-        .find(|c| c.tag == tag && c.tag_bits == tag_bits)
-        .expect("tags tile the prefix code");
-    let needed = u32::from(class.len_bits());
-    if needed > window_bits {
-        return TableEntry {
-            kind: TableEntryKind::TooLong,
-            consumed: 0,
-            payload: 0,
-        };
+    let mut next = 0;
+    for r in &ranges {
+        assert_eq!(r.first, next, "tag ranges tile the windows in order");
+        next += r.windows;
     }
-    let idx = reader.read(u32::from(class.index_bits)).expect("in window") as u16;
-    let rank = class.base + idx;
-    match dict.value(rank) {
-        Some(v) => TableEntry {
-            kind: TableEntryKind::Hit,
-            consumed: needed,
-            payload: v,
-        },
-        None => TableEntry {
-            kind: TableEntryKind::BadRank,
-            consumed: needed,
-            payload: rank,
-        },
-    }
+    assert_eq!(next, 1 << window_bits, "tag ranges cover every window");
+    ranges
 }
 
 fn kind_name(kind: TableEntryKind) -> &'static str {
@@ -174,56 +240,83 @@ fn check_table(
         );
     }
 
-    for window in 0..view.len() as u32 {
-        let want = expected_entry(window, wb, dict, classes);
-        let got = view.entry(window as usize);
-        let ctx = format!("{which} window {window:0width$b}", width = wb as usize);
-        if got.kind != want.kind {
-            caps.kind.push(
-                report,
-                Diagnostic::error(
-                    "decode-table-kind",
-                    format!(
-                        "{ctx}: table resolves to {} but scalar semantics require {}",
-                        kind_name(got.kind),
-                        kind_name(want.kind)
-                    ),
-                ),
-            );
-            continue; // Consumed/payload comparisons are per-kind.
+    // A branch-free pass proves each range; only a range that holds a wrong
+    // entry is walked again, to name it.
+    for range in tag_ranges(wb, classes) {
+        let mut sound = true;
+        range.for_each(wb, dict, |window, want| {
+            sound &= view.entry(window as usize) == want;
+        });
+        if sound {
+            continue;
         }
-        if got.consumed != want.consumed {
-            caps.consumed.push(
-                report,
-                Diagnostic::error(
-                    "decode-table-consumed",
-                    format!(
-                        "{ctx}: table consumes {} bit(s) but the {} codeword is {} bit(s)",
-                        got.consumed,
-                        kind_name(want.kind),
-                        want.consumed
-                    ),
+        range.for_each(wb, dict, |window, want| {
+            let got = view.entry(window as usize);
+            if got != want {
+                report_mismatch(which, window, wb, got, want, report, caps);
+            }
+        });
+    }
+}
+
+/// Reports how entry `window` disagrees with `want`: the kind, or else
+/// the consumed bits and the payload. Only a mismatch builds a string.
+#[cold]
+fn report_mismatch(
+    which: &str,
+    window: u32,
+    wb: u32,
+    got: TableEntry,
+    want: TableEntry,
+    report: &mut LintReport,
+    caps: &mut TableCaps,
+) {
+    let ctx = format!("{which} window {window:0width$b}", width = wb as usize);
+    if got.kind != want.kind {
+        caps.kind.push(
+            report,
+            Diagnostic::error(
+                "decode-table-kind",
+                format!(
+                    "{ctx}: table resolves to {} but scalar semantics require {}",
+                    kind_name(got.kind),
+                    kind_name(want.kind)
                 ),
-            );
-        }
-        if got.payload != want.payload {
-            caps.payload.push(
-                report,
-                Diagnostic::error(
-                    "decode-table-payload",
-                    format!(
-                        "{ctx}: table carries payload {:#06x} but scalar decode yields {:#06x}",
-                        got.payload, want.payload
-                    ),
+            ),
+        );
+        return; // Consumed/payload comparisons are per-kind.
+    }
+    if got.consumed != want.consumed {
+        caps.consumed.push(
+            report,
+            Diagnostic::error(
+                "decode-table-consumed",
+                format!(
+                    "{ctx}: table consumes {} bit(s) but the {} codeword is {} bit(s)",
+                    got.consumed,
+                    kind_name(want.kind),
+                    want.consumed
                 ),
-            );
-        }
+            ),
+        );
+    }
+    if got.payload != want.payload {
+        caps.payload.push(
+            report,
+            Diagnostic::error(
+                "decode-table-payload",
+                format!(
+                    "{ctx}: table carries payload {:#06x} but scalar decode yields {:#06x}",
+                    got.payload, want.payload
+                ),
+            ),
+        );
     }
 }
 
 /// Exhaustively proves both of a decoder's tables sound against the
 /// dictionaries they were built from: every one of the `2^window_bits`
-/// windows per table must agree with scalar tag semantics on kind,
+/// windows per table must agree with the codeword layout on kind,
 /// consumed bit count, and payload.
 pub fn check_decode_tables(
     decoder: &FastDecoder,
@@ -255,6 +348,103 @@ pub fn check_decode_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codepack_core::layout::{HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
+    use codepack_core::BitReader;
+
+    /// The scalar protocol verbatim, the reference the derivation is
+    /// pinned to: the entry a sound table must hold for `window`, read through a
+    /// real [`BitReader`] over the window bits.
+    fn reference_entry(
+        window: u32,
+        window_bits: u32,
+        dict: &Dictionary,
+        classes: &[CodewordClass; 5],
+    ) -> TableEntry {
+        // The window, left-aligned in two bytes: the reader sees exactly the
+        // stream prefix the table indexes on. Reads beyond `window_bits` are
+        // guarded below, never issued against the padding.
+        let bytes = ((window as u16) << (16 - window_bits)).to_be_bytes();
+        let mut reader = BitReader::new(&bytes);
+
+        let first_two = reader.read(2).expect("window_bits >= 3") as u8;
+        let (tag, tag_bits) = if first_two <= 0b01 {
+            (first_two, 2u8)
+        } else {
+            (
+                (first_two << 1) | reader.read(1).expect("window_bits >= 3") as u8,
+                3u8,
+            )
+        };
+        if tag == RAW_TAG {
+            return TableEntry {
+                kind: TableEntryKind::Raw,
+                consumed: u32::from(RAW_TAG_BITS),
+                payload: 0,
+            };
+        }
+        let class = classes
+            .iter()
+            .find(|c| c.tag == tag && c.tag_bits == tag_bits)
+            .expect("tags tile the prefix code");
+        let needed = u32::from(class.len_bits());
+        if needed > window_bits {
+            return TableEntry {
+                kind: TableEntryKind::TooLong,
+                consumed: 0,
+                payload: 0,
+            };
+        }
+        let idx = reader.read(u32::from(class.index_bits)).expect("in window") as u16;
+        let rank = class.base + idx;
+        match dict.value(rank) {
+            Some(v) => TableEntry {
+                kind: TableEntryKind::Hit,
+                consumed: needed,
+                payload: v,
+            },
+            None => TableEntry {
+                kind: TableEntryKind::BadRank,
+                consumed: needed,
+                payload: rank,
+            },
+        }
+    }
+
+    fn full_dicts() -> (Dictionary, Dictionary) {
+        let high =
+            Dictionary::from_ranked_values((0..HIGH_DICT_CAPACITY).map(|i| i << 4).collect());
+        let low = Dictionary::from_ranked_values((0..LOW_DICT_CAPACITY).collect());
+        (high, low)
+    }
+
+    #[test]
+    fn derivation_matches_the_scalar_reference_at_every_window_width() {
+        let empty = (
+            Dictionary::from_ranked_values(Vec::new()),
+            Dictionary::from_ranked_values(Vec::new()),
+        );
+        for (name, (high, low)) in [("empty", empty), ("small", dicts()), ("full", full_dicts())] {
+            for window_bits in 3..=16 {
+                for (dict, classes) in [(&high, &HIGH_CLASSES), (&low, &LOW_CLASSES)] {
+                    let mut derived = Vec::with_capacity(1 << window_bits);
+                    for range in tag_ranges(window_bits, classes) {
+                        range.for_each(window_bits, dict, |window, entry| {
+                            assert_eq!(window as usize, derived.len(), "windows in order");
+                            derived.push(entry);
+                        });
+                    }
+                    assert_eq!(derived.len(), 1 << window_bits);
+                    for (window, &entry) in derived.iter().enumerate() {
+                        let want = reference_entry(window as u32, window_bits, dict, classes);
+                        assert_eq!(
+                            entry, want,
+                            "{name} dictionaries, {window_bits}-bit window {window:b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn dicts() -> (Dictionary, Dictionary) {
         // Small dictionaries leave most ranks unmapped, so every entry
@@ -297,10 +487,7 @@ mod tests {
     #[test]
     fn full_dictionaries_prove_sound() {
         // No bad-rank entries at all when every rank is mapped.
-        use codepack_core::layout::{HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
-        let high =
-            Dictionary::from_ranked_values((0..HIGH_DICT_CAPACITY).map(|i| i << 4).collect());
-        let low = Dictionary::from_ranked_values((0..LOW_DICT_CAPACITY).collect());
+        let (high, low) = full_dicts();
         let mut report = LintReport::new("full");
         let decoder = FastDecoder::new(&high, &low);
         check_decode_tables(&decoder, &high, &low, &mut report);

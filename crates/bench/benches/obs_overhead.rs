@@ -18,7 +18,10 @@ use codepack_sim::{ArchConfig, CodeModel, Simulation};
 use codepack_synth::{generate, BenchmarkProfile};
 use codepack_testkit::{Bench, Throughput};
 
-const INSNS: u64 = 30_000;
+/// Instructions per timed run. Each sample is one run, so the run must be
+/// long enough (about 10 ms on a shared 2-CPU host) that a scheduler tick or a neighbour's burst
+/// moves a pair's ratio by well under the budget.
+const INSNS: u64 = 300_000;
 const BUDGET_PCT: f64 = 3.0;
 
 fn main() {

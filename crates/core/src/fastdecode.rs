@@ -447,6 +447,7 @@ impl TableView<'_> {
     /// # Panics
     ///
     /// Panics if `window >= self.len()`.
+    #[inline]
     pub fn entry(&self, window: usize) -> TableEntry {
         let e = self.table.entries[window];
         let kind = match e >> KIND_SHIFT {

@@ -12,9 +12,17 @@
 //! reference and the table-driven fast path — and the two `Result`s are
 //! diffed: under fuzz the backends must stay byte- and error-identical.
 //!
-//! Mutated `.cpk` frames go through `unpack_frame` (serial and parallel)
-//! and `scan_frame`, and the verdicts of the two parsers must agree.
+//! Mutated `.cpk` frames go through `unpack_frame` (serial and parallel),
+//! `scan_frame` and the static frame linter: the verdicts of the two
+//! parsers must agree, and a frame the linter passes must unpack to the
+//! words the linter decoded. One schedule mutates a CRC-32 frame, whose
+//! integrity trailers stop every mutated payload before the codec; a
+//! second mutates an unchecked frame, where mutated payloads reach the
+//! codec and either misdecode or fail with [`FrameError::Corrupt`].
 
+use std::collections::BTreeMap;
+
+use codepack::analyze::{check_frame, LintReport};
 use codepack::core::frame::{
     pack_frame, scan_frame, unpack_frame, FrameError, FrameRegion, PackOptions, UnpackOptions,
 };
@@ -139,8 +147,8 @@ fn mutated_images_never_panic_across_all_blocks() {
 /// parallel unpack exactly; `scan_frame` the identical error for skeleton
 /// damage, `Ok` when only the per-group decode stage (a group's integrity
 /// trailer or codec) rejects the frame, and on a clean decode the content
-/// size and group count of the unpacked words.
-fn assert_verdicts_agree(bytes: &[u8], context: &str) {
+/// size and group count of the unpacked words. Returns unpack's verdict.
+fn assert_verdicts_agree(bytes: &[u8], context: &str) -> Result<Vec<u32>, FrameError> {
     let serial = unpack_frame(bytes, &UnpackOptions::default());
     let parallel = unpack_frame(bytes, &UnpackOptions { workers: 3 });
     assert_eq!(
@@ -180,15 +188,85 @@ fn assert_verdicts_agree(bytes: &[u8], context: &str) {
             "{context}: skeleton verdicts diverge"
         ),
     }
+    serial
+}
+
+/// The outcome class of one unpack verdict, as a fuzz schedule counts it.
+fn outcome(verdict: &Result<Vec<u32>, FrameError>) -> &'static str {
+    match verdict {
+        Ok(_) => "ok",
+        Err(FrameError::Truncated { .. }) => "truncated",
+        Err(FrameError::BadMagic) => "bad-magic",
+        Err(FrameError::VersionSkew { .. }) => "version-skew",
+        Err(FrameError::UnknownFlags { .. }) => "unknown-flags",
+        Err(FrameError::ChecksumMismatch {
+            region: FrameRegion::Header,
+        }) => "header-checksum",
+        Err(FrameError::ChecksumMismatch {
+            region: FrameRegion::Group(_),
+        }) => "group-checksum",
+        Err(FrameError::ChecksumMismatch {
+            region: FrameRegion::Trailer,
+        }) => "trailer-checksum",
+        Err(FrameError::Corrupt { .. }) => "corrupt",
+        Err(FrameError::Inconsistent(_)) => "inconsistent",
+    }
+}
+
+/// Mutates `base` 400 times on the schedule of `seed`: one to four byte
+/// overwrites or bit flips, then a truncation or a few appended bytes
+/// half the time. Every mutated frame goes through
+/// [`assert_verdicts_agree`], and one the static linter passes must
+/// unpack to exactly the words the linter decoded. Returns how many
+/// frames reached each outcome class.
+fn fuzz_frames(base: &[u8], seed: u64) -> BTreeMap<&'static str, u32> {
+    let mut reached = BTreeMap::new();
+    let mut rng = Rng::seed_from_u64(seed);
+    for round in 0..400 {
+        let mut bytes = base.to_vec();
+        for _ in 0..rng.gen_range(1usize..=4) {
+            let at = rng.gen_range(0..bytes.len());
+            if rng.gen_bool(0.5) {
+                bytes[at] ^= 1 << rng.gen_range(0u32..8);
+            } else {
+                bytes[at] = rng.gen_u32() as u8;
+            }
+        }
+        match rng.gen_range(0u32..4) {
+            0 => bytes.truncate(rng.gen_range(0..=bytes.len())),
+            1 => bytes.extend((0..rng.gen_range(1usize..=8)).map(|_| rng.gen_u32() as u8)),
+            _ => {}
+        }
+        let context = format!("round {round}");
+        let verdict = assert_verdicts_agree(&bytes, &context);
+
+        let mut report = LintReport::new("fuzz");
+        let walk = check_frame(&bytes, &mut report);
+        if report.is_clean() {
+            assert_eq!(
+                verdict.as_ref(),
+                Ok(&walk.words),
+                "{context}: the linter passes a frame unpack does not restore"
+            );
+        }
+        *reached.entry(outcome(&verdict)).or_insert(0) += 1;
+    }
+    reached
 }
 
 /// Mutated `.cpk` frames never panic the frame parsers: every outcome is
-/// a clean decode or a typed [`FrameError`], and [`scan_frame`] (the
+/// a clean decode or a typed [`FrameError`], [`scan_frame`] (the
 /// skeleton-only parser behind `cpackd`'s profile op) agrees with
-/// `unpack_frame` as [`assert_verdicts_agree`] spells out. The clean frame
-/// in every integrity mode goes through the same check first, which is
-/// where the success arm runs: under CRC-32 integrity a mutation almost
-/// never leaves a frame that decodes.
+/// `unpack_frame` as [`assert_verdicts_agree`] spells out, and a frame
+/// the linter passes unpacks to the linter's words. The clean frame in
+/// every integrity mode goes through the same check first.
+///
+/// Two schedules mutate a 640-word frame, and each must reach exactly
+/// the outcome classes listed for it. Under CRC-32 integrity every
+/// mutated payload fails its group checksum, so no frame decodes and
+/// none reaches the codec's [`FrameError::Corrupt`]. Unchecked, mutated
+/// payloads reach the codec: some misdecode into words, some fail to
+/// decode.
 #[test]
 fn mutated_frames_never_panic_and_stay_typed() {
     let text = generate(&BenchmarkProfile::pegwit_like(), 11)
@@ -205,29 +283,49 @@ fn mutated_frames_never_panic_and_stay_typed() {
         };
         for n in [0, 1, 33, 640] {
             let frame = pack_frame(&text[..n], &opts);
-            assert_verdicts_agree(&frame, &format!("clean {n}-word frame, {integrity:?}"));
+            let verdict =
+                assert_verdicts_agree(&frame, &format!("clean {n}-word frame, {integrity:?}"));
+            assert_eq!(verdict.as_deref(), Ok(&text[..n]));
         }
     }
 
-    let base = pack_frame(&text[..640], &PackOptions::default());
-    let mut rng = Rng::seed_from_u64(FUZZ_SEED ^ 2);
-    for round in 0..400 {
-        let mut bytes = base.clone();
-        for _ in 0..rng.gen_range(1usize..=4) {
-            let at = rng.gen_range(0..bytes.len());
-            if rng.gen_bool(0.5) {
-                bytes[at] ^= 1 << rng.gen_range(0u32..8);
-            } else {
-                bytes[at] = rng.gen_u32() as u8;
-            }
-        }
-        match rng.gen_range(0u32..4) {
-            0 => bytes.truncate(rng.gen_range(0..=bytes.len())),
-            1 => bytes.extend((0..rng.gen_range(1usize..=8)).map(|_| rng.gen_u32() as u8)),
-            _ => {}
-        }
-        assert_verdicts_agree(&bytes, &format!("round {round}"));
-    }
+    let crc32 = pack_frame(&text[..640], &PackOptions::default());
+    let reached = fuzz_frames(&crc32, FUZZ_SEED ^ 2);
+    assert_eq!(
+        reached.keys().copied().collect::<Vec<_>>(),
+        [
+            "bad-magic",
+            "group-checksum",
+            "header-checksum",
+            "inconsistent",
+            "truncated",
+            "unknown-flags",
+        ],
+        "outcome classes of the CRC-32 schedule: {reached:?}"
+    );
+
+    let unchecked = pack_frame(
+        &text[..640],
+        &PackOptions {
+            integrity: StreamIntegrity::None,
+            ..PackOptions::default()
+        },
+    );
+    let reached = fuzz_frames(&unchecked, FUZZ_SEED ^ 3);
+    assert_eq!(
+        reached.keys().copied().collect::<Vec<_>>(),
+        [
+            "bad-magic",
+            "corrupt",
+            "header-checksum",
+            "inconsistent",
+            "ok",
+            "trailer-checksum",
+            "truncated",
+            "unknown-flags",
+        ],
+        "outcome classes of the unchecked schedule: {reached:?}"
+    );
 }
 
 #[test]
