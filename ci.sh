@@ -25,6 +25,19 @@ cargo build --release --offline --workspace
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark build check (perfbench against the library) =="
+# perfbench is its own workspace over the library crates, so a change to
+# a trait or type it uses does not fail the steps above. Checking it here
+# fails CI instead of the benchmark run. Building it rewrites its
+# Cargo.lock; the checked-in copy is restored so the tree is unchanged.
+PB_LOCK="$(mktemp)"
+cp perfbench/Cargo.lock "$PB_LOCK"
+PB_STATUS=0
+cargo check --offline --quiet --manifest-path perfbench/Cargo.toml || PB_STATUS=$?
+cp "$PB_LOCK" perfbench/Cargo.lock
+rm -f "$PB_LOCK"
+[ "$PB_STATUS" -eq 0 ] || { echo "perfbench no longer builds against the library"; exit 1; }
+
 echo "== tier-2: observability smoke =="
 # One small observed run end to end through the release cpack binary
 # built above. The artifacts' contents (valid JSONL, a CPI breakdown that

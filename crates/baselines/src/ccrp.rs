@@ -20,6 +20,7 @@ use codepack_core::{
     MissService, MissSource,
 };
 use codepack_mem::MemoryTiming;
+use codepack_obs::Obs;
 use std::fmt;
 use std::sync::Arc;
 
@@ -279,7 +280,13 @@ impl CcrpFetch {
 }
 
 impl FetchEngine for CcrpFetch {
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
+    fn service_miss_traced(
+        &mut self,
+        critical_addr: u32,
+        line_bytes: u32,
+        _now: u64,
+        _obs: &mut Obs,
+    ) -> MissService {
         assert_eq!(
             line_bytes,
             self.image.line_bytes(),

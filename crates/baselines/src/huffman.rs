@@ -132,11 +132,6 @@ impl HuffmanCode {
         self.lengths[usize::from(symbol)]
     }
 
-    /// Number of distinct coded symbols.
-    pub fn coded_symbols(&self) -> usize {
-        self.sorted_symbols.len()
-    }
-
     /// Bytes needed to ship the code with the program: one length byte per
     /// alphabet symbol (canonical codes are reconstructible from lengths).
     pub fn table_bytes(&self) -> u32 {

@@ -16,6 +16,7 @@ use codepack_core::{
     IndexCacheModel, IndexLookup, MissService, MissSource, BLOCK_INSNS,
 };
 use codepack_mem::MemoryTiming;
+use codepack_obs::Obs;
 use std::fmt;
 use std::sync::Arc;
 
@@ -300,7 +301,13 @@ impl HuffPackFetch {
 }
 
 impl FetchEngine for HuffPackFetch {
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
+    fn service_miss_traced(
+        &mut self,
+        critical_addr: u32,
+        line_bytes: u32,
+        _now: u64,
+        _obs: &mut Obs,
+    ) -> MissService {
         assert!(line_bytes <= BLOCK_INSNS * 4);
         self.stats.misses += 1;
         let insn = (critical_addr - self.text_base) / 4;

@@ -16,6 +16,7 @@ use codepack_core::{
     BLOCK_INSNS,
 };
 use codepack_mem::MemoryTiming;
+use codepack_obs::Obs;
 use std::fmt;
 use std::sync::Arc;
 
@@ -80,7 +81,13 @@ impl SoftwareDecompFetch {
 }
 
 impl FetchEngine for SoftwareDecompFetch {
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
+    fn service_miss_traced(
+        &mut self,
+        critical_addr: u32,
+        line_bytes: u32,
+        _now: u64,
+        _obs: &mut Obs,
+    ) -> MissService {
         assert!(
             line_bytes <= BLOCK_INSNS * 4,
             "a line must fit within one block"

@@ -171,7 +171,7 @@ pub fn table5(insns: u64) -> Tables {
 
 /// Table 6's index-cache shapes, lines × entries per line, and their
 /// model labels.
-const TABLE6_LINES: [usize; 4] = [1, 4, 16, 64];
+const TABLE6_LINES: [u32; 4] = [1, 4, 16, 64];
 const TABLE6_ENTRIES: [u32; 4] = [1, 2, 4, 8];
 const TABLE6_LABELS: [&str; 16] = [
     "ic-1x1", "ic-1x2", "ic-1x4", "ic-1x8", "ic-4x1", "ic-4x2", "ic-4x4", "ic-4x8", "ic-16x1",

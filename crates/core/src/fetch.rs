@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use codepack_mem::{
-    FaultDomain, FaultStats, Flips, FullyAssociativeCache, MemoryTiming, SoftErrorConfig,
+    Cache, CacheConfig, FaultDomain, FaultStats, Flips, MemoryTiming, SoftErrorConfig,
     StreamIntegrity,
 };
 use codepack_obs::{EventKind, FaultArea, MissRecord, Obs};
@@ -51,13 +51,18 @@ pub enum IndexCacheModel {
     /// Every miss pays a main-memory index fetch (ablation only — even the
     /// paper's baseline caches the last-used entry).
     None,
-    /// A fully-associative cache of index entries, probed in parallel with
-    /// the L1 so a hit adds no latency (paper §5.3). The paper's baseline is
-    /// `lines: 1, entries_per_line: 1`; the optimized model is
+    /// A fully-associative LRU cache of index entries, probed in parallel
+    /// with the L1 so a hit adds no latency (paper §5.3). The paper's
+    /// baseline is `lines: 1, entries_per_line: 1`; the optimized model is
     /// `lines: 64, entries_per_line: 4`.
+    ///
+    /// It is modelled as a one-set [`Cache`] with `lines` ways and one
+    /// byte per entry, so both dimensions must be powers of two (as every
+    /// shape the paper sweeps in Table 6 is); [`IndexLookup::new`] panics
+    /// otherwise.
     Cached {
         /// Number of cache lines.
-        lines: usize,
+        lines: u32,
         /// Consecutive index entries per line.
         entries_per_line: u32,
     },
@@ -225,26 +230,30 @@ impl FetchStats {
 }
 
 /// A model of the path that services L1 I-cache misses.
+///
+/// Each engine implements one miss method, [`Self::service_miss_traced`],
+/// the call the pipeline makes. [`Self::service_miss`] is a convenience
+/// over it for tests and worked examples that have no clock or observer.
 pub trait FetchEngine {
     /// Services a miss whose critical instruction is at byte address
     /// `critical_addr`, filling the `line_bytes`-sized line containing it.
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService;
-
-    /// Like [`Self::service_miss`], additionally emitting trace events to
-    /// `obs` stamped relative to the absolute cycle `now` at which the miss
-    /// was detected. The default implementation services the miss with no
-    /// events, so engines without internal structure worth tracing need not
-    /// override it; the caller still sees the miss itself (the pipeline
-    /// emits `IcacheMiss`/`MissServed` around this call).
+    /// `now` is the absolute cycle at which the miss was detected: trace
+    /// events go to `obs` stamped relative to it, and fault probes key on
+    /// it. Engines without internal structure worth tracing ignore both;
+    /// the caller still sees the miss itself (the pipeline emits
+    /// `IcacheMiss`/`MissServed` around this call). Tracing never
+    /// perturbs timing: the returned service does not depend on `obs`.
     fn service_miss_traced(
         &mut self,
         critical_addr: u32,
         line_bytes: u32,
         now: u64,
         obs: &mut Obs,
-    ) -> MissService {
-        let _ = (now, obs);
-        self.service_miss(critical_addr, line_bytes)
+    ) -> MissService;
+
+    /// [`Self::service_miss_traced`] at cycle 0 with no observer.
+    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
+        self.service_miss_traced(critical_addr, line_bytes, 0, &mut Obs::disabled())
     }
 
     /// Folds end-of-run per-block decode-path counters into the block
@@ -272,21 +281,36 @@ pub trait FetchEngine {
 /// optionally through a fully-associative index cache (paper §5.3).
 /// CodePack's index table, HuffPack's and CCRP's Line Address Table all
 /// go through it.
-#[derive(Clone, Debug)]
+///
+/// The index cache is a one-set [`Cache`]: `lines` ways of
+/// `entries_per_line` bytes, one byte per index entry, so an entry's key
+/// is its address and a hit on any entry of a resident line hits the
+/// whole line. One set with true LRU is exactly a fully associative LRU
+/// cache.
+#[derive(Debug)]
 pub struct IndexLookup {
     model: IndexCacheModel,
-    cache: Option<FullyAssociativeCache>,
+    cache: Option<Cache>,
 }
 
 impl IndexLookup {
     /// Builds the lookup path `model` describes (an empty cache for
     /// `Cached`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Cached` model's `lines` or `entries_per_line` is zero
+    /// or not a power of two.
     pub fn new(model: IndexCacheModel) -> IndexLookup {
         let cache = match model {
             IndexCacheModel::Cached {
                 lines,
                 entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
+            } => Some(Cache::new(CacheConfig::new(
+                lines * entries_per_line,
+                entries_per_line,
+                lines,
+            ))),
             _ => None,
         };
         IndexLookup { model, cache }
@@ -304,10 +328,9 @@ impl IndexLookup {
         timing: &MemoryTiming,
         stats: &mut FetchStats,
     ) -> (u64, bool) {
-        let hit = match self.model {
-            IndexCacheModel::Perfect => true,
-            IndexCacheModel::None => false,
-            IndexCacheModel::Cached { .. } => self.cache.as_mut().is_some_and(|c| c.access(key)),
+        let hit = match &mut self.cache {
+            Some(cache) => cache.access(key),
+            None => self.model == IndexCacheModel::Perfect,
         };
         if hit {
             stats.index_hits += 1;
@@ -367,13 +390,24 @@ impl NativeFetch {
 }
 
 impl FetchEngine for NativeFetch {
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
+    fn service_miss_traced(
+        &mut self,
+        critical_addr: u32,
+        line_bytes: u32,
+        now: u64,
+        obs: &mut Obs,
+    ) -> MissService {
         let fill = self
             .timing
             .line_fill(line_bytes, critical_addr % line_bytes);
         self.stats.misses += 1;
         self.stats.memory_beats += u64::from(self.timing.beats_for(line_bytes));
         self.stats.total_critical_cycles += fill.critical_word_ready;
+        if obs.enabled() {
+            for (beat, bytes, done) in self.timing.burst_schedule(line_bytes) {
+                obs.emit(now + done, EventKind::BurstBeat { beat, bytes });
+            }
+        }
         MissService {
             critical_ready: fill.critical_word_ready,
             line_fill_complete: fill.fill_complete,
@@ -382,22 +416,6 @@ impl FetchEngine for NativeFetch {
             index_cycles: 0,
             machine_check: false,
         }
-    }
-
-    fn service_miss_traced(
-        &mut self,
-        critical_addr: u32,
-        line_bytes: u32,
-        now: u64,
-        obs: &mut Obs,
-    ) -> MissService {
-        let svc = self.service_miss(critical_addr, line_bytes);
-        if obs.enabled() {
-            for (beat, bytes, done) in self.timing.burst_schedule(line_bytes) {
-                obs.emit(now + done, EventKind::BurstBeat { beat, bytes });
-            }
-        }
-        svc
     }
 
     fn stats(&self) -> FetchStats {
@@ -435,9 +453,6 @@ pub struct CodePackFetch {
     stats: FetchStats,
     protection: Option<SoftErrorConfig>,
     faults: FaultStats,
-    /// Monotonic access counter keying fault probes on the untraced
-    /// [`FetchEngine::service_miss`] path, which carries no cycle stamp.
-    pseudo_cycle: u64,
 }
 
 impl CodePackFetch {
@@ -459,7 +474,6 @@ impl CodePackFetch {
             stats: FetchStats::default(),
             protection: None,
             faults: FaultStats::default(),
-            pseudo_cycle: 0,
         }
     }
 
@@ -553,14 +567,13 @@ struct LedgerSnapshot {
     faults: FaultStats,
 }
 
-impl CodePackFetch {
+impl FetchEngine for CodePackFetch {
     /// Services one miss at absolute cycle `now`, emitting trace events to
-    /// `obs` when it is enabled. Both [`FetchEngine`] entry points funnel
-    /// here so the fault probes, the recovery state machine, and the
-    /// emitted timeline always agree on one set of cycle stamps. Tracing
-    /// never perturbs timing: `obs.enabled()` guards emission only, and
-    /// fault probes key on `now`, not on the observer.
-    fn service_at(
+    /// `obs` when it is enabled. The fault probes, the recovery state
+    /// machine, and the emitted timeline agree on one set of cycle stamps.
+    /// Tracing never perturbs timing: `obs.enabled()` guards emission
+    /// only, and fault probes key on `now`, not on the observer.
+    fn service_miss_traced(
         &mut self,
         critical_addr: u32,
         line_bytes: u32,
@@ -867,24 +880,6 @@ impl CodePackFetch {
             machine_check: false,
         }
     }
-}
-
-impl FetchEngine for CodePackFetch {
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
-        let now = self.pseudo_cycle;
-        self.pseudo_cycle += 1;
-        self.service_at(critical_addr, line_bytes, now, &mut Obs::disabled())
-    }
-
-    fn service_miss_traced(
-        &mut self,
-        critical_addr: u32,
-        line_bytes: u32,
-        now: u64,
-        obs: &mut Obs,
-    ) -> MissService {
-        self.service_at(critical_addr, line_bytes, now, obs)
-    }
 
     fn stats(&self) -> FetchStats {
         self.stats
@@ -1034,6 +1029,24 @@ mod tests {
             (stats.index_hits, stats.index_misses, stats.memory_beats),
             (2, 2, 2)
         );
+    }
+
+    #[test]
+    fn index_cache_lines_group_entries_and_evict_lru() {
+        let timing = MemoryTiming::default();
+        let mut stats = FetchStats::default();
+        let mut lookup = IndexLookup::new(IndexCacheModel::Cached {
+            lines: 2,
+            entries_per_line: 4,
+        });
+        let mut hit = |key| lookup.probe(key, 4, &timing, &mut stats).1;
+        assert!(!hit(8));
+        assert!((9..12).all(&mut hit), "entries 8-11 share a line");
+        assert!(!hit(12), "entry 12 starts the next line");
+        assert!(hit(8), "touching 8-11 leaves 12-15 least recent");
+        assert!(!hit(16), "a third line evicts 12-15");
+        assert!(hit(11));
+        assert!(!hit(13));
     }
 
     #[test]

@@ -199,11 +199,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to the functional data memory (for test setup).
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-
     /// Executes one instruction.
     ///
     /// # Errors

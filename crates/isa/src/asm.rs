@@ -173,15 +173,6 @@ impl Assembler {
         }
     }
 
-    /// Register move (`addu rd, rs, $zero`).
-    pub fn mv(&mut self, rd: Reg, rs: Reg) -> &mut Assembler {
-        self.push(Instruction::Addu {
-            rd,
-            rs,
-            rt: Reg::ZERO,
-        })
-    }
-
     /// Emits the SR32 halt sequence (`li $v0, 10; syscall`).
     pub fn halt(&mut self) -> &mut Assembler {
         self.li(Reg::V0, 10);

@@ -133,12 +133,6 @@ impl Program {
             .get(((addr - TEXT_BASE) / INSN_BYTES) as usize)
             .copied()
     }
-
-    /// Does `addr` lie inside the text section?
-    #[inline]
-    pub fn contains_text_addr(&self, addr: u32) -> bool {
-        addr >= TEXT_BASE && addr < TEXT_BASE + self.text_size_bytes()
-    }
 }
 
 impl PartialEq for Program {

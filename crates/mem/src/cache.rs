@@ -1,4 +1,6 @@
-//! Set-associative LRU caches (the simulated L1 I- and D-caches).
+//! Set-associative LRU caches: the simulated L1 I- and D-caches, the L2,
+//! and the decompressor's index cache (a one-set, fully associative
+//! `Cache`).
 
 use std::fmt;
 
@@ -216,12 +218,6 @@ impl Cache {
     /// Resets counters (not contents).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// The line-aligned address of the line containing `addr`.
-    #[inline]
-    pub fn line_addr(&self, addr: u32) -> u32 {
-        addr & !(self.config.line_bytes() - 1)
     }
 
     /// Accesses `addr`; returns `true` on hit. A miss allocates the line,

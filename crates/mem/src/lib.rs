@@ -8,10 +8,9 @@
 //! * [`MemoryTiming`] — the paper's main-memory model (first access 10
 //!   cycles, successive accesses 2 cycles, 64-bit bus by default; Table 2),
 //!   with burst reads and critical-word-first fills,
-//! * [`Cache`] / [`CacheConfig`] — set-associative LRU caches used for the
-//!   L1 I- and D-caches,
-//! * [`FullyAssociativeCache`] — the fully-associative cache used for the
-//!   decompressor's index cache (paper §5.3, Table 6),
+//! * [`Cache`] / [`CacheConfig`] — set-associative true-LRU caches: the L1
+//!   I- and D-caches, the L2, and, as a one-set (fully associative) cache,
+//!   the decompressor's index cache (paper §5.3, Table 6),
 //! * [`SparseMemory`] — a paged functional memory backing the executor's
 //!   data space, built on the hash-free two-level [`PageTable`],
 //! * [`FaultModel`] / [`IntegrityConfig`] / [`FaultStats`] — the
@@ -36,7 +35,6 @@
 
 mod cache;
 pub mod fault;
-mod fully_assoc;
 mod page_table;
 mod sparse;
 mod timing;
@@ -46,7 +44,6 @@ pub use fault::{
     crc32, FaultDomain, FaultModel, FaultStats, Flips, IntegrityConfig, SoftErrorConfig,
     StreamIntegrity, PPB_SCALE,
 };
-pub use fully_assoc::FullyAssociativeCache;
 pub use page_table::PageTable;
 pub use sparse::SparseMemory;
 pub use timing::{LineFill, MemoryTiming};

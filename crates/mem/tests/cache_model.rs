@@ -1,8 +1,9 @@
 //! Property test: the optimized `Cache` agrees with a straightforward
 //! reference model (per-set vectors with explicit LRU reordering) on every
-//! access of a random trace.
+//! access of a random trace, for L1-style set-associative geometries and
+//! for the one-set (fully associative) shapes of the index cache.
 
-use codepack_mem::{Cache, CacheConfig, FullyAssociativeCache};
+use codepack_mem::{Cache, CacheConfig};
 use codepack_testkit::forall;
 use codepack_testkit::prop::{gen, Gen};
 
@@ -45,14 +46,33 @@ impl ReferenceCache {
     }
 }
 
-fn arb_config() -> Gen<CacheConfig> {
+/// Index-cache shapes the decompressor uses (paper Table 6): `lines`
+/// 1/4/16/64 × `entries` 1/2/4/8, as `(lines, entries_per_line)`.
+fn arb_index_shape() -> Gen<(u32, u32)> {
     gen::ints(0u32..4)
-        .zip(gen::ints(0u32..3))
-        .map(|(size_sel, assoc_sel)| {
-            let assoc = 1 << assoc_sel; // 1, 2, 4
-            let size = (1u32 << (9 + size_sel)) * assoc.max(1); // keeps ≥1 set, pow2 sets
-            CacheConfig::new(size, 32, assoc)
-        })
+        .zip(gen::ints(0u32..4))
+        .map(|(l, e)| (1 << (2 * l), 1 << e))
+}
+
+/// The one-set `Cache` an index cache of `lines × entries_per_line`
+/// becomes: one byte per entry, `lines` ways.
+fn one_set(lines: u32, entries_per_line: u32) -> CacheConfig {
+    CacheConfig::new(lines * entries_per_line, entries_per_line, lines)
+}
+
+/// L1-style set-associative geometries, and every one-set index-cache
+/// shape.
+fn arb_config() -> Gen<CacheConfig> {
+    let set_associative =
+        gen::ints(0u32..4)
+            .zip(gen::ints(0u32..3))
+            .map(|(size_sel, assoc_sel)| {
+                let assoc = 1 << assoc_sel; // 1, 2, 4
+                let size = (1u32 << (9 + size_sel)) * assoc.max(1); // keeps ≥1 set, pow2 sets
+                CacheConfig::new(size, 32, assoc)
+            });
+    let index_cache = arb_index_shape().map(|(lines, epl)| one_set(lines, epl));
+    gen::one_of(vec![set_associative, index_cache])
 }
 
 /// Traces with locality: mostly small addresses, occasional far jumps.
@@ -98,14 +118,14 @@ fn probe_agrees_with_access_history() {
 }
 
 #[test]
-fn fully_associative_is_order_invariant_for_hits() {
+fn one_set_cache_is_order_invariant_for_hits() {
     forall!(
         cases = 64,
         (gen::vec_of(gen::ints(0u32..64), 1..200)),
         |keys| {
-            // A fully-associative cache big enough for the key universe never
-            // misses twice on the same key.
-            let mut c = FullyAssociativeCache::new(64, 1);
+            // A one-set cache big enough for the key universe never misses
+            // twice on the same key.
+            let mut c = Cache::new(one_set(64, 1));
             let mut seen = std::collections::HashSet::new();
             for &k in &keys {
                 let hit = c.access(k);

@@ -69,12 +69,6 @@ impl FaultCampaignSpec {
         self
     }
 
-    /// Replaces the machine under test.
-    pub fn with_arch(mut self, arch: ArchConfig) -> FaultCampaignSpec {
-        self.arch = arch;
-        self
-    }
-
     /// Replaces the fault-rate axis (parts per billion).
     pub fn with_rates_ppb(mut self, rates: Vec<u32>) -> FaultCampaignSpec {
         self.rates_ppb = rates;

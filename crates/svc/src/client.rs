@@ -270,11 +270,6 @@ impl Client {
         Ok(conn)
     }
 
-    /// Drops the connection; the next call reconnects.
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
     /// Calls made so far (successful or not) — the next call id.
     pub fn calls_issued(&self) -> u64 {
         self.next_call

@@ -9,7 +9,10 @@
 //! `MissService`, the miss, buffer-hit, bus-beat and critical-cycle
 //! counters, and the baseline images' size accounting and per-block
 //! placement. A change to any engine's timing, bus metering or encoding
-//! fails here.
+//! fails here. Every case is replayed both through the plain
+//! `service_miss` and through `service_miss_traced` with a live observer
+//! and a rising clock, the call the pipeline makes: the two must report
+//! the same thing.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -67,9 +70,16 @@ struct Recorder {
 }
 
 impl FetchEngine for Recorder {
-    fn service_miss(&mut self, critical_addr: u32, line_bytes: u32) -> MissService {
+    fn service_miss_traced(
+        &mut self,
+        critical_addr: u32,
+        line_bytes: u32,
+        now: u64,
+        obs: &mut Obs,
+    ) -> MissService {
         self.log.borrow_mut().push((critical_addr, line_bytes));
-        self.inner.service_miss(critical_addr, line_bytes)
+        self.inner
+            .service_miss_traced(critical_addr, line_bytes, now, obs)
     }
 
     fn stats(&self) -> FetchStats {
@@ -194,11 +204,27 @@ fn cases(program: &Program) -> Vec<Case> {
     ]
 }
 
+/// Which miss method a replay calls.
+#[derive(Clone, Copy)]
+enum Call {
+    /// `service_miss`: cycle 0, no observer.
+    Plain,
+    /// `service_miss_traced` with a null-sink observer and a rising clock.
+    Traced,
+}
+
 /// Replays `stream` through `engine` and renders what it reported.
-fn replay(case: &mut Case, stream: &[(u32, u32)]) -> String {
+fn replay(case: &mut Case, stream: &[(u32, u32)], call: Call) -> String {
     let mut out = String::new();
-    for &(addr, line) in stream {
-        let svc = case.engine.service_miss(addr, line);
+    let mut obs = Obs::with_null_sink();
+    for (i, &(addr, line)) in stream.iter().enumerate() {
+        let svc = match call {
+            Call::Plain => case.engine.service_miss(addr, line),
+            Call::Traced => {
+                let now = 1_000 + 37 * i as u64;
+                case.engine.service_miss_traced(addr, line, now, &mut obs)
+            }
+        };
         writeln!(out, "{svc:?}").unwrap();
     }
     let s = case.engine.stats();
@@ -220,7 +246,7 @@ fn engines_match_the_pinned_digests() {
     let mut drift = Vec::new();
     for (mut case, (label, golden)) in cases(&program).into_iter().zip(ENGINES) {
         assert_eq!(case.label, label);
-        let digest = fnv1a64(replay(&mut case, &stream).as_bytes());
+        let digest = fnv1a64(replay(&mut case, &stream, Call::Plain).as_bytes());
         if digest != golden {
             drift.push(format!("{label}: {digest:#018x}"));
         }
@@ -229,10 +255,29 @@ fn engines_match_the_pinned_digests() {
 }
 
 #[test]
+fn tracing_never_perturbs_an_engine() {
+    let (program, stream) = miss_stream();
+    let plain_cases = cases(&program);
+    let traced_cases = cases(&program);
+    for ((mut plain, mut traced), (label, golden)) in
+        plain_cases.into_iter().zip(traced_cases).zip(ENGINES)
+    {
+        let want = replay(&mut plain, &stream, Call::Plain);
+        let got = replay(&mut traced, &stream, Call::Traced);
+        assert!(got == want, "{label}: the traced replay diverged");
+        assert_eq!(
+            fnv1a64(got.as_bytes()),
+            golden,
+            "{label}: the traced replay drifted from the pinned digest"
+        );
+    }
+}
+
+#[test]
 fn every_decompressor_service_probes_the_index_once() {
     let (program, stream) = miss_stream();
     for mut case in cases(&program) {
-        replay(&mut case, &stream);
+        replay(&mut case, &stream, Call::Plain);
         let s = case.engine.stats();
         assert_eq!(
             s.index_hits + s.index_misses,
