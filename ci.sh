@@ -25,6 +25,12 @@ cargo build --release --offline --workspace
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark cube golden (release) =="
+# The 54-cell cube at 200k instructions must render to the digest perfbench
+# pins in perfbench/golden/paper-matrix.txt, so a simulator change that
+# moves it fails here rather than as an incorrect benchmark run.
+cargo test -q --release --offline --test sim_golden -- --ignored
+
 echo "== benchmark build check (perfbench against the library) =="
 # perfbench is its own workspace over the library crates, so a change to
 # a trait or type it uses does not fail the steps above. Checking it here

@@ -39,8 +39,14 @@
 
 mod bpred;
 mod exec;
+mod outcome;
 mod pipeline;
+mod timing;
 
 pub use bpred::{DirectionPredictor, PredictorConfig, PredictorStats, ReturnAddressStack};
 pub use exec::{ExecError, Machine, MemAccess, StepInfo};
-pub use pipeline::{FuClass, FuCounts, L2Config, Pipeline, PipelineConfig, PipelineStats};
+pub use outcome::Outcomes;
+pub use pipeline::{
+    run_group, FuClass, FuCounts, L2Config, Pipeline, PipelineConfig, PipelineStats,
+};
+pub use timing::Timing;

@@ -17,17 +17,25 @@
 //! * branch prediction (bimodal / gshare / hybrid + return-address stack);
 //!   a mispredict restarts fetch after the branch resolves,
 //! * in-order commit, commit-width per cycle.
+//!
+//! The model has two parts. The caches and the predictor are consulted in
+//! program order, so their outcomes do not depend on time: the
+//! [`Outcomes`] pass (L1 I-cache, D-cache, predictor, RAS) condenses each
+//! instruction into a 16-byte outcome record. A [`Timing`]
+//! part (L2, fetch engine, memory timing, rings, function units, issue
+//! slots, soft-error probe, [`Obs`] events) replays the records and
+//! accounts cycles. [`Pipeline`] composes one of each for a single cell;
+//! [`run_group`] drives one machine and one outcome pass for many timing
+//! parts that share the program, the cache geometry and the predictor.
 
-use codepack_core::{FetchEngine, MissSource};
-use codepack_isa::{Instruction, Reg};
-use codepack_mem::{
-    Cache, CacheConfig, CacheStats, FaultDomain, FaultStats, MemoryTiming, PageTable,
-    SoftErrorConfig,
-};
-use codepack_obs::{names, EventKind, FaultArea, MissOrigin, Obs};
+use codepack_core::FetchEngine;
+use codepack_mem::{CacheConfig, CacheStats, FaultStats, MemoryTiming, SoftErrorConfig};
+use codepack_obs::Obs;
 
-use crate::bpred::{DirectionPredictor, PredictorConfig, ReturnAddressStack};
+use crate::bpred::PredictorConfig;
 use crate::exec::{ExecError, Machine, StepInfo};
+use crate::outcome::Outcomes;
+use crate::timing::Timing;
 
 /// Function-unit classes (paper Table 2 lists per-class counts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,285 +232,18 @@ impl PipelineStats {
     }
 }
 
-/// One register-file slot in the ready-time scoreboard.
-const HI_LO: usize = 32;
-const INT_SLOTS: usize = 33;
-const FCC: usize = 32;
-const FP_SLOTS: usize = 33;
+/// Records per chunk [`run_group`] streams to each timing part: 64 KiB of
+/// records, so a chunk stays cache-resident while every cell replays it.
+const CHUNK: usize = 4096;
 
-/// Issue-bandwidth ring: large enough that the in-flight window can never
-/// wrap onto itself (window is bounded by RUU lifetime ≪ ring size).
-const ISSUE_RING: usize = 1 << 16;
-
-/// Writeback cycle of the latest store to each data word, keyed by word
-/// address (`addr >> 2`); a page covers 4 KiB of data. A word never stored
-/// reads 0, and every ready time is at least 1, so taking the `max` with
-/// it changes nothing: exactly what an absent entry did.
-type StoreTable = PageTable<u64, 1024>;
-
-/// A ring of per-slot cycle limits walked in order by a cursor that wraps
-/// on compare, so any depth costs no division.
-struct Ring {
-    slots: Vec<u64>,
-    at: usize,
-}
-
-impl Ring {
-    fn new(len: usize) -> Ring {
-        Ring {
-            slots: vec![0; len],
-            at: 0,
-        }
-    }
-
-    /// The value last written to the current slot, one lap ago.
-    #[inline]
-    fn current(&self) -> u64 {
-        self.slots[self.at]
-    }
-
-    /// Overwrites the current slot and steps to the next.
-    #[inline]
-    fn push(&mut self, value: u64) {
-        self.slots[self.at] = value;
-        self.at += 1;
-        if self.at == self.slots.len() {
-            self.at = 0;
-        }
-    }
-}
-
-/// A cycle-level pipeline bound to an I-miss service engine.
+/// A cycle-level pipeline bound to an I-miss service engine: one
+/// [`Outcomes`] pass and one [`Timing`] part composed, for a single cell.
 ///
 /// Drives a functional [`Machine`] and accounts cycles; see the module
 /// documentation for the model.
 pub struct Pipeline {
-    config: PipelineConfig,
-    icache: Cache,
-    dcache: Cache,
-    l2: Option<(Cache, u32)>,
-    dmem: MemoryTiming,
-    fetch_engine: Box<dyn FetchEngine>,
-    predictor: DirectionPredictor,
-    ras: ReturnAddressStack,
-
-    // --- time state ---
-    fetch_cycle: u64,
-    fetched_this_cycle: u32,
-    cur_fetch_line: Option<u32>,
-    /// Streaming constraint of the line currently being filled: words after
-    /// the critical one arrive at the memory/decompressor rate, not
-    /// instantly (native critical-word-first streams the rest of the burst;
-    /// the decompressor forwards instructions as it decodes them).
-    miss_stream: Option<MissStream>,
-    disp_cycle: u64,
-    dispatched_this_cycle: u32,
-    commit_cycle: u64,
-    committed_this_cycle: u32,
-    last_issue: u64,
-    int_ready: [u64; INT_SLOTS],
-    fp_ready: [u64; FP_SLOTS],
-    store_wb: StoreTable,
-    fu_free: FuPools,
-    issue_count: Vec<u16>,
-    issue_clear_hi: u64,
-    /// Commit cycle of the instruction that last held each RUU entry.
-    commit_ring: Ring,
-    /// Commit cycle of the memory instruction that last held each LSQ entry.
-    lsq_ring: Ring,
-    /// Dispatch cycle of the instruction that last held each fetch-queue slot.
-    disp_ring: Ring,
-    stats: PipelineStats,
-    /// Soft-error configuration for resident I-cache lines; `None` leaves
-    /// the hit path untouched.
-    soft_errors: Option<SoftErrorConfig>,
-    /// Set when the fetch engine reports an unrecoverable fault; [`Self::run`]
-    /// turns it into a precise [`ExecError::MachineCheck`].
-    pending_machine_check: Option<u32>,
-    /// Observability handle; [`Obs::disabled`] (the default) costs one
-    /// predictable branch per instrumentation site.
-    obs: Obs,
-}
-
-#[derive(Clone, Copy)]
-struct MissStream {
-    line: u32,
-    critical_word: u32,
-    critical_at: u64,
-    fill_at: u64,
-}
-
-struct FuPools {
-    int_alu: Vec<u64>,
-    int_mult: Vec<u64>,
-    mem_port: Vec<u64>,
-    fp_alu: Vec<u64>,
-    fp_mult: Vec<u64>,
-}
-
-impl FuPools {
-    fn new(fu: &FuCounts) -> FuPools {
-        FuPools {
-            int_alu: vec![0; fu.int_alu as usize],
-            int_mult: vec![0; fu.int_mult as usize],
-            mem_port: vec![0; fu.mem_port as usize],
-            fp_alu: vec![0; fu.fp_alu as usize],
-            fp_mult: vec![0; fu.fp_mult as usize],
-        }
-    }
-
-    fn pool(&mut self, class: FuClass) -> &mut Vec<u64> {
-        match class {
-            FuClass::IntAlu => &mut self.int_alu,
-            FuClass::IntMult => &mut self.int_mult,
-            FuClass::MemPort => &mut self.mem_port,
-            FuClass::FpAlu => &mut self.fp_alu,
-            FuClass::FpMult => &mut self.fp_mult,
-        }
-    }
-
-    /// Earliest cycle ≥ `earliest` at which a unit is free; reserves it
-    /// until `occupancy` cycles after the returned time.
-    fn acquire(&mut self, class: FuClass, earliest: u64, occupancy: u64) -> u64 {
-        let pool = self.pool(class);
-        let (idx, &free_at) = pool
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("every class has at least one unit");
-        let start = earliest.max(free_at);
-        pool[idx] = start + occupancy;
-        start
-    }
-}
-
-/// Execution latency and FU occupancy of an instruction.
-fn latency(insn: &Instruction) -> (FuClass, u64, u64) {
-    use Instruction::*;
-    match insn {
-        Mult { .. } | Multu { .. } => (FuClass::IntMult, 3, 1),
-        Div { .. } | Divu { .. } => (FuClass::IntMult, 20, 19),
-        Mfhi { .. } | Mflo { .. } => (FuClass::IntAlu, 1, 1),
-        AddS { .. }
-        | SubS { .. }
-        | CEqS { .. }
-        | CLtS { .. }
-        | CLeS { .. }
-        | MovS { .. }
-        | CvtSW { .. }
-        | CvtWS { .. } => (FuClass::FpAlu, 2, 1),
-        MulS { .. } => (FuClass::FpMult, 4, 1),
-        DivS { .. } => (FuClass::FpMult, 12, 12),
-        i if i.is_load() || i.is_store() => (FuClass::MemPort, 1, 1),
-        _ => (FuClass::IntAlu, 1, 1),
-    }
-}
-
-/// Source-operand register slots read by an instruction.
-fn sources(insn: &Instruction) -> [Option<(bool, usize)>; 3] {
-    use Instruction::*;
-    // (is_fp, slot)
-    let int = |r: Reg| Some((false, r.index() as usize));
-    let fp = |r: codepack_isa::FReg| Some((true, r.index() as usize));
-    match *insn {
-        Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => [int(rt), None, None],
-        Sllv { rt, rs, .. } | Srlv { rt, rs, .. } | Srav { rt, rs, .. } => [int(rt), int(rs), None],
-        Jr { rs } | Jalr { rs, .. } => [int(rs), None, None],
-        Mfhi { .. } | Mflo { .. } => [Some((false, HI_LO)), None, None],
-        Mult { rs, rt } | Multu { rs, rt } | Div { rs, rt } | Divu { rs, rt } => {
-            [int(rs), int(rt), None]
-        }
-        Addu { rs, rt, .. }
-        | Subu { rs, rt, .. }
-        | And { rs, rt, .. }
-        | Or { rs, rt, .. }
-        | Xor { rs, rt, .. }
-        | Nor { rs, rt, .. }
-        | Slt { rs, rt, .. }
-        | Sltu { rs, rt, .. }
-        | Beq { rs, rt, .. }
-        | Bne { rs, rt, .. } => [int(rs), int(rt), None],
-        Blez { rs, .. } | Bgtz { rs, .. } | Bltz { rs, .. } | Bgez { rs, .. } => {
-            [int(rs), None, None]
-        }
-        Addiu { rs, .. }
-        | Slti { rs, .. }
-        | Sltiu { rs, .. }
-        | Andi { rs, .. }
-        | Ori { rs, .. }
-        | Xori { rs, .. } => [int(rs), None, None],
-        Lb { base, .. }
-        | Lh { base, .. }
-        | Lw { base, .. }
-        | Lbu { base, .. }
-        | Lhu { base, .. } => [int(base), None, None],
-        Sb { rt, base, .. } | Sh { rt, base, .. } | Sw { rt, base, .. } => {
-            [int(rt), int(base), None]
-        }
-        Lwc1 { base, .. } => [int(base), None, None],
-        Swc1 { ft, base, .. } => [fp(ft), int(base), None],
-        AddS { fs, ft, .. } | SubS { fs, ft, .. } | MulS { fs, ft, .. } | DivS { fs, ft, .. } => {
-            [fp(fs), fp(ft), None]
-        }
-        MovS { fs, .. } | CvtSW { fs, .. } | CvtWS { fs, .. } => [fp(fs), None, None],
-        CEqS { fs, ft } | CLtS { fs, ft } | CLeS { fs, ft } => [fp(fs), fp(ft), None],
-        Bc1t { .. } | Bc1f { .. } => [Some((true, FCC)), None, None],
-        Mtc1 { rt, .. } => [int(rt), None, None],
-        Mfc1 { fs, .. } => [fp(fs), None, None],
-        Lui { .. } | J { .. } | Jal { .. } | Syscall | Break => [None, None, None],
-    }
-}
-
-/// Destination register slot written by an instruction.
-fn destination(insn: &Instruction) -> Option<(bool, usize)> {
-    use Instruction::*;
-    let int = |r: Reg| Some((false, r.index() as usize));
-    let fp = |r: codepack_isa::FReg| Some((true, r.index() as usize));
-    match *insn {
-        Sll { rd, .. }
-        | Srl { rd, .. }
-        | Sra { rd, .. }
-        | Sllv { rd, .. }
-        | Srlv { rd, .. }
-        | Srav { rd, .. }
-        | Mfhi { rd }
-        | Mflo { rd }
-        | Addu { rd, .. }
-        | Subu { rd, .. }
-        | And { rd, .. }
-        | Or { rd, .. }
-        | Xor { rd, .. }
-        | Nor { rd, .. }
-        | Slt { rd, .. }
-        | Sltu { rd, .. }
-        | Jalr { rd, .. } => int(rd),
-        Mult { .. } | Multu { .. } | Div { .. } | Divu { .. } => Some((false, HI_LO)),
-        Addiu { rt, .. }
-        | Slti { rt, .. }
-        | Sltiu { rt, .. }
-        | Andi { rt, .. }
-        | Ori { rt, .. }
-        | Xori { rt, .. }
-        | Lui { rt, .. }
-        | Lb { rt, .. }
-        | Lh { rt, .. }
-        | Lw { rt, .. }
-        | Lbu { rt, .. }
-        | Lhu { rt, .. }
-        | Mfc1 { rt, .. } => int(rt),
-        Jal { .. } => int(Reg::RA),
-        AddS { fd, .. }
-        | SubS { fd, .. }
-        | MulS { fd, .. }
-        | DivS { fd, .. }
-        | MovS { fd, .. }
-        | CvtSW { fd, .. }
-        | CvtWS { fd, .. } => fp(fd),
-        CEqS { .. } | CLtS { .. } | CLeS { .. } => Some((true, FCC)),
-        Mtc1 { fs, .. } => fp(fs),
-        Lwc1 { ft, .. } => fp(ft),
-        _ => None,
-    }
+    outcomes: Outcomes,
+    timing: Timing,
 }
 
 impl Pipeline {
@@ -518,36 +259,8 @@ impl Pipeline {
         fetch_engine: Box<dyn FetchEngine>,
     ) -> Pipeline {
         Pipeline {
-            predictor: config.predictor.build(),
-            ras: ReturnAddressStack::default(),
-            icache: Cache::new(icache_cfg),
-            dcache: Cache::new(dcache_cfg),
-            l2: None,
-            dmem,
-            fetch_engine,
-            fetch_cycle: 0,
-            fetched_this_cycle: 0,
-            cur_fetch_line: None,
-            miss_stream: None,
-            disp_cycle: 0,
-            dispatched_this_cycle: 0,
-            commit_cycle: 0,
-            committed_this_cycle: 0,
-            last_issue: 0,
-            int_ready: [0; INT_SLOTS],
-            fp_ready: [0; FP_SLOTS],
-            store_wb: StoreTable::new(),
-            fu_free: FuPools::new(&config.fu),
-            issue_count: vec![0; ISSUE_RING],
-            issue_clear_hi: 0,
-            commit_ring: Ring::new(config.ruu_size),
-            lsq_ring: Ring::new(config.lsq_size),
-            disp_ring: Ring::new(config.fetch_queue),
-            stats: PipelineStats::default(),
-            soft_errors: None,
-            pending_machine_check: None,
-            obs: Obs::disabled(),
-            config,
+            outcomes: Outcomes::new(config.predictor, icache_cfg, dcache_cfg),
+            timing: Timing::new(config, icache_cfg, dcache_cfg, dmem, fetch_engine),
         }
     }
 
@@ -555,23 +268,23 @@ impl Pipeline {
     /// and end-of-run metrics flow to it; pass [`Obs::disabled`] (the
     /// construction default) to turn instrumentation back off.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.timing.set_obs(obs);
     }
 
     /// Takes the observability handle back (leaving a disabled one), so the
     /// caller can close it into a report after [`Self::run`].
     pub fn take_obs(&mut self) -> Obs {
-        self.obs.take()
+        self.timing.take_obs()
     }
 
     /// The configuration this pipeline was built with.
     pub fn config(&self) -> &PipelineConfig {
-        &self.config
+        self.timing.config()
     }
 
     /// The I-miss service engine (for its statistics).
     pub fn fetch_engine(&self) -> &dyn FetchEngine {
-        self.fetch_engine.as_ref()
+        self.timing.fetch_engine()
     }
 
     /// Arms (or disarms, with `None`) soft-error injection on resident
@@ -580,21 +293,27 @@ impl Pipeline {
     /// `CodePackFetch::with_protection`; this method covers only strikes on
     /// data already resident in the L1 I-cache.
     pub fn set_soft_errors(&mut self, soft_errors: Option<SoftErrorConfig>) {
-        self.soft_errors = soft_errors;
+        self.timing.set_soft_errors(soft_errors);
     }
 
     /// The statistics accumulated so far. After [`Self::run`] returns
     /// `Err(ExecError::MachineCheck { .. })` this still carries the cycle
     /// and fault ledger up to the trap.
     pub fn stats(&self) -> PipelineStats {
-        self.stats
+        let o = self.outcomes.stats();
+        PipelineStats {
+            branches: o.branches,
+            mispredicts: o.mispredicts,
+            indirect_mispredicts: o.indirect_mispredicts,
+            ..self.timing.stats()
+        }
     }
 
     /// Installs a unified L2 between the L1 I-cache and the miss engine.
     /// L1 misses that hit the L2 are served at `hit_cycles`; only L2 misses
     /// reach the engine (which also fills the L2).
     pub fn set_l2(&mut self, config: L2Config) {
-        self.l2 = Some((Cache::new(config.cache), config.hit_cycles));
+        self.timing.set_l2(config);
     }
 
     /// Runs `machine` until it halts or `max_insns` instructions retire;
@@ -611,455 +330,32 @@ impl Pipeline {
         machine: &mut Machine,
         max_insns: u64,
     ) -> Result<PipelineStats, ExecError> {
-        while !machine.halted() && self.stats.instructions < max_insns {
+        while !machine.halted() && self.timing.instructions() < max_insns {
             let info = machine.step()?;
             if machine.halted() {
                 break;
             }
             self.account(&info);
-            if let Some(pc) = self.pending_machine_check {
-                self.finish_stats();
+            if let Some(pc) = self.timing.machine_check() {
+                self.timing.finish(&self.outcomes);
                 return Err(ExecError::MachineCheck { pc });
             }
         }
-        self.finish_stats();
-        Ok(self.stats)
-    }
-
-    /// Snapshots cache statistics, merges the fetch engine's fault ledger,
-    /// and folds end-of-run metrics into the observability registry.
-    fn finish_stats(&mut self) {
-        self.stats.icache = self.icache.stats();
-        self.stats.dcache = self.dcache.stats();
-        self.stats.l2 = self.l2.as_ref().map(|(c, _)| c.stats());
-        self.stats.cycles = self.commit_cycle.max(1);
-        self.stats.faults.merge(&self.fetch_engine.fault_stats());
-        // Let the fetch engine fill in the deferred per-block decode-path
-        // counters before the summary metrics are folded below.
-        let mut obs = std::mem::replace(&mut self.obs, Obs::disabled());
-        self.fetch_engine.finalize_profile(&mut obs);
-        self.obs = obs;
-        self.finalize_obs();
-    }
-
-    /// Folds end-of-run counters into the observability registry (no-op
-    /// when the handle is disabled).
-    fn finalize_obs(&mut self) {
-        if !self.obs.enabled() {
-            return;
-        }
-        let s = self.stats;
-        self.obs.incr("pipeline.instructions", s.instructions);
-        self.obs.incr("pipeline.cycles", s.cycles);
-        self.obs.set_gauge("pipeline.ipc", s.ipc());
-        for (name, c) in [("icache", s.icache), ("dcache", s.dcache)]
-            .into_iter()
-            .chain(s.l2.map(|c| ("l2", c)))
-        {
-            self.obs.incr(&format!("{name}.accesses"), c.accesses);
-            self.obs.incr(&format!("{name}.hits"), c.hits);
-            self.obs.incr(&format!("{name}.evictions"), c.evictions);
-        }
-        let f = self.fetch_engine.stats();
-        self.obs.incr("fetch.misses", f.misses);
-        self.obs.incr("fetch.buffer_hits", f.buffer_hits);
-        self.obs.incr("fetch.index_hits", f.index_hits);
-        self.obs.incr("fetch.index_misses", f.index_misses);
-        self.obs.incr("fetch.memory_beats", f.memory_beats);
-        self.obs
-            .set_gauge("fetch.avg_miss_penalty", f.avg_miss_penalty());
-        self.obs.incr("branch.conditional", s.branches);
-        self.obs.incr("branch.mispredicts", s.mispredicts);
-        self.obs
-            .incr("branch.indirect_mispredicts", s.indirect_mispredicts);
-        let p = self.predictor.stats();
-        self.obs.incr("bpred.lookups", p.lookups);
-        self.obs.incr("bpred.correct", p.correct);
-        self.obs.set_gauge("bpred.accuracy", p.accuracy());
-        // Fault counters only appear once a fault actually fired, so a run
-        // armed at rate 0 stays metric-identical to an unarmed run.
-        let ft = s.faults;
-        if !ft.is_empty() {
-            self.obs.incr(names::FAULT_INJECTED, ft.injected);
-            self.obs.incr(names::FAULT_DETECTED, ft.detected);
-            self.obs.incr(names::FAULT_RECOVERED, ft.recovered);
-            self.obs.incr(names::FAULT_TRAPPED, ft.trapped);
-            self.obs.incr(names::FAULT_SILENT, ft.silent);
-            self.obs.incr(names::FAULT_RETRIES, ft.retries);
-            self.obs
-                .incr(names::FAULT_MACHINE_CHECKS, ft.machine_checks);
-        }
-        // Profile summary counters only appear when a profile was armed, so
-        // un-profiled runs stay metric-identical (the per-block data lives
-        // in the profile artifact, not the registry).
-        let summary = self.obs.profile().map(|p| {
-            let t = p.totals();
-            (p.blocks_touched() as u64, t.fetches, t.decodes)
-        });
-        if let Some((touched, fetches, decodes)) = summary {
-            self.obs.incr(names::PROFILE_BLOCKS_TOUCHED, touched);
-            self.obs.incr(names::PROFILE_FETCHES, fetches);
-            self.obs.incr(names::PROFILE_DECODES, decodes);
-        }
+        Ok(self.timing.finish(&self.outcomes))
     }
 
     /// Accounts one retired instruction. Exposed for fine-grained tests.
+    ///
+    /// The fetch half of the outcome runs first: an instruction whose fetch
+    /// raises a machine check never reaches the D-cache or the predictor.
+    /// An instruction is known by its pc, as in any program run: the
+    /// operand slots and latency worked out for the first instruction
+    /// accounted at a pc serve every later one there.
     pub fn account(&mut self, info: &StepInfo) {
-        self.stats.instructions += 1;
-        let line_bytes = self.icache.config().line_bytes();
-        let line = info.pc & !(line_bytes - 1);
-
-        // ---- fetch ----
-        if self.cur_fetch_line != Some(line) {
-            // New line: consult the I-cache (and miss engine) at the current
-            // fetch cycle; a new line also starts a new fetch cycle slot.
-            if self.fetched_this_cycle > 0 {
-                self.fetch_cycle += 1;
-                self.fetched_this_cycle = 0;
-            }
-            let mut hit = self.icache.access(info.pc);
-            if hit {
-                hit = self.probe_resident_line(line, line_bytes);
-            }
-            if hit {
-                self.miss_stream = None;
-            } else {
-                self.obs
-                    .emit(self.fetch_cycle, EventKind::IcacheMiss { pc: info.pc });
-                // L2 (if present) intercepts the miss; the engine only
-                // services L2 misses and fills the L2 line.
-                let l2_hit = match &mut self.l2 {
-                    Some((l2, _)) => l2.access(info.pc),
-                    None => false,
-                };
-                let (crit, fill, origin, index_cycles) = if l2_hit {
-                    let lat = u64::from(self.l2.as_ref().expect("l2 present").1);
-                    (lat, lat + 2, MissOrigin::Memory, 0)
-                } else {
-                    let svc = self.fetch_engine.service_miss_traced(
-                        info.pc,
-                        line_bytes,
-                        self.fetch_cycle,
-                        &mut self.obs,
-                    );
-                    if svc.machine_check {
-                        // Unrecoverable fault: the instruction never
-                        // retires; the trap is precise at this pc, stamped
-                        // when the exhausted service gave up.
-                        self.stats.instructions -= 1;
-                        let trap_at = self.fetch_cycle + svc.critical_ready;
-                        self.obs
-                            .emit(trap_at, EventKind::MachineCheck { pc: info.pc });
-                        self.commit_cycle = self.commit_cycle.max(trap_at);
-                        self.pending_machine_check = Some(info.pc);
-                        return;
-                    }
-                    let origin = match svc.source {
-                        MissSource::Memory => MissOrigin::Memory,
-                        MissSource::Decompressor => MissOrigin::Decompressor,
-                        MissSource::OutputBuffer => MissOrigin::OutputBuffer,
-                    };
-                    (
-                        svc.critical_ready,
-                        svc.line_fill_complete,
-                        origin,
-                        svc.index_cycles,
-                    )
-                };
-                let critical_at = self.fetch_cycle + crit;
-                if self.obs.enabled() {
-                    self.obs.emit(
-                        critical_at,
-                        EventKind::MissServed {
-                            pc: info.pc,
-                            origin,
-                            critical: crit,
-                            fill,
-                            index_cycles,
-                        },
-                    );
-                    self.obs.observe("fetch.critical_cycles", crit);
-                }
-                self.miss_stream = Some(MissStream {
-                    line,
-                    critical_word: (info.pc & (line_bytes - 1)) / 4,
-                    critical_at,
-                    fill_at: self.fetch_cycle + fill,
-                });
-                self.fetch_cycle = critical_at;
-            }
-            self.cur_fetch_line = Some(line);
-        } else if let Some(ms) = self.miss_stream {
-            // Later words of a missed line stream in behind the critical
-            // word; fetch cannot outrun the fill.
-            if ms.line == line {
-                let words = line_bytes / 4;
-                let word = (info.pc & (line_bytes - 1)) / 4;
-                let dist = u64::from((word + words - ms.critical_word) & (words - 1));
-                let bound = ms.critical_at
-                    + dist * (ms.fill_at - ms.critical_at) / u64::from(words - 1).max(1);
-                if bound > self.fetch_cycle {
-                    self.fetch_cycle = bound;
-                    self.fetched_this_cycle = 0;
-                }
-            }
-        }
-        // Fetch-queue back-pressure: slot frees when an instruction dispatches.
-        let fq_limit = self.disp_ring.current();
-        if fq_limit > self.fetch_cycle {
-            self.fetch_cycle = fq_limit;
-            self.fetched_this_cycle = 0;
-        }
-        let fetch_t = self.fetch_cycle;
-        self.fetched_this_cycle += 1;
-        if self.fetched_this_cycle >= self.config.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetched_this_cycle = 0;
-        }
-
-        // ---- dispatch ----
-        let mut disp_t = (fetch_t + 1).max(self.disp_cycle);
-        // RUU occupancy: the entry we reuse must have committed.
-        let ruu_limit = self.commit_ring.current();
-        disp_t = disp_t.max(ruu_limit);
-        let is_mem = info.mem.is_some();
-        if is_mem {
-            let lsq_limit = self.lsq_ring.current();
-            disp_t = disp_t.max(lsq_limit);
-        }
-        if disp_t > self.disp_cycle {
-            self.disp_cycle = disp_t;
-            self.dispatched_this_cycle = 0;
-        }
-        self.dispatched_this_cycle += 1;
-        if self.dispatched_this_cycle >= self.config.decode_width {
-            self.disp_cycle += 1;
-            self.dispatched_this_cycle = 0;
-        }
-        self.disp_ring.push(disp_t);
-
-        // ---- issue ----
-        let mut ready_t = disp_t + 1;
-        for src in sources(&info.insn).into_iter().flatten() {
-            let (is_fp, slot) = src;
-            let t = if is_fp {
-                self.fp_ready[slot]
-            } else {
-                self.int_ready[slot]
-            };
-            ready_t = ready_t.max(t);
-        }
-        // Loads wait for the latest store to the same word (forwarding).
-        if let Some(mem) = info.mem {
-            if !mem.store {
-                ready_t = ready_t.max(self.store_wb.get(mem.addr >> 2));
-            }
-        }
-        if self.config.in_order {
-            ready_t = ready_t.max(self.last_issue);
-        }
-        let (fu, mut lat, occupancy) = latency(&info.insn);
-        let mut issue_t = self.fu_free.acquire(fu, ready_t, occupancy);
-        issue_t = self.take_issue_slot(issue_t);
-        self.last_issue = issue_t;
-
-        // ---- memory access (at issue) ----
-        if let Some(mem) = info.mem {
-            let hit = self.dcache.access(mem.addr);
-            if mem.store {
-                // Stores retire through the write buffer; a miss costs
-                // memory beats but does not stall the pipeline.
-                *self.store_wb.get_mut(mem.addr >> 2) = issue_t + lat;
-            } else if !hit {
-                let fill = self.dmem.line_fill(
-                    self.dcache.config().line_bytes(),
-                    mem.addr % self.dcache.config().line_bytes(),
-                );
-                lat += fill.critical_word_ready;
-                self.obs.emit(
-                    issue_t,
-                    EventKind::DcacheMiss {
-                        addr: mem.addr,
-                        cycles: fill.critical_word_ready,
-                    },
-                );
-            }
-        }
-
-        let wb_t = issue_t + lat;
-        if let Some((is_fp, slot)) = destination(&info.insn) {
-            if is_fp {
-                self.fp_ready[slot] = wb_t;
-            } else if slot != 0 {
-                self.int_ready[slot] = wb_t;
-            }
-        }
-
-        // ---- commit ----
-        let mut commit_t = (wb_t + 1).max(self.commit_cycle);
-        if commit_t > self.commit_cycle {
-            self.commit_cycle = commit_t;
-            self.committed_this_cycle = 0;
-        }
-        self.committed_this_cycle += 1;
-        if self.committed_this_cycle >= self.config.commit_width {
-            self.commit_cycle += 1;
-            self.committed_this_cycle = 0;
-            commit_t = self.commit_cycle;
-        }
-        self.commit_ring.push(commit_t);
-        if is_mem {
-            self.lsq_ring.push(commit_t);
-        }
-
-        // ---- control flow: redirect fetch ----
-        self.steer_fetch(info, fetch_t, wb_t);
-    }
-
-    /// Decides whether a soft error strikes the resident I-cache line being
-    /// fetched this cycle. Returns `false` when a parity-detected strike
-    /// forces the line to be invalidated and re-fetched through the normal
-    /// miss path (whose service cycles then model the recovery cost).
-    fn probe_resident_line(&mut self, line: u32, line_bytes: u32) -> bool {
-        let Some(cfg) = self.soft_errors else {
-            return true;
-        };
-        let Some(flips) = cfg.faults.probe(
-            self.fetch_cycle,
-            u64::from(line),
-            FaultDomain::IcacheLine,
-            line_bytes * 8,
-        ) else {
-            return true;
-        };
-        self.stats.faults.injected += 1;
-        let area = FaultArea::IcacheLine;
-        if self.obs.enabled() {
-            self.obs.emit(
-                self.fetch_cycle,
-                EventKind::FaultInjected {
-                    area,
-                    addr: line,
-                    flips: flips.count,
-                },
-            );
-        }
-        if cfg.integrity.icache_parity && flips.parity_detects() {
-            // Parity caught the strike: invalidate and re-fetch. The gold
-            // copy lives behind the miss engine, so one re-fetch always
-            // cures an I-cache-resident fault.
-            self.stats.faults.detected += 1;
-            self.stats.faults.recovered += 1;
-            self.stats.faults.retries += 1;
-            if self.obs.enabled() {
-                self.obs.emit(
-                    self.fetch_cycle,
-                    EventKind::FaultDetected { area, addr: line },
-                );
-                self.obs
-                    .emit(self.fetch_cycle, EventKind::FaultRetry { area, attempt: 1 });
-            }
-            false
-        } else {
-            self.stats.faults.silent += 1;
-            if self.obs.enabled() {
-                self.obs.emit(
-                    self.fetch_cycle,
-                    EventKind::FaultSilent { area, addr: line },
-                );
-            }
-            true
-        }
-    }
-
-    /// Applies branch prediction and redirects the fetch cursor.
-    fn steer_fetch(&mut self, info: &StepInfo, fetch_t: u64, resolve_t: u64) {
-        use Instruction::*;
-        let insn = &info.insn;
-        if !insn.is_control() {
-            return;
-        }
-
-        // (mispredicted, was an indirect-target mispredict)
-        let (mispredicted, indirect) = match *insn {
-            J { .. } => (false, false), // direction + target known at decode
-            Jal { .. } => {
-                self.ras.push(info.pc.wrapping_add(4));
-                (false, false)
-            }
-            Jalr { .. } => {
-                self.ras.push(info.pc.wrapping_add(4));
-                (true, true) // indirect call target: no BTB modeled
-            }
-            Jr { rs } => {
-                let predicted = self.ras.pop();
-                let correct = rs == Reg::RA && predicted == Some(info.next_pc);
-                if !correct {
-                    self.stats.indirect_mispredicts += 1;
-                }
-                (!correct, !correct)
-            }
-            _ => {
-                // Conditional branch.
-                self.stats.branches += 1;
-                let predicted = self.predictor.predict_and_train(info.pc, info.taken);
-                let wrong = predicted != info.taken;
-                if wrong {
-                    self.stats.mispredicts += 1;
-                }
-                (wrong, false)
-            }
-        };
-
-        if mispredicted {
-            // Fetch restarts once the branch resolves.
-            if self.obs.enabled() {
-                self.obs.emit(
-                    resolve_t,
-                    EventKind::BranchMispredict {
-                        pc: info.pc,
-                        indirect,
-                    },
-                );
-                // Cycles of fetch lost to the flush: the wrongly-fetched
-                // path occupied fetch from just after the branch until
-                // resolution.
-                let flushed = (resolve_t + 1).saturating_sub(fetch_t + 1);
-                if flushed > 0 {
-                    self.obs
-                        .emit(resolve_t, EventKind::PipelineFlush { cycles: flushed });
-                }
-            }
-            self.cur_fetch_line = None;
-            self.fetch_cycle = self.fetch_cycle.max(resolve_t + 1);
-            self.fetched_this_cycle = 0;
-        } else if info.taken {
-            // Correctly predicted taken: the fetch group still ends.
-            self.cur_fetch_line = None;
-            self.fetch_cycle = self.fetch_cycle.max(fetch_t + 1);
-            self.fetched_this_cycle = 0;
-        }
-    }
-
-    /// Enforces the issue-width limit: finds the first cycle ≥ `t` with a
-    /// free issue slot and claims it.
-    fn take_issue_slot(&mut self, mut t: u64) -> u64 {
-        // Lazily clear ring cells we are about to enter for the first time.
-        while self.issue_clear_hi < t {
-            self.issue_clear_hi += 1;
-            self.issue_count[(self.issue_clear_hi % ISSUE_RING as u64) as usize] = 0;
-        }
-        loop {
-            let cell = (t % ISSUE_RING as u64) as usize;
-            if u32::from(self.issue_count[cell]) < self.config.issue_width {
-                self.issue_count[cell] += 1;
-                return t;
-            }
-            t += 1;
-            if self.issue_clear_hi < t {
-                self.issue_clear_hi = t;
-                self.issue_count[(t % ISSUE_RING as u64) as usize] = 0;
-            }
+        let mut o = self.outcomes.fetch(info.pc);
+        if let Some(fetch_t) = self.timing.fetch(&o) {
+            self.outcomes.execute(info, &mut o);
+            self.timing.execute(&o, fetch_t);
         }
     }
 }
@@ -1067,17 +363,65 @@ impl Pipeline {
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("config", &self.config)
-            .field("stats", &self.stats)
+            .field("config", self.config())
+            .field("stats", &self.stats())
             .finish()
     }
+}
+
+/// Runs `machine` once for every cell in `cells`: until it halts, or
+/// `max_insns` instructions retire, or every cell has raised a machine
+/// check. Each instruction is condensed by `outcomes` and streamed, a
+/// chunk of 4096 records at a time, to every cell's [`Timing`]
+/// part; nothing keeps the trace. Each cell's statistics then come from
+/// [`Timing::finish`] against the same `outcomes`, and equal what a
+/// [`Pipeline`] of that cell's configuration reports. Every cell must be
+/// built for the cache geometry and predictor `outcomes` models.
+///
+/// # Errors
+///
+/// Returns a functional-execution error of `machine`, after every cell
+/// has replayed the instructions before it.
+pub fn run_group(
+    machine: &mut Machine,
+    outcomes: &mut Outcomes,
+    cells: &mut [Timing],
+    max_insns: u64,
+) -> Result<(), ExecError> {
+    let mut chunk = Vec::with_capacity(CHUNK);
+    let mut retired = 0u64;
+    while !machine.halted()
+        && retired < max_insns
+        && cells.iter().any(|c| c.machine_check().is_none())
+    {
+        let len = (max_insns - retired).min(CHUNK as u64) as usize;
+        let mut stepped = Ok(());
+        while chunk.len() < len {
+            match machine.step() {
+                Ok(_) if machine.halted() => break,
+                Ok(info) => chunk.push(outcomes.record(&info)),
+                Err(e) => {
+                    stepped = Err(e);
+                    break;
+                }
+            }
+        }
+        retired += chunk.len() as u64;
+        for cell in cells.iter_mut() {
+            cell.replay(&chunk);
+        }
+        chunk.clear();
+        stepped?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use codepack_core::NativeFetch;
-    use codepack_isa::Assembler;
+    use codepack_isa::{Assembler, Instruction, Reg};
+    use codepack_obs::EventKind;
 
     fn run_program(build: impl FnOnce(&mut Assembler), config: PipelineConfig) -> PipelineStats {
         let mut a = Assembler::new();
@@ -1519,10 +863,10 @@ mod tests {
                     taken: false,
                 });
                 if insn.is_store() {
-                    store_issue = pipe.last_issue;
+                    store_issue = pipe.timing.last_issue();
                 }
             }
-            (store_issue, pipe.last_issue)
+            (store_issue, pipe.timing.last_issue())
         };
         let base = codepack_isa::DATA_BASE;
         let (store, forwarded) = load_issue(base);

@@ -18,8 +18,8 @@
 //!   integers; `state_hash` is a decimal *string* so the full 64-bit
 //!   value survives the float-typed JSON parser byte-exactly.
 //!
-//! Each record is appended and flushed as its cell completes, so a
-//! `kill -9` loses at most the cells still in flight. A line torn by a
+//! Each record is appended and flushed as its cell's group completes, so
+//! a `kill -9` loses at most the groups still in flight. A line torn by a
 //! crash is detected on read (it fails to parse) and ignored; before
 //! appending to a resumed journal the writer re-terminates the file so
 //! new records never concatenate onto a torn tail.

@@ -10,12 +10,28 @@
 //! profile-major enumeration, no matter which thread ran it or when it
 //! finished.
 //!
+//! # Groups
+//!
+//! The runner schedules groups, not cells. A group is the cells of one
+//! profile (so one program and instruction budget) whose machines share
+//! the L1 I-cache, D-cache and L2 geometry and the direction predictor:
+//! what [`codepack_cpu::Outcomes`] models in program order. Memory
+//! timing, pipeline widths and code models may differ within a group.
+//! A group steps one functional machine and one outcome pass and streams
+//! the records to one [`codepack_cpu::Timing`] part per cell
+//! ([`codepack_cpu::run_group`]), so the paper cube's 54 cells run from
+//! 18 executions. Every cell's result equals what it gives alone. Two
+//! kinds of cell always run alone: a cell with a [`FaultPlan`] entry, and
+//! a cell with soft errors armed (its resident-line probe reads its own
+//! fetch clock, and a machine check ends it early).
+//!
 //! # Fault tolerance
 //!
-//! A long sweep must degrade per-cell, not per-run. Each cell executes
-//! under `catch_unwind` and writes its completion into a lock-free
-//! single-writer slot, so a trapping or panicking cell becomes an error
-//! record ([`CellOutcome::Trapped`]) in the report instead of poisoning
+//! A long sweep must degrade per-cell, not per-run. Each group executes
+//! under `catch_unwind`; a group that panics or traps re-runs its cells
+//! one at a time, each under `catch_unwind` again. Every cell writes its
+//! completion into a lock-free single-writer slot, so a trapping or
+//! panicking cell becomes an error record ([`CellOutcome::Trapped`]) in the report instead of poisoning
 //! a shared lock and aborting the cube. Transiently-failing cells are
 //! retried a bounded number of times ([`MatrixSpec::with_retries`]) with
 //! deterministic, seed-derived jitter between attempts — no wall-clock
@@ -24,8 +40,9 @@
 //! cells [`CellOutcome::TimedOut`].
 //!
 //! With a journal directory ([`MatrixOptions::with_journal`]), every
-//! completed cell is appended to a crash-safe JSONL journal as it
-//! finishes; a killed sweep resumes ([`MatrixOptions::resuming`]) by
+//! completed cell is appended to a crash-safe JSONL journal as its group
+//! finishes, so a kill loses at most the groups in flight; a killed sweep
+//! resumes ([`MatrixOptions::resuming`]) by
 //! re-running only missing and failed cells, and the resumed report is
 //! byte-identical to an uninterrupted run for any worker count.
 //!
@@ -50,11 +67,12 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use codepack_core::pool::run_jobs;
 use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_isa::Program;
-use codepack_obs::{names, BlockProfile, MetricsRegistry, Obs};
+use codepack_obs::{names, BlockProfile, MetricsRegistry, Obs, ObsReport};
 use codepack_synth::{generate, BenchmarkProfile};
 use codepack_testkit::{mix_seed, Rng};
 
 use crate::journal::{journal_exists, read_journal, JournalEntry, JournalWriter};
+use crate::run::{group_key, run_group};
 use crate::{ArchConfig, CodeModel, SimResult, Simulation, Table};
 
 /// The experiment cube: which profiles, machines, and code models to
@@ -184,6 +202,11 @@ impl FaultPlan {
     /// Adds a fault.
     pub fn push(&mut self, fault: InjectedFault) {
         self.faults.push(fault);
+    }
+
+    /// True when any fault is planned for `cell`.
+    fn touches(&self, cell: usize) -> bool {
+        self.faults.iter().any(|f| f.cell == cell)
     }
 
     /// The fault to inject for `cell` on `attempt` (0-based), if any.
@@ -655,13 +678,15 @@ impl MatrixOptions {
 ///
 /// Programs are generated and compressed once per profile (all CodePack
 /// cells of a profile share the image when their compression options
-/// agree), then the cells run independently: a shared atomic counter
-/// hands out job indices, each worker writes its completion into the
-/// lock-free slot for that index, and the report keeps enumeration
-/// order. One worker or sixteen, the report is identical.
+/// agree), then the groups run independently (see the module
+/// documentation): a shared atomic counter hands out groups, each worker
+/// writes every cell's completion into the lock-free slot for its index,
+/// and the report keeps enumeration order. One worker or sixteen, the
+/// report is identical, and equal to running each cell alone.
 ///
-/// A cell that traps or panics does **not** abort the cube — it is
-/// retried per [`MatrixSpec::retries`] and, still failing, recorded as
+/// A cell that traps or panics does **not** abort the cube — its group
+/// re-runs its cells alone, and the cell is retried per
+/// [`MatrixSpec::retries`] and, still failing, recorded as
 /// [`CellOutcome::Trapped`].
 ///
 /// # Panics
@@ -719,13 +744,6 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
     }
 
     // Profile-major job list; index into it IS the report order.
-    struct Job {
-        profile: &'static str,
-        arch: ArchConfig,
-        model_label: &'static str,
-        model: CodeModel,
-        prepared: usize,
-    }
     let mut jobs: Vec<Job> = Vec::with_capacity(spec.len());
     for (pi, profile) in spec.profiles.iter().enumerate() {
         for arch in &spec.archs {
@@ -814,41 +832,57 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
     // still holds a valid value.
     let setup = |pi: usize| prepared[pi].lock().unwrap_or_else(PoisonError::into_inner);
 
-    // Workers claim cells in enumeration order; below 32 cells per worker
-    // (the 54-cell paper cube on two or more workers) a claim is one cell.
-    run_jobs(jobs.len(), opts.workers, |cells| {
-        for i in cells {
-            if slots[i].get().is_some() {
-                continue; // restored from the journal
-            }
-            let job = &jobs[i];
-            let prep = setup(job.prepared)
+    // Groups of unfinished cells, in order of their first cell: cells of
+    // one profile whose archs share the outcome pass (`group_key`) run
+    // from one functional execution. A cell with a planned fault or armed
+    // soft errors has no key: it runs alone.
+    let mut groups: Vec<(Option<_>, Vec<usize>)> = Vec::new();
+    for i in (0..jobs.len()).filter(|&i| slots[i].get().is_none()) {
+        let job = &jobs[i];
+        let alone =
+            spec.faults.touches(i) || Simulation::new(job.arch, job.model).protection().is_some();
+        let key = (!alone).then(|| (job.prepared, group_key(&job.arch)));
+        match groups.iter_mut().find(|(k, _)| key.is_some() && *k == key) {
+            Some((_, cells)) => cells.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+
+    // Workers claim groups in order; below 32 groups per worker (the
+    // 54-cell paper cube makes 18) a claim is one group.
+    run_jobs(groups.len(), opts.workers, |claimed| {
+        for (_, group) in &groups[claimed] {
+            let pi = jobs[group[0]].prepared;
+            let prep = setup(pi)
                 .clone()
                 .expect("profiles with pending cells are prepared");
 
-            let done = run_cell(spec, opts, i, job.arch, job.model, &prep);
-            if unfinished[job.prepared].fetch_sub(1, Ordering::SeqCst) == 1 {
-                setup(job.prepared).take();
+            let dones = run_cells(spec, opts, group, &jobs, &prep);
+            if unfinished[pi].fetch_sub(group.len(), Ordering::SeqCst) == group.len() {
+                setup(pi).take();
             }
 
-            if let Some(w) = &journal {
-                let entry = JournalEntry {
-                    cell: i,
-                    profile: job.profile.to_string(),
-                    arch: job.arch.name.to_string(),
-                    model: job.model_label.to_string(),
-                    outcome: done.outcome.clone(),
-                    attempts: done.attempts,
-                    result: done.result.clone(),
-                    metrics: done.metrics.clone(),
-                };
-                if let Err(e) = w.lock().expect("journal lock").append(&entry) {
-                    let _ = journal_error.set(e);
+            for (&i, done) in group.iter().zip(dones) {
+                let job = &jobs[i];
+                if let Some(w) = &journal {
+                    let entry = JournalEntry {
+                        cell: i,
+                        profile: job.profile.to_string(),
+                        arch: job.arch.name.to_string(),
+                        model: job.model_label.to_string(),
+                        outcome: done.outcome.clone(),
+                        attempts: done.attempts,
+                        result: done.result.clone(),
+                        metrics: done.metrics.clone(),
+                    };
+                    if let Err(e) = w.lock().expect("journal lock").append(&entry) {
+                        let _ = journal_error.set(e);
+                    }
                 }
+                slots[i]
+                    .set(done)
+                    .unwrap_or_else(|_| unreachable!("slot {i} written twice"));
             }
-            slots[i]
-                .set(done)
-                .unwrap_or_else(|_| unreachable!("slot {i} written twice"));
         }
     });
 
@@ -897,6 +931,127 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
     })
 }
 
+/// One cell of the cube, in profile-major order.
+struct Job {
+    profile: &'static str,
+    arch: ArchConfig,
+    model_label: &'static str,
+    model: CodeModel,
+    /// Index of the cell's profile.
+    prepared: usize,
+}
+
+/// Runs one group's cells: a group of one through [`run_cell`], a larger
+/// one through [`run_group_cells`], whose failure re-runs every cell
+/// alone through [`run_cell`].
+fn run_cells(
+    spec: &MatrixSpec,
+    opts: &MatrixOptions,
+    cells: &[usize],
+    jobs: &[Job],
+    prep: &Prepared,
+) -> Vec<Done> {
+    let alone = |i: usize| run_cell(spec, opts, i, jobs[i].arch, jobs[i].model, prep);
+    match cells {
+        &[i] => vec![alone(i)],
+        _ => run_group_cells(spec, opts, cells, jobs, prep)
+            .unwrap_or_else(|| cells.iter().map(|&i| alone(i)).collect()),
+    }
+}
+
+/// Runs the cells of one group from one functional execution, once and
+/// under `catch_unwind`. `None` when the group panicked or any cell
+/// trapped: the caller then re-runs every cell alone through
+/// [`run_cell`], which owns retries and per-cell failure records.
+fn run_group_cells(
+    spec: &MatrixSpec,
+    opts: &MatrixOptions,
+    cells: &[usize],
+    jobs: &[Job],
+    prep: &Prepared,
+) -> Option<Vec<Done>> {
+    let results = catch_unwind(AssertUnwindSafe(|| {
+        let cells = cells
+            .iter()
+            .map(|&i| {
+                let job = &jobs[i];
+                Simulation::new(job.arch, job.model).cell(
+                    &prep.program,
+                    prep.image(&job.model),
+                    cell_obs(opts),
+                )
+            })
+            .collect();
+        run_group(&prep.program, spec.max_insns, cells)
+    }))
+    .ok()?;
+    results
+        .into_iter()
+        .map(|r| {
+            r.ok()
+                .map(|(result, report)| completed(spec, opts, 1, result, report))
+        })
+        .collect()
+}
+
+/// A fresh observer for one cell: a null sink when the cube is observed
+/// or profiled (with the profile armed), otherwise disabled.
+fn cell_obs(opts: &MatrixOptions) -> Obs {
+    let mut obs = if opts.observed || opts.profiled {
+        Obs::with_null_sink()
+    } else {
+        Obs::disabled()
+    };
+    if opts.profiled {
+        obs.arm_profile();
+    }
+    obs
+}
+
+/// The record of a cell whose run returned `result` on attempt
+/// `attempts`: timed out past the cycle deadline, else ok with its
+/// metrics snapshot (observed cubes) and block profile (profiled cubes).
+fn completed(
+    spec: &MatrixSpec,
+    opts: &MatrixOptions,
+    attempts: u32,
+    result: SimResult,
+    report: Option<ObsReport>,
+) -> Done {
+    if let Some(deadline) = spec.deadline_cycles {
+        if result.cycles() > deadline {
+            // Deterministic overrun: retrying cannot help.
+            return Done {
+                outcome: CellOutcome::TimedOut {
+                    deadline_cycles: deadline,
+                    actual_cycles: result.cycles(),
+                },
+                attempts,
+                resumed: false,
+                result: None,
+                metrics: None,
+                profile: None,
+            };
+        }
+    }
+    let mut report = report;
+    let profile = report.as_mut().and_then(|r| r.profile.take());
+    Done {
+        outcome: CellOutcome::Ok,
+        attempts,
+        resumed: false,
+        result: Some(result),
+        // Metrics snapshots belong to observed mode only: a
+        // profiled-but-unobserved cube must not grow them.
+        metrics: if opts.observed {
+            report.map(|r| r.to_json())
+        } else {
+            None
+        },
+        profile,
+    }
+}
+
 /// Runs one cell to completion: bounded attempts, each isolated behind
 /// `catch_unwind`, with deterministic jitter between retries and the
 /// cycle-deadline check on success.
@@ -908,7 +1063,6 @@ fn run_cell(
     model: CodeModel,
     prep: &Prepared,
 ) -> Done {
-    let (observed, profiled) = (opts.observed, opts.profiled);
     let max_attempts = spec.retries.saturating_add(1);
     let mut attempt: u32 = 0;
     loop {
@@ -935,65 +1089,18 @@ fn run_cell(
                 }
                 Some(FaultKind::Skip) | None => {}
             }
-            let image = match &model {
-                CodeModel::Native => None,
-                CodeModel::CodePack { compression, .. } => Some(Arc::clone(
-                    &prep
-                        .images
-                        .iter()
-                        .find(|(c, _)| c == compression)
-                        .expect("image prepared for every compression config")
-                        .1,
-                )),
-            };
-            let mut obs = if observed || profiled {
-                Obs::with_null_sink()
-            } else {
-                Obs::disabled()
-            };
-            if profiled {
-                obs.arm_profile();
-            }
             Simulation::new(arch, model)
-                .try_run_observed(&prep.program, spec.max_insns, image, obs)
+                .try_run_observed(
+                    &prep.program,
+                    spec.max_insns,
+                    prep.image(&model),
+                    cell_obs(opts),
+                )
                 .map_err(|e| e.to_string())
         }));
 
         let error = match attempt_result {
-            Ok(Ok((result, report))) => {
-                if let Some(deadline) = spec.deadline_cycles {
-                    if result.cycles() > deadline {
-                        // Deterministic overrun: retrying cannot help.
-                        return Done {
-                            outcome: CellOutcome::TimedOut {
-                                deadline_cycles: deadline,
-                                actual_cycles: result.cycles(),
-                            },
-                            attempts: attempt + 1,
-                            resumed: false,
-                            result: None,
-                            metrics: None,
-                            profile: None,
-                        };
-                    }
-                }
-                let mut report = report;
-                let profile = report.as_mut().and_then(|r| r.profile.take());
-                return Done {
-                    outcome: CellOutcome::Ok,
-                    attempts: attempt + 1,
-                    resumed: false,
-                    result: Some(result),
-                    // Metrics snapshots belong to observed mode only: a
-                    // profiled-but-unobserved cube must not grow them.
-                    metrics: if observed {
-                        report.map(|r| r.to_json())
-                    } else {
-                        None
-                    },
-                    profile,
-                };
-            }
+            Ok(Ok((result, report))) => return completed(spec, opts, attempt + 1, result, report),
             Ok(Err(trap)) => trap,
             Err(payload) => format!("panic: {}", panic_message(payload.as_ref())),
         };
@@ -1018,6 +1125,23 @@ fn run_cell(
 struct Prepared {
     program: Arc<Program>,
     images: Vec<(CompressionConfig, Arc<CodePackImage>)>,
+}
+
+impl Prepared {
+    /// The image a cell of `model` runs from (`None` for native code).
+    fn image(&self, model: &CodeModel) -> Option<Arc<CodePackImage>> {
+        match model {
+            CodeModel::Native => None,
+            CodeModel::CodePack { compression, .. } => Some(Arc::clone(
+                &self
+                    .images
+                    .iter()
+                    .find(|(c, _)| c == compression)
+                    .expect("image prepared for every compression config")
+                    .1,
+            )),
+        }
+    }
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -1237,6 +1361,46 @@ mod tests {
         let err = run_matrix_with(&tiny_spec(), &opts).unwrap_err();
         assert!(err.contains("cannot be journaled"), "got: {err}");
         assert!(!dir.exists(), "the guard fires before any journal I/O");
+    }
+
+    #[test]
+    fn a_trapping_group_reruns_its_cells_alone() {
+        use codepack_isa::{Assembler, Instruction};
+
+        // Every cell of the group reaches an illegal instruction.
+        let mut a = Assembler::new();
+        a.push(Instruction::NOP);
+        a.push_raw(0xffff_ffff);
+        a.halt();
+        let prep = Prepared {
+            program: Arc::new(a.finish("bad").unwrap()),
+            images: Vec::new(),
+        };
+        let four = ArchConfig::four_issue();
+        let jobs: Vec<Job> = [four, four.with_bus_bits(16), four.with_memory_scale(4.0)]
+            .into_iter()
+            .map(|arch| Job {
+                profile: "bad",
+                arch,
+                model_label: "native",
+                model: CodeModel::Native,
+                prepared: 0,
+            })
+            .collect();
+        let spec = tiny_spec();
+        let opts = MatrixOptions::new(1);
+        assert!(run_group_cells(&spec, &opts, &[0, 1, 2], &jobs, &prep).is_none());
+        let dones = run_cells(&spec, &opts, &[0, 1, 2], &jobs, &prep);
+        assert_eq!(dones.len(), 3);
+        for done in dones {
+            match done.outcome {
+                CellOutcome::Trapped { error } => {
+                    assert!(error.contains("illegal instruction"), "{error}")
+                }
+                other => panic!("expected trapped, got {other:?}"),
+            }
+            assert_eq!(done.attempts, spec.retries + 1, "each cell retried alone");
+        }
     }
 
     #[test]

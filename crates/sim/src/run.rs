@@ -5,9 +5,11 @@ use std::sync::Arc;
 use codepack_core::{
     CodePackFetch, CodePackImage, CompositionStats, FetchEngine, FetchStats, NativeFetch,
 };
-use codepack_cpu::{ExecError, Machine, Pipeline, PipelineStats};
+use codepack_cpu::{
+    ExecError, L2Config, Machine, Outcomes, PipelineStats, PredictorConfig, Timing,
+};
 use codepack_isa::{Program, TEXT_BASE};
-use codepack_mem::FaultStats;
+use codepack_mem::{CacheConfig, FaultStats, SoftErrorConfig};
 use codepack_obs::{Obs, ObsReport};
 
 use crate::{ArchConfig, CodeModel};
@@ -90,6 +92,11 @@ impl SimResult {
 
 /// A runnable experiment: one architecture + one code model.
 ///
+/// Every run is a group of one cell: the same path by which
+/// [`crate::run_matrix`] runs many cells that share a program and an
+/// outcome pass from one functional execution, so a cell gives the same
+/// result alone and in a group.
+///
 /// ```no_run
 /// use codepack_sim::{ArchConfig, CodeModel, Simulation};
 /// use codepack_synth::{generate, BenchmarkProfile};
@@ -155,8 +162,20 @@ impl Simulation {
         program: &Program,
         max_insns: u64,
         image: Option<Arc<CodePackImage>>,
-        mut obs: Obs,
+        obs: Obs,
     ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
+        run_alone(program, max_insns, self.cell(program, image, obs))
+    }
+
+    /// This simulation as one cell of a group run: the fetch engine its
+    /// code model implies, reusing `image` when one is given, and `obs`
+    /// carrying the image's compression-ratio gauge.
+    pub(crate) fn cell(
+        &self,
+        program: &Program,
+        image: Option<Arc<CodePackImage>>,
+        mut obs: Obs,
+    ) -> GroupCell {
         let (engine, compression): (Box<dyn FetchEngine>, _) = match &self.model {
             CodeModel::Native => (Box::new(NativeFetch::new(self.arch.memory)), None),
             CodeModel::CodePack {
@@ -187,16 +206,19 @@ impl Simulation {
         if let Some(c) = &compression {
             obs.set_gauge("compression.ratio", c.compression_ratio());
         }
-        let (mut result, report) = self.try_run_engine(program, max_insns, engine, obs)?;
-        result.model = self.model.label();
-        result.compression = compression;
-        Ok((result, report))
+        GroupCell {
+            sim: *self,
+            engine,
+            obs,
+            model: self.model.label(),
+            compression,
+        }
     }
 
     /// Runs `program` on this simulation's machine (L2 included) with a
-    /// caller-supplied I-miss service `engine`; every run goes through
-    /// here. The code model only arms soft errors; the result's `model` is
-    /// the engine's name and it carries no compression stats.
+    /// caller-supplied I-miss service `engine`, as a group of one cell.
+    /// The code model only arms soft errors; the result's `model` is the
+    /// engine's name and it carries no compression stats.
     ///
     /// # Errors
     ///
@@ -208,43 +230,23 @@ impl Simulation {
         engine: Box<dyn FetchEngine>,
         obs: Obs,
     ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
-        let protection = match self.model {
+        let model = engine.name();
+        let cell = GroupCell {
+            sim: *self,
+            engine,
+            obs,
+            model,
+            compression: None,
+        };
+        run_alone(program, max_insns, cell)
+    }
+
+    /// Soft-error injection armed by the code model, if any.
+    pub(crate) fn protection(&self) -> Option<SoftErrorConfig> {
+        match self.model {
             CodeModel::Native => None,
             CodeModel::CodePack { protection, .. } => protection,
-        };
-        let model = engine.name();
-        let mut pipeline = Pipeline::new(
-            self.arch.pipeline,
-            self.arch.icache,
-            self.arch.dcache,
-            self.arch.memory,
-            engine,
-        );
-        if let Some(l2) = self.arch.l2 {
-            pipeline.set_l2(l2);
         }
-        pipeline.set_soft_errors(protection);
-        pipeline.set_obs(obs);
-        let mut machine = Machine::load(program);
-        let stats = pipeline.run(&mut machine, max_insns)?;
-        let report = pipeline
-            .take_obs()
-            .into_report(stats.cycles, stats.instructions);
-
-        Ok((
-            SimResult {
-                benchmark: program.name().to_string(),
-                arch: self.arch.name,
-                model,
-                pipeline: stats,
-                fetch: pipeline.fetch_engine().stats(),
-                compression: None,
-                retired_instructions: stats.instructions,
-                state_hash: machine.state_hash(),
-                faults: protection.map(|_| stats.faults),
-            },
-            report,
-        ))
     }
 
     /// Runs `program`, panicking on functional-execution errors.
@@ -261,6 +263,107 @@ impl Simulation {
         self.try_run(program, max_insns)
             .unwrap_or_else(|e| panic!("program {:?} trapped: {e}", program.name()))
     }
+}
+
+/// One cell of a group run: the simulation, its I-miss engine and
+/// observer, and what its result reports as the model and compression.
+pub(crate) struct GroupCell {
+    sim: Simulation,
+    engine: Box<dyn FetchEngine>,
+    obs: Obs,
+    model: &'static str,
+    compression: Option<CompositionStats>,
+}
+
+/// What the cells of one group share besides the program and the
+/// instruction budget: the outcome pass's L1 I-cache, D-cache and L2
+/// geometry and the direction predictor. Cells whose archs have equal
+/// keys can run from one functional execution.
+pub(crate) fn group_key(
+    arch: &ArchConfig,
+) -> (CacheConfig, CacheConfig, Option<L2Config>, PredictorConfig) {
+    (arch.icache, arch.dcache, arch.l2, arch.pipeline.predictor)
+}
+
+/// [`run_group`] of the one cell `cell`.
+fn run_alone(
+    program: &Program,
+    max_insns: u64,
+    cell: GroupCell,
+) -> Result<(SimResult, Option<ObsReport>), ExecError> {
+    run_group(program, max_insns, vec![cell])
+        .pop()
+        .expect("a group of one yields one result")
+}
+
+/// Runs every cell of a group from one functional execution of `program`:
+/// one [`Machine`], one [`Outcomes`] pass, and one [`Timing`] part per
+/// cell fed the same records (see [`codepack_cpu::run_group`]). Returns
+/// each cell's result in order, equal to what the cell gives when it runs
+/// alone. A cell whose fetch engine raises a machine check gets that
+/// error; a program trap is every other cell's error.
+///
+/// # Panics
+///
+/// Panics if `cells` is empty or their archs differ in [`group_key`].
+pub(crate) fn run_group(
+    program: &Program,
+    max_insns: u64,
+    cells: Vec<GroupCell>,
+) -> Vec<Result<(SimResult, Option<ObsReport>), ExecError>> {
+    let arch = cells.first().expect("a group has a cell").sim.arch;
+    assert!(
+        cells
+            .iter()
+            .all(|c| group_key(&c.sim.arch) == group_key(&arch)),
+        "a group's cells share the cache geometry and the predictor"
+    );
+    let mut outcomes = Outcomes::new(arch.pipeline.predictor, arch.icache, arch.dcache);
+    let mut meta = Vec::with_capacity(cells.len());
+    let mut timings: Vec<Timing> = cells
+        .into_iter()
+        .map(|c| {
+            let a = c.sim.arch;
+            let mut timing = Timing::new(a.pipeline, a.icache, a.dcache, a.memory, c.engine);
+            if let Some(l2) = a.l2 {
+                timing.set_l2(l2);
+            }
+            timing.set_soft_errors(c.sim.protection());
+            timing.set_obs(c.obs);
+            meta.push((c.sim, c.model, c.compression));
+            timing
+        })
+        .collect();
+    let mut machine = Machine::load(program);
+    let ran = codepack_cpu::run_group(&mut machine, &mut outcomes, &mut timings, max_insns);
+    timings
+        .iter_mut()
+        .zip(meta)
+        .map(|(timing, (sim, model, compression))| {
+            if let Some(pc) = timing.machine_check() {
+                return Err(ExecError::MachineCheck { pc });
+            }
+            ran?;
+            let stats = timing.finish(&outcomes);
+            let report = timing
+                .take_obs()
+                .into_report(stats.cycles, stats.instructions);
+            Ok((
+                SimResult {
+                    benchmark: program.name().to_string(),
+                    arch: sim.arch.name,
+                    model,
+                    pipeline: stats,
+                    fetch: timing.fetch_engine().stats(),
+                    compression,
+                    retired_instructions: stats.instructions,
+                    state_hash: machine.state_hash(),
+                    faults: sim.protection().map(|_| stats.faults),
+                },
+                report,
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]

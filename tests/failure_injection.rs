@@ -225,3 +225,139 @@ fn break_instruction_traps() {
     assert!(matches!(err, ExecError::Break { .. }));
     assert!(err.to_string().contains("break"));
 }
+
+// --- Failures inside a group: cells that share one functional execution
+// --- still fail, retry, time out and resume one by one. Each report is
+// --- pinned by the digest the one-cell-at-a-time runner gave.
+
+/// Twelve cells: the 4-issue machine at three memory timings (one group
+/// of nine, cells 0–8) and the 1-issue machine (a group of three).
+fn group_spec() -> MatrixSpec {
+    let four = ArchConfig::four_issue();
+    MatrixSpec::new(11, 10_000)
+        .with_profiles(vec![BenchmarkProfile::pegwit_like()])
+        .with_archs(vec![
+            four,
+            four.with_bus_bits(16),
+            four.with_memory_scale(2.0),
+            ArchConfig::one_issue(),
+        ])
+}
+
+/// The middle cell of the nine-cell group.
+const MIDDLE: usize = 4;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digest of a report's JSON and rendered table.
+fn report_digest(report: &codepack::sim::SimReport) -> u64 {
+    fnv1a64(format!("{}\n{}", report.to_json(), report.render()).as_bytes())
+}
+
+/// The report of `spec` at one and two workers, which must agree.
+fn grouped_report_digest(spec: &MatrixSpec) -> u64 {
+    let one = report_digest(&run_matrix(spec, 1));
+    let two = report_digest(&run_matrix(spec, 2));
+    assert_eq!(one, two, "worker count changed the report");
+    one
+}
+
+/// (fault kind, permanent?) on the middle cell, and its pinned digest.
+const MIDDLE_FAULTS: [(FaultKind, bool, u64); 6] = [
+    (FaultKind::Panic, true, 0x8646_fad3_0ec1_e145),
+    (FaultKind::Panic, false, 0x386d_feea_91d4_ac8d),
+    (FaultKind::Trap, true, 0x4be6_4a11_08c2_862a),
+    (FaultKind::Trap, false, 0x386d_feea_91d4_ac8d),
+    (FaultKind::Skip, true, 0x36c0_dad9_27ca_6eb5),
+    (FaultKind::Skip, false, 0x36c0_dad9_27ca_6eb5),
+];
+/// The fault-free report.
+const CLEAN_GROUPS: u64 = 0x7278_0355_4fcc_ec81;
+/// The slowest cell past its deadline.
+const DEADLINE_OVERRUN: u64 = 0x67b5_a539_1a51_6d85;
+/// A permanently trapping middle cell, resumed from four journaled cells.
+const HALF_JOURNALED: u64 = 0xea69_6e65_d091_a47e;
+
+#[test]
+fn a_fault_on_the_middle_cell_of_a_group_fails_that_cell_alone() {
+    assert_eq!(grouped_report_digest(&group_spec()), CLEAN_GROUPS);
+    for (kind, permanent, golden) in MIDDLE_FAULTS {
+        let fault = if permanent {
+            InjectedFault::permanent(MIDDLE, kind)
+        } else {
+            InjectedFault::transient(MIDDLE, kind, 1)
+        };
+        let spec = group_spec().with_fault(fault);
+        let report = run_matrix(&spec, 2);
+        // A retry clears a transient panic or trap; a skip is never retried.
+        let middle_ok = !permanent && kind != FaultKind::Skip;
+        for (i, cell) in report.cells.iter().enumerate() {
+            assert_eq!(
+                cell.outcome.is_ok(),
+                i != MIDDLE || middle_ok,
+                "{kind:?} permanent={permanent}: cell {i} is {}",
+                cell.outcome.label()
+            );
+        }
+        assert_eq!(
+            grouped_report_digest(&spec),
+            golden,
+            "{kind:?} permanent={permanent}: report digest drifted"
+        );
+    }
+}
+
+#[test]
+fn a_deadline_overrun_times_out_one_cell_of_a_group() {
+    // The deadline sits one cycle below the slowest cell of the group.
+    let clean = run_matrix(&group_spec(), 1);
+    let slowest = clean
+        .cells
+        .iter()
+        .map(|c| c.expect_ok().cycles())
+        .max()
+        .expect("cells ran");
+    let spec = group_spec().with_deadline_cycles(slowest - 1);
+    let report = run_matrix(&spec, 2);
+    assert_eq!(report.summary().timed_out, 1);
+    assert_eq!(grouped_report_digest(&spec), DEADLINE_OVERRUN);
+}
+
+#[test]
+fn resume_finishes_a_half_journaled_group() {
+    let spec = group_spec().with_fault(InjectedFault::permanent(MIDDLE, FaultKind::Trap));
+    let clean_dir = scratch_dir("group-clean");
+    let clean = run_matrix_with(&spec, &MatrixOptions::new(1).with_journal(&clean_dir)).unwrap();
+
+    // Keep the header and the records of the first four cells of the
+    // nine-cell group, then resume.
+    let text = std::fs::read_to_string(clean_dir.join("journal.jsonl")).unwrap();
+    let kept: Vec<&str> = text
+        .lines()
+        .filter(|l| {
+            l.contains("\"kind\": \"header\"")
+                || (0..4).any(|i| l.contains(&format!("\"cell\": {i},")))
+        })
+        .collect();
+    assert_eq!(kept.len(), 5, "header + four cell records");
+    let resumed_dir = scratch_dir("group-resumed");
+    std::fs::create_dir_all(&resumed_dir).unwrap();
+    std::fs::write(resumed_dir.join("journal.jsonl"), kept.join("\n") + "\n").unwrap();
+    let resumed = run_matrix_with(
+        &spec,
+        &MatrixOptions::new(2)
+            .with_journal(&resumed_dir)
+            .resuming(true),
+    )
+    .unwrap();
+
+    assert_eq!(clean.to_json(), resumed.to_json());
+    assert_eq!(resumed.summary().resumed, 4);
+    assert_eq!(report_digest(&resumed), HALF_JOURNALED);
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&resumed_dir);
+}

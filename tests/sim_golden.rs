@@ -137,3 +137,37 @@ fn final_memory_matches_the_pinned_digest() {
     bytes.extend((memory.resident_pages() as u64).to_le_bytes());
     assert_eq!(fnv1a64(&bytes), MEMORY, "final memory digest drifted");
 }
+
+/// The benchmark's pinned cube digest: perfbench checks
+/// `run_matrix(MatrixSpec::new(42, 200_000), 1).to_json()` against this
+/// file, which only a deliberate model change re-captures.
+const BENCHMARK_GOLDEN: &str = include_str!("../perfbench/golden/paper-matrix.txt");
+
+/// The digest `BENCHMARK_GOLDEN` pins for (`seed`, `max_insns`).
+fn benchmark_digest(seed: u64, max_insns: u64) -> Option<u64> {
+    BENCHMARK_GOLDEN.lines().find_map(|line| {
+        match line.split_whitespace().collect::<Vec<_>>().as_slice() {
+            ["seed", s, "max_insns", n, "fnv1a64", hex]
+                if s.parse() == Ok(seed) && n.parse() == Ok(max_insns) =>
+            {
+                u64::from_str_radix(hex, 16).ok()
+            }
+            _ => None,
+        }
+    })
+}
+
+/// The benchmark's 54-cell cube at its full length, on two workers. A
+/// release build runs it in about a second, so CI runs it with
+/// `cargo test --release --test sim_golden -- --ignored`.
+#[test]
+#[ignore = "200k-instruction cube: run in release"]
+fn the_benchmark_cube_matches_its_golden_digest() {
+    let want = benchmark_digest(42, 200_000).expect("seed 42 is pinned");
+    let json = run_matrix(&MatrixSpec::new(42, 200_000), 2).to_json();
+    assert_eq!(
+        fnv1a64(json.as_bytes()),
+        want,
+        "the benchmark cube's report drifted from perfbench/golden/paper-matrix.txt"
+    );
+}
