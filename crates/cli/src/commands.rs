@@ -45,10 +45,11 @@ USAGE:
                                         trailers, payload decode);
                                         exits nonzero on any error
     cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
-                   [--retries N] [--journal DIR] [--resume]
+                   [--journal DIR] [--resume]
                                         full profile x machine x model sweep;
-                                        cells are isolated (a trapping cell
-                                        degrades, never aborts), --journal
+                                        each cell runs once and is isolated
+                                        (a trapping cell degrades, never
+                                        aborts), --journal
                                         records completed cells crash-safely
                                         and --resume re-runs only the rest
     cpack profile  <profile> [INSNS] [--out FILE.json] [--top N] [--json]
@@ -78,7 +79,7 @@ USAGE:
                                         decode a .cpk frame to stdout
     cpack faults   [INSNS] [--profile P] [--rates PPB,PPB,..]
                    [--integrity none,parity,crc32] [--workers N] [--json]
-                   [--retries N] [--journal DIR] [--resume]
+                   [--journal DIR] [--resume]
                                         soft-error campaign: sweep fault
                                         rates x integrity configs on the
                                         journaled matrix runner, reporting
@@ -495,7 +496,7 @@ pub fn trace_export(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `cpack matrix [INSNS] [--workers N] [--json] [--metrics-dir DIR]
-/// [--retries N] [--journal DIR] [--resume]`
+/// [--journal DIR] [--resume]`
 ///
 /// Runs the whole experiment cube — every profile on every Table 2
 /// machine under every code model — on a worker pool, and prints one
@@ -513,7 +514,6 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
     let mut workers = all_cores();
     let mut json = false;
     let mut metrics_dir: Option<String> = None;
-    let mut retries: Option<u32> = None;
     let mut journal_dir: Option<String> = None;
     let mut resume = false;
     let mut it = args.iter();
@@ -522,10 +522,6 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
             "--json" => json = true,
             "--resume" => resume = true,
             "--workers" => workers = parse_workers("matrix", it.next()).map_err(usage)?,
-            "--retries" => {
-                let v = required(it.next(), "matrix: --retries needs a count")?;
-                retries = Some(parse_num(v, "retry count")?);
-            }
             "--journal" => {
                 journal_dir =
                     Some(required(it.next(), "matrix: --journal needs a directory")?.clone());
@@ -551,11 +547,7 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
     if resume && journal_dir.is_none() {
         return Err(usage("matrix: --resume needs --journal DIR"));
     }
-    let insns = insns.unwrap_or(200_000);
-    let mut spec = MatrixSpec::new(SEED, insns);
-    if let Some(r) = retries {
-        spec = spec.with_retries(r);
-    }
+    let spec = MatrixSpec::new(SEED, insns.unwrap_or(200_000));
     let mut opts = MatrixOptions::new(workers)
         .observed(metrics_dir.is_some())
         .resuming(resume);
@@ -802,7 +794,7 @@ fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), CliError> 
 }
 
 /// `cpack faults [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
-/// [--workers N] [--json] [--retries N] [--journal DIR] [--resume]`
+/// [--workers N] [--json] [--journal DIR] [--resume]`
 pub fn faults(args: &[String]) -> Result<(), CliError> {
     let mut insns: Option<u64> = None;
     let mut workers = all_cores();
@@ -810,7 +802,6 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     let mut profiles: Vec<BenchmarkProfile> = Vec::new();
     let mut rates: Option<Vec<u32>> = None;
     let mut integrity: Option<Vec<IntegrityConfig>> = None;
-    let mut retries: Option<u32> = None;
     let mut journal_dir: Option<String> = None;
     let mut resume = false;
     let mut it = args.iter();
@@ -853,10 +844,6 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
                     .collect::<Result<Vec<IntegrityConfig>, CliError>>()?;
                 integrity = Some(parsed);
             }
-            "--retries" => {
-                let v = required(it.next(), "faults: --retries needs a count")?;
-                retries = Some(parse_num(v, "retry count")?);
-            }
             "--journal" => {
                 journal_dir =
                     Some(required(it.next(), "faults: --journal needs a directory")?.clone());
@@ -888,9 +875,6 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(i) = integrity {
         spec = spec.with_integrity(i);
-    }
-    if let Some(r) = retries {
-        spec = spec.with_retries(r);
     }
     let mut opts = MatrixOptions::new(workers).resuming(resume);
     if let Some(dir) = &journal_dir {

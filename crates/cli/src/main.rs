@@ -11,14 +11,14 @@
 //! cpack compare  <profile>            compression ratio across schemes
 //! cpack lint     <profile|FILE.cpk> [--json]  static CFG, image, frame checks
 //! cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
-//!                [--retries N] [--journal DIR] [--resume]
+//!                [--journal DIR] [--resume]
 //! cpack profile  <profile> [INSNS] [--out FILE] [--top N] [--json]
 //! cpack profile  --diff A.json B.json
 //! cpack pack     <profile|FILE|-> [-o FILE|-] [--workers N] [--integrity M]
 //! cpack unpack   <FILE|-> [-o FILE|-] [--workers N]
 //! cpack cat      <FILE|-> [--workers N]
 //! cpack faults   [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
-//!                [--workers N] [--json] [--retries N] [--journal DIR] [--resume]
+//!                [--workers N] [--json] [--journal DIR] [--resume]
 //! cpack loadgen  [--requests N] [--clients N] [--seed S] [--connect ADDR]
 //!                [--mode smoke|full] [--out FILE] [--deadline-ms D] [--chaos]
 //! ```

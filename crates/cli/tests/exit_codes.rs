@@ -130,6 +130,9 @@ fn command_line_misuse_exits_two() {
         &["sim"],
         &["sweep", "nosuch", "pegwit"],
         &["run", "pegwit", "--arch", "nosuch"],
+        // A cell runs once: there is no retry budget to set.
+        &["matrix", "1000", "--retries", "1"],
+        &["faults", "1000", "--profile", "pegwit", "--retries", "1"],
     ] {
         let out = cpack(args);
         assert_eq!(

@@ -215,11 +215,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Accesses `addr`; returns `true` on hit. A miss allocates the line,
     /// evicting the LRU way of its set.
     #[inline]

@@ -5,10 +5,9 @@
 //! `cpack` CLI) agree on these strings so counters line up across
 //! crates without either side depending on the other's internals.
 //!
-//! The `matrix.*` family describes the fault-tolerance behaviour of the
-//! sweep runner: how many cells completed, how many degraded to an
-//! error record instead of killing the sweep, and how much retry work
-//! the run absorbed.
+//! The `matrix.*` family describes the outcomes of the sweep runner's
+//! cells: how many completed, how many degraded to an error record
+//! instead of killing the sweep, and how many a journal restored.
 //!
 //! The `fault.*` family is the soft-error ledger of one simulation:
 //! injected bit flips and their fates (recovered, trapped, silent), plus
@@ -25,22 +24,12 @@
 /// Cells that completed functionally and produced a result.
 pub const MATRIX_CELLS_OK: &str = "matrix.cells.ok";
 
-/// Cells that trapped or panicked on every attempt and were recorded as
+/// Cells that trapped, machine-checked or panicked and were recorded as
 /// error cells instead of aborting the sweep.
 pub const MATRIX_CELLS_TRAPPED: &str = "matrix.cells.trapped";
 
-/// Cells whose simulation exceeded the per-cell cycle deadline.
-pub const MATRIX_CELLS_TIMED_OUT: &str = "matrix.cells.timed_out";
-
-/// Cells the run never executed (e.g. an injected skip).
-pub const MATRIX_CELLS_SKIPPED: &str = "matrix.cells.skipped";
-
 /// Cells restored from a journal instead of being re-executed.
 pub const MATRIX_CELLS_RESUMED: &str = "matrix.cells.resumed";
-
-/// Extra attempts spent on transiently-failing cells (attempts beyond
-/// the first, summed over all cells).
-pub const MATRIX_RETRIES: &str = "matrix.retries";
 
 /// Soft-error fault events the fault model injected.
 pub const FAULT_INJECTED: &str = "fault.injected";
@@ -122,10 +111,7 @@ mod tests {
         let all = [
             (super::MATRIX_CELLS_OK, "matrix."),
             (super::MATRIX_CELLS_TRAPPED, "matrix."),
-            (super::MATRIX_CELLS_TIMED_OUT, "matrix."),
-            (super::MATRIX_CELLS_SKIPPED, "matrix."),
             (super::MATRIX_CELLS_RESUMED, "matrix."),
-            (super::MATRIX_RETRIES, "matrix."),
             (super::FAULT_INJECTED, "fault."),
             (super::FAULT_DETECTED, "fault."),
             (super::FAULT_RECOVERED, "fault."),

@@ -4,8 +4,8 @@
 //! ([`run_matrix_with`]): the code-model axis carries one protected
 //! CodePack model per (rate, integrity) point, plus the native machine
 //! and the unprotected CodePack machine as baselines. Everything the
-//! matrix runner guarantees — per-cell isolation, bounded retries,
-//! crash-safe journaling, worker-count-independent byte-identical output
+//! matrix runner guarantees — per-cell isolation, crash-safe journaling,
+//! worker-count-independent byte-identical output
 //! — carries over, because the fault process itself is a pure function
 //! of (seed, cycle, address): no wall clock, no shared RNG state.
 //!
@@ -14,7 +14,7 @@
 //! names the faulting pc, which the campaign report surfaces as a
 //! trapped machine rather than a harness failure.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
 use codepack_mem::{FaultStats, IntegrityConfig, SoftErrorConfig};
@@ -39,9 +39,6 @@ pub struct FaultCampaignSpec {
     pub seed: u64,
     /// Instruction budget per cell.
     pub max_insns: u64,
-    /// Matrix-runner retry budget (machine checks are deterministic, so
-    /// retries only help against harness-level faults).
-    pub retries: u32,
 }
 
 impl FaultCampaignSpec {
@@ -59,7 +56,6 @@ impl FaultCampaignSpec {
             ],
             seed,
             max_insns,
-            retries: 1,
         }
     }
 
@@ -78,12 +74,6 @@ impl FaultCampaignSpec {
     /// Replaces the integrity axis.
     pub fn with_integrity(mut self, integrity: Vec<IntegrityConfig>) -> FaultCampaignSpec {
         self.integrity = integrity;
-        self
-    }
-
-    /// Sets the matrix-runner retry budget.
-    pub fn with_retries(mut self, retries: u32) -> FaultCampaignSpec {
-        self.retries = retries;
         self
     }
 
@@ -109,7 +99,6 @@ impl FaultCampaignSpec {
             .with_profiles(self.profiles.clone())
             .with_archs(vec![self.arch])
             .with_models(models)
-            .with_retries(self.retries)
     }
 }
 
@@ -117,9 +106,9 @@ impl FaultCampaignSpec {
 /// labels are computed, so they are interned once per distinct string
 /// (re-running a campaign in-process re-uses the allocation).
 fn intern_label(label: &str) -> &'static str {
-    static LABELS: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    static LABELS: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
     let mut set = LABELS
-        .get_or_init(|| Mutex::new(HashSet::new()))
+        .get_or_init(|| Mutex::new(BTreeSet::new()))
         .lock()
         .expect("label intern lock");
     match set.get(label) {

@@ -12,9 +12,9 @@
 //!   A resume whose spec does not match the header is refused — silently
 //!   mixing results from two different cubes would be a wrong answer,
 //!   not a convenience.
-//! * Every later line is a **cell record**: coordinate, outcome,
-//!   attempt count, and (for `ok` cells) the full [`SimResult`] plus the
-//!   optional per-cell metrics snapshot. Numeric counters are emitted as
+//! * Every later line is a **cell record**: coordinate, outcome, the
+//!   error of a trapped cell, and (for `ok` cells) the full [`SimResult`]
+//!   plus the optional per-cell metrics snapshot. Numeric counters are emitted as
 //!   integers; `state_hash` is a decimal *string* so the full 64-bit
 //!   value survives the float-typed JSON parser byte-exactly.
 //!
@@ -24,9 +24,7 @@
 //! appending to a resumed journal the writer re-terminates the file so
 //! new records never concatenate onto a torn tail.
 //!
-//! Only `ok` records are restored on resume — trapped / timed-out /
-//! skipped cells are re-run, which is what makes resume the natural
-//! retry loop for a sweep that degraded per-cell.
+//! Only `ok` records are restored on resume; trapped cells are re-run.
 
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -57,8 +55,6 @@ pub struct JournalEntry {
     pub model: String,
     /// How the cell ended.
     pub outcome: CellOutcome,
-    /// Attempts the cell consumed (>= 1).
-    pub attempts: u32,
     /// The result, present for `ok` cells.
     pub result: Option<SimResult>,
     /// Per-cell metrics snapshot, when the cube ran observed.
@@ -143,7 +139,9 @@ pub fn journal_exists(dir: &Path) -> bool {
 }
 
 /// Reads a journal back, validating the header against `spec` and every
-/// record against the cell coordinate the spec assigns to its index.
+/// record against the cell coordinate the spec assigns to its index. A
+/// restored result takes its architecture name and code-model label from
+/// the spec, so a cube of custom machines resumes like the Table 2 one.
 ///
 /// # Errors
 ///
@@ -176,31 +174,27 @@ pub fn read_journal(
     let mut slots: Vec<Option<JournalEntry>> = (0..spec.len()).map(|_| None).collect();
     let mut torn_lines = 0usize;
     for line in lines {
-        let Ok(v) = json::parse(line) else {
+        let Some((v, cell)) = json::parse(line).ok().and_then(|v| {
+            let cell = v.get("cell")?.as_u64()? as usize;
+            Some((v, cell))
+        }) else {
             torn_lines += 1;
             continue;
         };
-        let entry = match parse_entry(&v) {
-            Ok(e) => e,
-            Err(_) => {
-                torn_lines += 1;
-                continue;
-            }
+        let ((profile, arch, model), (_, code_model)) = spec
+            .coordinate(cell)
+            .zip(spec.model_at(cell))
+            .ok_or_else(|| format!("journal cell {cell} outside the {}-cell cube", spec.len()))?;
+        let Ok(entry) = parse_entry(&v, cell, arch, code_model.label()) else {
+            torn_lines += 1;
+            continue;
         };
-        let (profile, arch, model) = spec.coordinate(entry.cell).ok_or_else(|| {
-            format!(
-                "journal cell {} outside the {}-cell cube",
-                entry.cell,
-                spec.len()
-            )
-        })?;
         if entry.profile != profile || entry.arch != arch || entry.model != model {
             return Err(format!(
                 "journal cell {} is {}/{}/{} but the spec says {}/{}/{}",
                 entry.cell, entry.profile, entry.arch, entry.model, profile, arch, model
             ));
         }
-        let cell = entry.cell;
         slots[cell] = Some(entry); // last record wins
     }
     Ok(JournalContents {
@@ -282,31 +276,15 @@ fn entry_json(e: &JournalEntry) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
         "{{\"kind\": \"cell\", \"cell\": {}, \"profile\": \"{}\", \"arch\": \"{}\", \
-         \"model\": \"{}\", \"outcome\": \"{}\", \"attempts\": {}",
+         \"model\": \"{}\", \"outcome\": \"{}\"",
         e.cell,
         json::escape(&e.profile),
         json::escape(&e.arch),
         json::escape(&e.model),
         e.outcome.label(),
-        e.attempts
     );
-    match &e.outcome {
-        CellOutcome::Ok => {}
-        CellOutcome::Trapped { error } => {
-            let _ = write!(out, ", \"error\": \"{}\"", json::escape(error));
-        }
-        CellOutcome::TimedOut {
-            deadline_cycles,
-            actual_cycles,
-        } => {
-            let _ = write!(
-                out,
-                ", \"deadline_cycles\": {deadline_cycles}, \"actual_cycles\": {actual_cycles}"
-            );
-        }
-        CellOutcome::Skipped { reason } => {
-            let _ = write!(out, ", \"reason\": \"{}\"", json::escape(reason));
-        }
+    if let CellOutcome::Trapped { error } = &e.outcome {
+        let _ = write!(out, ", \"error\": \"{}\"", json::escape(error));
     }
     if let Some(r) = &e.result {
         let _ = write!(out, ", \"result\": {}", result_json(r));
@@ -318,7 +296,14 @@ fn entry_json(e: &JournalEntry) -> String {
     out
 }
 
-fn parse_entry(v: &Value) -> Result<JournalEntry, String> {
+/// Parses the record of job `cell`, whose result (if any) ran on the
+/// machine named `arch` under a code model labeled `model`.
+fn parse_entry(
+    v: &Value,
+    cell: usize,
+    arch: &'static str,
+    model: &'static str,
+) -> Result<JournalEntry, String> {
     if v.get("kind").and_then(Value::as_str) != Some("cell") {
         return Err("not a cell record".into());
     }
@@ -328,33 +313,15 @@ fn parse_entry(v: &Value) -> Result<JournalEntry, String> {
             .map(str::to_string)
             .ok_or_else(|| format!("cell record lacks `{k}`"))
     };
-    let cell = v
-        .get("cell")
-        .and_then(Value::as_u64)
-        .ok_or("cell record lacks `cell`")? as usize;
-    let attempts = v.get("attempts").and_then(Value::as_u64).unwrap_or(1) as u32;
     let outcome = match str_field("outcome")?.as_str() {
         "ok" => CellOutcome::Ok,
         "trapped" => CellOutcome::Trapped {
             error: str_field("error")?,
         },
-        "timed-out" => CellOutcome::TimedOut {
-            deadline_cycles: v
-                .get("deadline_cycles")
-                .and_then(Value::as_u64)
-                .ok_or("timed-out record lacks `deadline_cycles`")?,
-            actual_cycles: v
-                .get("actual_cycles")
-                .and_then(Value::as_u64)
-                .ok_or("timed-out record lacks `actual_cycles`")?,
-        },
-        "skipped" => CellOutcome::Skipped {
-            reason: str_field("reason")?,
-        },
         other => return Err(format!("unknown outcome `{other}`")),
     };
     let result = match v.get("result") {
-        Some(r) => Some(parse_result(r)?),
+        Some(r) => Some(parse_result(r, arch, model)?),
         None => None,
     };
     if matches!(outcome, CellOutcome::Ok) && result.is_none() {
@@ -366,7 +333,6 @@ fn parse_entry(v: &Value) -> Result<JournalEntry, String> {
         arch: str_field("arch")?,
         model: str_field("model")?,
         outcome,
-        attempts,
         result,
         metrics: v.get("metrics").and_then(Value::as_str).map(str::to_string),
     })
@@ -463,10 +429,13 @@ pub fn result_json(r: &SimResult) -> String {
     out
 }
 
-/// Reconstructs a [`SimResult`] from [`result_json`] output. The `arch`
-/// and `model` names are interned against the process-static name sets
-/// (`ArchConfig` names via the caller's spec check; model labels here).
-pub fn parse_result(v: &Value) -> Result<SimResult, String> {
+/// Reconstructs a [`SimResult`] from [`result_json`] output, for a run on
+/// the machine named `arch` under a code model labeled `model`.
+pub fn parse_result(
+    v: &Value,
+    arch: &'static str,
+    model: &'static str,
+) -> Result<SimResult, String> {
     let u = |node: &Value, k: &str| -> Result<u64, String> {
         node.get(k)
             .and_then(Value::as_u64)
@@ -540,12 +509,6 @@ pub fn parse_result(v: &Value) -> Result<SimResult, String> {
             blocks: u(c, "blocks")?,
         }),
     };
-    let model = match v.get("model").and_then(Value::as_str) {
-        Some("Native") => "Native",
-        Some("CodePack") => "CodePack",
-        other => return Err(format!("unknown model label {other:?}")),
-    };
-    let arch = intern_arch(v.get("arch").and_then(Value::as_str).unwrap_or(""))?;
     let state_hash = v
         .get("state_hash")
         .and_then(Value::as_str)
@@ -572,27 +535,10 @@ pub fn parse_result(v: &Value) -> Result<SimResult, String> {
     })
 }
 
-/// Maps an architecture name back to its `&'static str` (the Table 2
-/// machines plus any name a custom spec could have used — custom names
-/// resolve through the spec's own axis during [`read_journal`], so by
-/// the time a result is parsed the standard set suffices).
-fn intern_arch(name: &str) -> Result<&'static str, String> {
-    for a in [
-        crate::ArchConfig::one_issue(),
-        crate::ArchConfig::four_issue(),
-        crate::ArchConfig::eight_issue(),
-    ] {
-        if a.name == name {
-            return Ok(a.name);
-        }
-    }
-    Err(format!("unknown architecture `{name}` in journal result"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArchConfig, CodeModel, Simulation};
+    use crate::{run_matrix_with, ArchConfig, CodeModel, MatrixOptions, Simulation};
     use codepack_synth::{generate, BenchmarkProfile};
 
     fn sample_result(model: CodeModel) -> SimResult {
@@ -600,12 +546,17 @@ mod tests {
         Simulation::new(ArchConfig::four_issue(), model).run(&p, 20_000)
     }
 
+    /// `result` read back from its own serialization.
+    fn round_trip(r: &SimResult) -> SimResult {
+        parse_result(&json::parse(&result_json(r)).unwrap(), r.arch, r.model).unwrap()
+    }
+
     #[test]
     fn result_round_trips_byte_exactly() {
         for model in [CodeModel::Native, CodeModel::codepack_optimized()] {
             let r = sample_result(model);
             let doc = result_json(&r);
-            let back = parse_result(&json::parse(&doc).unwrap()).unwrap();
+            let back = round_trip(&r);
             assert_eq!(result_json(&back), doc, "second trip is a fixed point");
             assert_eq!(back.state_hash, r.state_hash);
             assert_eq!(back.cycles(), r.cycles());
@@ -627,7 +578,7 @@ mod tests {
         });
         r.pipeline.faults = r.faults.unwrap();
         let doc = result_json(&r);
-        let back = parse_result(&json::parse(&doc).unwrap()).unwrap();
+        let back = round_trip(&r);
         assert_eq!(back.faults, r.faults);
         assert_eq!(back.pipeline.faults, r.pipeline.faults);
         assert_eq!(result_json(&back), doc, "second trip is a fixed point");
@@ -642,7 +593,7 @@ mod tests {
             .replace(", \"faults\": {\"injected\": 0, \"detected\": 0, \"recovered\": 0, \"trapped\": 0, \"silent\": 0, \"retries\": 0, \"machine_checks\": 0}", "")
             .replace(", \"faults\": null", "");
         assert!(!doc.contains("faults"), "both fault fields stripped");
-        let back = parse_result(&json::parse(&doc).unwrap()).unwrap();
+        let back = parse_result(&json::parse(&doc).unwrap(), r.arch, r.model).unwrap();
         assert_eq!(back.faults, None);
         assert!(back.pipeline.faults.is_empty());
     }
@@ -651,8 +602,7 @@ mod tests {
     fn extreme_state_hash_survives_the_float_parser() {
         let mut r = sample_result(CodeModel::Native);
         r.state_hash = u64::MAX - 1; // not representable in f64
-        let back = parse_result(&json::parse(&result_json(&r)).unwrap()).unwrap();
-        assert_eq!(back.state_hash, u64::MAX - 1);
+        assert_eq!(round_trip(&r).state_hash, u64::MAX - 1);
     }
 
     #[test]
@@ -666,19 +616,6 @@ mod tests {
                 },
                 None,
             ),
-            (
-                CellOutcome::TimedOut {
-                    deadline_cycles: 10,
-                    actual_cycles: 99,
-                },
-                None,
-            ),
-            (
-                CellOutcome::Skipped {
-                    reason: "fault plan".into(),
-                },
-                None,
-            ),
         ];
         for (outcome, result) in outcomes {
             let e = JournalEntry {
@@ -687,21 +624,40 @@ mod tests {
                 arch: "4-issue".into(),
                 model: "native".into(),
                 outcome: outcome.clone(),
-                attempts: 2,
                 result,
                 metrics: Some("{\"counters\": {}}".into()),
             };
             let line = entry_json(&e);
-            let back = parse_entry(&json::parse(&line).unwrap()).unwrap();
+            let back = parse_entry(&json::parse(&line).unwrap(), 5, "4-issue", "Native").unwrap();
             assert_eq!(back.cell, 5);
-            assert_eq!(back.attempts, 2);
-            assert_eq!(back.outcome.label(), outcome.label());
+            assert_eq!(back.outcome, outcome);
             assert_eq!(back.metrics.as_deref(), Some("{\"counters\": {}}"));
-            if let (CellOutcome::Trapped { error: a }, CellOutcome::Trapped { error: b }) =
-                (&back.outcome, &outcome)
-            {
-                assert_eq!(a, b, "error text survives escaping");
-            }
         }
+    }
+
+    #[test]
+    fn a_cube_of_custom_machines_resumes() {
+        let spec = MatrixSpec::new(7, 5_000)
+            .with_profiles(vec![BenchmarkProfile::pegwit_like()])
+            .with_archs(vec![ArchConfig {
+                name: "custom",
+                ..ArchConfig::four_issue()
+            }]);
+        let dir = std::env::temp_dir().join(format!(
+            "codepack-journal-custom-arch-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = MatrixOptions::new(1).with_journal(&dir);
+        let clean = run_matrix_with(&spec, &opts).unwrap();
+
+        let contents = read_journal(&dir, &spec, false).unwrap();
+        assert_eq!(contents.torn_lines, 0);
+        assert_eq!(contents.entries.len(), spec.len());
+        let resumed = run_matrix_with(&spec, &opts.resuming(true)).unwrap();
+        assert_eq!(resumed.summary().resumed, spec.len());
+        assert_eq!(resumed.to_json(), clean.to_json());
+        assert_eq!(resumed.cells[0].expect_ok().arch, "custom");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,24 +20,21 @@
 //! A group steps one functional machine and one outcome pass and streams
 //! the records to one [`codepack_cpu::Timing`] part per cell
 //! ([`codepack_cpu::run_group`]), so the paper cube's 54 cells run from
-//! 18 executions. Every cell's result equals what it gives alone. Two
-//! kinds of cell always run alone: a cell with a [`FaultPlan`] entry, and
-//! a cell with soft errors armed (its resident-line probe reads its own
-//! fetch clock, and a machine check ends it early).
+//! 18 executions. Every cell's result equals what it gives alone; that
+//! holds for a cell with soft errors armed too, whose resident-line probe
+//! reads its own timing part and never the shared L1 I-cache.
 //!
-//! # Fault tolerance
+//! # Failures
 //!
-//! A long sweep must degrade per-cell, not per-run. Each group executes
-//! under `catch_unwind`; a group that panics or traps re-runs its cells
-//! one at a time, each under `catch_unwind` again. Every cell writes its
-//! completion into a lock-free single-writer slot, so a trapping or
-//! panicking cell becomes an error record ([`CellOutcome::Trapped`]) in the report instead of poisoning
-//! a shared lock and aborting the cube. Transiently-failing cells are
-//! retried a bounded number of times ([`MatrixSpec::with_retries`]) with
-//! deterministic, seed-derived jitter between attempts — no wall-clock
-//! anywhere, so reports stay reproducible. A per-cell deadline in
-//! simulated cycles ([`MatrixSpec::with_deadline_cycles`]) marks runaway
-//! cells [`CellOutcome::TimedOut`].
+//! A long sweep must degrade per-cell, not per-run. Each cell runs once:
+//! the simulator is a pure function of the spec, so a cell that fails
+//! fails the same way on every run. A cell whose program traps or whose
+//! fetch engine machine-checks is recorded [`CellOutcome::Trapped`] with
+//! the error, and the rest of its group completes. Each group executes
+//! under `catch_unwind`; a group that panics re-runs its cells one at a
+//! time, and a cell that panics alone is recorded trapped with the panic
+//! message. Every cell writes its completion into a lock-free
+//! single-writer slot, so a panicking cell never poisons a shared lock.
 //!
 //! With a journal directory ([`MatrixOptions::with_journal`]), every
 //! completed cell is appended to a crash-safe JSONL journal as its group
@@ -69,14 +66,13 @@ use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_isa::Program;
 use codepack_obs::{names, BlockProfile, MetricsRegistry, Obs, ObsReport};
 use codepack_synth::{generate, BenchmarkProfile};
-use codepack_testkit::{mix_seed, Rng};
 
 use crate::journal::{journal_exists, read_journal, JournalEntry, JournalWriter};
 use crate::run::{group_key, run_group};
 use crate::{ArchConfig, CodeModel, SimResult, Simulation, Table};
 
 /// The experiment cube: which profiles, machines, and code models to
-/// cross, plus the common run parameters and failure policy.
+/// cross, plus the common run parameters and any injected faults.
 #[derive(Clone, Debug)]
 pub struct MatrixSpec {
     /// Benchmark profiles (defaults to the paper's six-program suite).
@@ -85,17 +81,10 @@ pub struct MatrixSpec {
     pub archs: Vec<ArchConfig>,
     /// Labeled code models (defaults to native/baseline/optimized).
     pub models: Vec<(&'static str, CodeModel)>,
-    /// Program-generation seed (also seeds the retry jitter).
+    /// Program-generation seed.
     pub seed: u64,
     /// Instruction budget per cell.
     pub max_insns: u64,
-    /// Extra attempts granted to a cell that traps or panics (so a cell
-    /// runs at most `retries + 1` times). Defaults to 1.
-    pub retries: u32,
-    /// Per-cell deadline in *simulated* cycles: a cell whose run exceeds
-    /// it is recorded [`CellOutcome::TimedOut`] and its result dropped.
-    /// `None` (the default) disables the deadline.
-    pub deadline_cycles: Option<u64>,
     /// Deterministic fault injection, for exercising the failure paths.
     pub faults: FaultPlan,
 }
@@ -118,8 +107,6 @@ impl MatrixSpec {
             ],
             seed,
             max_insns,
-            retries: 1,
-            deadline_cycles: None,
             faults: FaultPlan::default(),
         }
     }
@@ -142,18 +129,6 @@ impl MatrixSpec {
         self
     }
 
-    /// Sets the bounded retry budget for trapping/panicking cells.
-    pub fn with_retries(mut self, retries: u32) -> MatrixSpec {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the per-cell deadline in simulated cycles.
-    pub fn with_deadline_cycles(mut self, cycles: u64) -> MatrixSpec {
-        self.deadline_cycles = Some(cycles);
-        self
-    }
-
     /// Adds an injected fault (testing aid; see [`FaultPlan`]).
     pub fn with_fault(mut self, fault: InjectedFault) -> MatrixSpec {
         self.faults.push(fault);
@@ -173,21 +148,24 @@ impl MatrixSpec {
     /// The (profile, arch, model) names at job index `i` of the
     /// profile-major enumeration, when `i` is in range.
     pub fn coordinate(&self, i: usize) -> Option<(&'static str, &'static str, &'static str)> {
-        if self.is_empty() || i >= self.len() {
-            return None;
-        }
+        let (model, _) = self.model_at(i)?;
         let per_profile = self.archs.len() * self.models.len();
         let profile = self.profiles[i / per_profile].name;
         let arch = self.archs[(i / self.models.len()) % self.archs.len()].name;
-        let model = self.models[i % self.models.len()].0;
         Some((profile, arch, model))
+    }
+
+    /// The labeled code model at job index `i` of the profile-major
+    /// enumeration, when `i` is in range.
+    pub fn model_at(&self, i: usize) -> Option<(&'static str, CodeModel)> {
+        (i < self.len()).then(|| self.models[i % self.models.len()])
     }
 }
 
 /// Deterministic fault injection for the matrix runner: which cells
-/// fail, how, and for how many attempts. This is how the failure paths
-/// — degradation, retry, journaling of error cells — are exercised by
-/// tests without depending on a real simulator defect.
+/// fail, and how. This is how the failure paths — degradation, the
+/// panicking-group fallback, journaling of error cells — are exercised
+/// by tests without depending on a real simulator defect.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     faults: Vec<InjectedFault>,
@@ -204,17 +182,9 @@ impl FaultPlan {
         self.faults.push(fault);
     }
 
-    /// True when any fault is planned for `cell`.
-    fn touches(&self, cell: usize) -> bool {
-        self.faults.iter().any(|f| f.cell == cell)
-    }
-
-    /// The fault to inject for `cell` on `attempt` (0-based), if any.
-    fn kind_for(&self, cell: usize, attempt: u32) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.cell == cell && attempt < f.failing_attempts)
-            .map(|f| f.kind)
+    /// The fault to inject for `cell`, if any.
+    fn kind_for(&self, cell: usize) -> Option<FaultKind> {
+        self.faults.iter().find(|f| f.cell == cell).map(|f| f.kind)
     }
 }
 
@@ -225,43 +195,25 @@ pub struct InjectedFault {
     pub cell: usize,
     /// How the cell fails.
     pub kind: FaultKind,
-    /// How many leading attempts fail; `u32::MAX` means every attempt
-    /// (a permanent fault), `1` models a transient glitch that a retry
-    /// clears.
-    pub failing_attempts: u32,
 }
 
 impl InjectedFault {
-    /// A fault that fails `cell` on every attempt.
-    pub fn permanent(cell: usize, kind: FaultKind) -> InjectedFault {
-        InjectedFault {
-            cell,
-            kind,
-            failing_attempts: u32::MAX,
-        }
-    }
-
-    /// A fault that fails only the first `n` attempts of `cell`.
-    pub fn transient(cell: usize, kind: FaultKind, n: u32) -> InjectedFault {
-        InjectedFault {
-            cell,
-            kind,
-            failing_attempts: n,
-        }
+    /// A fault that fails `cell`.
+    pub fn new(cell: usize, kind: FaultKind) -> InjectedFault {
+        InjectedFault { cell, kind }
     }
 }
 
 /// How an injected fault manifests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The cell reports a functional trap (a typed `ExecError`-shaped
-    /// failure surfaced as an error string).
+    /// The cell's result is replaced by a trap (a typed
+    /// `ExecError`-shaped failure surfaced as an error string).
     Trap,
-    /// The cell panics mid-execution — the worst case the runner must
-    /// absorb without poisoning shared state.
+    /// The cell's group panics — the worst case the runner must absorb
+    /// without poisoning shared state. The group's cells then run one at
+    /// a time, and only this cell panics again.
     Panic,
-    /// The cell is never executed and recorded [`CellOutcome::Skipped`].
-    Skip,
 }
 
 /// How a cell ended.
@@ -269,22 +221,10 @@ pub enum FaultKind {
 pub enum CellOutcome {
     /// The cell completed and carries a result.
     Ok,
-    /// Every attempt trapped or panicked; `error` is the last failure.
+    /// The cell trapped, machine-checked or panicked.
     Trapped {
-        /// Message of the final failed attempt.
+        /// The failure's message.
         error: String,
-    },
-    /// The run exceeded the per-cell cycle deadline.
-    TimedOut {
-        /// The configured deadline.
-        deadline_cycles: u64,
-        /// Cycles the cell actually took.
-        actual_cycles: u64,
-    },
-    /// The cell was never executed.
-    Skipped {
-        /// Why it was skipped.
-        reason: String,
     },
 }
 
@@ -294,13 +234,11 @@ impl CellOutcome {
         matches!(self, CellOutcome::Ok)
     }
 
-    /// Stable lowercase tag: `ok`, `trapped`, `timed-out`, `skipped`.
+    /// Stable lowercase tag: `ok` or `trapped`.
     pub fn label(&self) -> &'static str {
         match self {
             CellOutcome::Ok => "ok",
             CellOutcome::Trapped { .. } => "trapped",
-            CellOutcome::TimedOut { .. } => "timed-out",
-            CellOutcome::Skipped { .. } => "skipped",
         }
     }
 }
@@ -316,7 +254,8 @@ pub struct MatrixCell {
     pub model: &'static str,
     /// How the cell ended.
     pub outcome: CellOutcome,
-    /// Attempts the cell consumed (1 for a first-try success).
+    /// Times the cell ran: always 1 (a cell runs once; the field keeps
+    /// the report's `attempts` key).
     pub attempts: u32,
     /// True when the cell was restored from a journal, not executed.
     pub resumed: bool,
@@ -356,34 +295,28 @@ impl MatrixCell {
     }
 }
 
-/// Failure/retry totals of a completed cube.
+/// Failure totals of a completed cube.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatrixSummary {
     /// Cells that completed.
     pub ok: usize,
-    /// Cells that trapped/panicked on every attempt.
+    /// Cells that trapped, machine-checked or panicked.
     pub trapped: usize,
-    /// Cells that exceeded the cycle deadline.
-    pub timed_out: usize,
-    /// Cells that were never executed.
-    pub skipped: usize,
     /// Cells restored from a journal.
     pub resumed: usize,
-    /// Attempts beyond the first, summed over all cells.
-    pub retries: u64,
 }
 
 impl MatrixSummary {
     /// True when every cell completed.
     pub fn all_ok(&self) -> bool {
-        self.trapped == 0 && self.timed_out == 0 && self.skipped == 0
+        self.trapped == 0
     }
 
     /// One-line rendering for logs and table footers.
     pub fn render(&self) -> String {
         format!(
-            "cells: {} ok, {} trapped, {} timed-out, {} skipped ({} resumed, {} retries)",
-            self.ok, self.trapped, self.timed_out, self.skipped, self.resumed, self.retries
+            "cells: {} ok, {} trapped ({} resumed)",
+            self.ok, self.trapped, self.resumed
         )
     }
 }
@@ -425,35 +358,29 @@ impl SimReport {
         m.checked_speedup_over(b)
     }
 
-    /// Failure/retry totals across the cube.
+    /// Failure totals across the cube.
     pub fn summary(&self) -> MatrixSummary {
         let mut s = MatrixSummary::default();
         for c in &self.cells {
             match &c.outcome {
                 CellOutcome::Ok => s.ok += 1,
                 CellOutcome::Trapped { .. } => s.trapped += 1,
-                CellOutcome::TimedOut { .. } => s.timed_out += 1,
-                CellOutcome::Skipped { .. } => s.skipped += 1,
             }
             if c.resumed {
                 s.resumed += 1;
             }
-            s.retries += u64::from(c.attempts.saturating_sub(1));
         }
         s
     }
 
-    /// The cube's fault-tolerance counters as a metrics registry, under
+    /// The cube's outcome counters as a metrics registry, under
     /// the well-known [`codepack_obs::names`] `matrix.*` names.
     pub fn run_metrics(&self) -> MetricsRegistry {
         let s = self.summary();
         let mut m = MetricsRegistry::new();
         m.incr(names::MATRIX_CELLS_OK, s.ok as u64);
         m.incr(names::MATRIX_CELLS_TRAPPED, s.trapped as u64);
-        m.incr(names::MATRIX_CELLS_TIMED_OUT, s.timed_out as u64);
-        m.incr(names::MATRIX_CELLS_SKIPPED, s.skipped as u64);
         m.incr(names::MATRIX_CELLS_RESUMED, s.resumed as u64);
-        m.incr(names::MATRIX_RETRIES, s.retries);
         m
     }
 
@@ -531,31 +458,12 @@ impl SimReport {
                 c.outcome.label(),
                 c.attempts,
             );
-            match &c.outcome {
-                CellOutcome::Ok => {}
-                CellOutcome::Trapped { error } => {
-                    let _ = write!(
-                        out,
-                        ", \"error\": \"{}\"",
-                        codepack_obs::json::escape(error)
-                    );
-                }
-                CellOutcome::TimedOut {
-                    deadline_cycles,
-                    actual_cycles,
-                } => {
-                    let _ = write!(
-                        out,
-                        ", \"deadline_cycles\": {deadline_cycles}, \"actual_cycles\": {actual_cycles}"
-                    );
-                }
-                CellOutcome::Skipped { reason } => {
-                    let _ = write!(
-                        out,
-                        ", \"reason\": \"{}\"",
-                        codepack_obs::json::escape(reason)
-                    );
-                }
+            if let CellOutcome::Trapped { error } = &c.outcome {
+                let _ = write!(
+                    out,
+                    ", \"error\": \"{}\"",
+                    codepack_obs::json::escape(error)
+                );
             }
             if let Some(r) = &c.result {
                 let _ = write!(
@@ -684,10 +592,9 @@ impl MatrixOptions {
 /// and the report keeps enumeration order. One worker or sixteen, the
 /// report is identical, and equal to running each cell alone.
 ///
-/// A cell that traps or panics does **not** abort the cube — its group
-/// re-runs its cells alone, and the cell is retried per
-/// [`MatrixSpec::retries`] and, still failing, recorded as
-/// [`CellOutcome::Trapped`].
+/// A cell that traps, machine-checks or panics does **not** abort the
+/// cube — it is recorded as [`CellOutcome::Trapped`] and the rest of its
+/// group completes.
 ///
 /// # Panics
 ///
@@ -714,7 +621,6 @@ pub fn run_matrix_observed(spec: &MatrixSpec, workers: usize) -> SimReport {
 /// What one finished cell carries into its report slot.
 struct Done {
     outcome: CellOutcome,
-    attempts: u32,
     resumed: bool,
     result: Option<SimResult>,
     metrics: Option<String>,
@@ -776,7 +682,6 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
                     slots[e.cell]
                         .set(Done {
                             outcome: e.outcome,
-                            attempts: e.attempts,
                             resumed: true,
                             result: e.result,
                             metrics: e.metrics,
@@ -834,15 +739,11 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
 
     // Groups of unfinished cells, in order of their first cell: cells of
     // one profile whose archs share the outcome pass (`group_key`) run
-    // from one functional execution. A cell with a planned fault or armed
-    // soft errors has no key: it runs alone.
-    let mut groups: Vec<(Option<_>, Vec<usize>)> = Vec::new();
+    // from one functional execution.
+    let mut groups: Vec<(_, Vec<usize>)> = Vec::new();
     for i in (0..jobs.len()).filter(|&i| slots[i].get().is_none()) {
-        let job = &jobs[i];
-        let alone =
-            spec.faults.touches(i) || Simulation::new(job.arch, job.model).protection().is_some();
-        let key = (!alone).then(|| (job.prepared, group_key(&job.arch)));
-        match groups.iter_mut().find(|(k, _)| key.is_some() && *k == key) {
+        let key = (jobs[i].prepared, group_key(&jobs[i].arch));
+        match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, cells)) => cells.push(i),
             None => groups.push((key, vec![i])),
         }
@@ -871,7 +772,6 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
                         arch: job.arch.name.to_string(),
                         model: job.model_label.to_string(),
                         outcome: done.outcome.clone(),
-                        attempts: done.attempts,
                         result: done.result.clone(),
                         metrics: done.metrics.clone(),
                     };
@@ -905,7 +805,7 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
                 arch: job.arch.name,
                 model: job.model_label,
                 outcome: done.outcome,
-                attempts: done.attempts,
+                attempts: 1,
                 resumed: done.resumed,
                 result: done.result,
                 metrics: done.metrics,
@@ -941,9 +841,10 @@ struct Job {
     prepared: usize,
 }
 
-/// Runs one group's cells: a group of one through [`run_cell`], a larger
-/// one through [`run_group_cells`], whose failure re-runs every cell
-/// alone through [`run_cell`].
+/// Runs one group's cells from one functional execution, under
+/// `catch_unwind`. A cell that traps or machine-checks is its own trapped
+/// record. A group that panics re-runs its cells one at a time; a cell
+/// that panics alone is recorded trapped with the panic message.
 fn run_cells(
     spec: &MatrixSpec,
     opts: &MatrixOptions,
@@ -951,27 +852,14 @@ fn run_cells(
     jobs: &[Job],
     prep: &Prepared,
 ) -> Vec<Done> {
-    let alone = |i: usize| run_cell(spec, opts, i, jobs[i].arch, jobs[i].model, prep);
-    match cells {
-        &[i] => vec![alone(i)],
-        _ => run_group_cells(spec, opts, cells, jobs, prep)
-            .unwrap_or_else(|| cells.iter().map(|&i| alone(i)).collect()),
-    }
-}
-
-/// Runs the cells of one group from one functional execution, once and
-/// under `catch_unwind`. `None` when the group panicked or any cell
-/// trapped: the caller then re-runs every cell alone through
-/// [`run_cell`], which owns retries and per-cell failure records.
-fn run_group_cells(
-    spec: &MatrixSpec,
-    opts: &MatrixOptions,
-    cells: &[usize],
-    jobs: &[Job],
-    prep: &Prepared,
-) -> Option<Vec<Done>> {
-    let results = catch_unwind(AssertUnwindSafe(|| {
-        let cells = cells
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(i) = cells
+            .iter()
+            .find(|&&i| spec.faults.kind_for(i) == Some(FaultKind::Panic))
+        {
+            panic!("injected panic: cell {i}");
+        }
+        let group = cells
             .iter()
             .map(|&i| {
                 let job = &jobs[i];
@@ -982,16 +870,29 @@ fn run_group_cells(
                 )
             })
             .collect();
-        run_group(&prep.program, spec.max_insns, cells)
-    }))
-    .ok()?;
-    results
-        .into_iter()
-        .map(|r| {
-            r.ok()
-                .map(|(result, report)| completed(spec, opts, 1, result, report))
-        })
-        .collect()
+        run_group(&prep.program, spec.max_insns, group)
+    }));
+    match ran {
+        Ok(results) => cells
+            .iter()
+            .zip(results)
+            .map(|(&i, r)| match (spec.faults.kind_for(i), r) {
+                (Some(FaultKind::Trap), _) => trapped(format!("injected trap: cell {i}")),
+                (_, Ok((result, report))) => completed(opts, result, report),
+                (_, Err(e)) => trapped(e.to_string()),
+            })
+            .collect(),
+        Err(payload) => match cells {
+            [_] => vec![trapped(format!(
+                "panic: {}",
+                panic_message(payload.as_ref())
+            ))],
+            _ => cells
+                .iter()
+                .flat_map(|&i| run_cells(spec, opts, &[i], jobs, prep))
+                .collect(),
+        },
+    }
 }
 
 /// A fresh observer for one cell: a null sink when the cube is observed
@@ -1008,37 +909,12 @@ fn cell_obs(opts: &MatrixOptions) -> Obs {
     obs
 }
 
-/// The record of a cell whose run returned `result` on attempt
-/// `attempts`: timed out past the cycle deadline, else ok with its
-/// metrics snapshot (observed cubes) and block profile (profiled cubes).
-fn completed(
-    spec: &MatrixSpec,
-    opts: &MatrixOptions,
-    attempts: u32,
-    result: SimResult,
-    report: Option<ObsReport>,
-) -> Done {
-    if let Some(deadline) = spec.deadline_cycles {
-        if result.cycles() > deadline {
-            // Deterministic overrun: retrying cannot help.
-            return Done {
-                outcome: CellOutcome::TimedOut {
-                    deadline_cycles: deadline,
-                    actual_cycles: result.cycles(),
-                },
-                attempts,
-                resumed: false,
-                result: None,
-                metrics: None,
-                profile: None,
-            };
-        }
-    }
-    let mut report = report;
+/// The record of a cell whose run returned `result`: ok, with its metrics
+/// snapshot (observed cubes) and block profile (profiled cubes).
+fn completed(opts: &MatrixOptions, result: SimResult, mut report: Option<ObsReport>) -> Done {
     let profile = report.as_mut().and_then(|r| r.profile.take());
     Done {
         outcome: CellOutcome::Ok,
-        attempts,
         resumed: false,
         result: Some(result),
         // Metrics snapshots belong to observed mode only: a
@@ -1052,71 +928,14 @@ fn completed(
     }
 }
 
-/// Runs one cell to completion: bounded attempts, each isolated behind
-/// `catch_unwind`, with deterministic jitter between retries and the
-/// cycle-deadline check on success.
-fn run_cell(
-    spec: &MatrixSpec,
-    opts: &MatrixOptions,
-    i: usize,
-    arch: ArchConfig,
-    model: CodeModel,
-    prep: &Prepared,
-) -> Done {
-    let max_attempts = spec.retries.saturating_add(1);
-    let mut attempt: u32 = 0;
-    loop {
-        if let Some(FaultKind::Skip) = spec.faults.kind_for(i, attempt) {
-            return Done {
-                outcome: CellOutcome::Skipped {
-                    reason: "skipped by fault plan".into(),
-                },
-                attempts: attempt + 1,
-                resumed: false,
-                result: None,
-                metrics: None,
-                profile: None,
-            };
-        }
-
-        let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-            match spec.faults.kind_for(i, attempt) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected panic: cell {i} attempt {attempt}")
-                }
-                Some(FaultKind::Trap) => {
-                    return Err(format!("injected trap: cell {i} attempt {attempt}"))
-                }
-                Some(FaultKind::Skip) | None => {}
-            }
-            Simulation::new(arch, model)
-                .try_run_observed(
-                    &prep.program,
-                    spec.max_insns,
-                    prep.image(&model),
-                    cell_obs(opts),
-                )
-                .map_err(|e| e.to_string())
-        }));
-
-        let error = match attempt_result {
-            Ok(Ok((result, report))) => return completed(spec, opts, attempt + 1, result, report),
-            Ok(Err(trap)) => trap,
-            Err(payload) => format!("panic: {}", panic_message(payload.as_ref())),
-        };
-
-        attempt += 1;
-        if attempt >= max_attempts {
-            return Done {
-                outcome: CellOutcome::Trapped { error },
-                attempts: attempt,
-                resumed: false,
-                result: None,
-                metrics: None,
-                profile: None,
-            };
-        }
-        retry_jitter(spec.seed, i, attempt);
+/// The record of a cell that failed with `error`.
+fn trapped(error: String) -> Done {
+    Done {
+        outcome: CellOutcome::Trapped { error },
+        resumed: false,
+        result: None,
+        metrics: None,
+        profile: None,
     }
 }
 
@@ -1152,19 +971,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Deterministic backoff between retry attempts: a seed-derived number
-/// of spin-loop hints, decorrelating simultaneous retries across worker
-/// threads without consulting any clock. Reports therefore stay a pure
-/// function of the spec.
-fn retry_jitter(seed: u64, cell: usize, attempt: u32) {
-    let stream = ((cell as u64) << 8) ^ u64::from(attempt);
-    let mut rng = Rng::seed_from_u64(mix_seed(seed, stream));
-    let spins = rng.gen_range(64u64..4096);
-    for _ in 0..spins {
-        std::hint::spin_loop();
     }
 }
 
@@ -1248,7 +1054,7 @@ mod tests {
 
     #[test]
     fn trapping_cell_degrades_not_aborts() {
-        let spec = tiny_spec().with_fault(InjectedFault::permanent(1, FaultKind::Trap));
+        let spec = tiny_spec().with_fault(InjectedFault::new(1, FaultKind::Trap));
         let report = run_matrix(&spec, 2);
         assert_eq!(report.cells.len(), 3);
         match &report.cells[1].outcome {
@@ -1260,30 +1066,13 @@ mod tests {
         let s = report.summary();
         assert_eq!((s.ok, s.trapped), (2, 1));
         assert!(!s.all_ok());
-        // Retries were spent on the permanent fault.
-        assert_eq!(report.cells[1].attempts, spec.retries + 1);
-    }
-
-    #[test]
-    fn transient_fault_clears_after_retry() {
-        let clean = run_matrix(&tiny_spec(), 1);
-        let spec = tiny_spec().with_fault(InjectedFault::transient(2, FaultKind::Trap, 1));
-        let report = run_matrix(&spec, 2);
-        assert!(report.summary().all_ok());
-        assert_eq!(report.cells[2].attempts, 2);
-        assert_eq!(report.summary().retries, 1);
-        assert_eq!(
-            report.cells[2].expect_ok().cycles(),
-            clean.cells[2].expect_ok().cycles(),
-            "a retried cell produces the same deterministic result"
-        );
+        // The cell ran once.
+        assert_eq!(report.cells[1].attempts, 1);
     }
 
     #[test]
     fn panicking_cell_is_contained() {
-        let spec = tiny_spec()
-            .with_retries(0)
-            .with_fault(InjectedFault::permanent(0, FaultKind::Panic));
+        let spec = tiny_spec().with_fault(InjectedFault::new(0, FaultKind::Panic));
         let report = run_matrix(&spec, 2);
         match &report.cells[0].outcome {
             CellOutcome::Trapped { error } => {
@@ -1292,33 +1081,6 @@ mod tests {
             other => panic!("expected trapped, got {other:?}"),
         }
         assert!(report.cells[1].outcome.is_ok());
-    }
-
-    #[test]
-    fn skip_fault_marks_cell_skipped() {
-        let spec = tiny_spec().with_fault(InjectedFault::permanent(1, FaultKind::Skip));
-        let report = run_matrix(&spec, 1);
-        assert_eq!(report.cells[1].outcome.label(), "skipped");
-        assert_eq!(report.summary().skipped, 1);
-    }
-
-    #[test]
-    fn deadline_marks_cells_timed_out() {
-        let spec = tiny_spec().with_deadline_cycles(1);
-        let report = run_matrix(&spec, 1);
-        for c in &report.cells {
-            match c.outcome {
-                CellOutcome::TimedOut {
-                    deadline_cycles,
-                    actual_cycles,
-                } => {
-                    assert_eq!(deadline_cycles, 1);
-                    assert!(actual_cycles > 1);
-                }
-                ref other => panic!("expected timed-out, got {other:?}"),
-            }
-        }
-        assert!(report.render().contains("timed-out"));
     }
 
     #[test]
@@ -1364,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn a_trapping_group_reruns_its_cells_alone() {
+    fn a_trapping_group_records_every_cell_trapped() {
         use codepack_isa::{Assembler, Instruction};
 
         // Every cell of the group reaches an illegal instruction.
@@ -1387,10 +1149,13 @@ mod tests {
                 prepared: 0,
             })
             .collect();
-        let spec = tiny_spec();
-        let opts = MatrixOptions::new(1);
-        assert!(run_group_cells(&spec, &opts, &[0, 1, 2], &jobs, &prep).is_none());
-        let dones = run_cells(&spec, &opts, &[0, 1, 2], &jobs, &prep);
+        let dones = run_cells(
+            &tiny_spec(),
+            &MatrixOptions::new(1),
+            &[0, 1, 2],
+            &jobs,
+            &prep,
+        );
         assert_eq!(dones.len(), 3);
         for done in dones {
             match done.outcome {
@@ -1399,19 +1164,15 @@ mod tests {
                 }
                 other => panic!("expected trapped, got {other:?}"),
             }
-            assert_eq!(done.attempts, spec.retries + 1, "each cell retried alone");
         }
     }
 
     #[test]
     fn run_metrics_carry_failure_counters() {
-        let spec = tiny_spec().with_fault(InjectedFault::permanent(0, FaultKind::Trap));
+        let spec = tiny_spec().with_fault(InjectedFault::new(0, FaultKind::Trap));
         let m = run_matrix(&spec, 1).run_metrics();
         assert_eq!(m.counter_value(names::MATRIX_CELLS_OK), Some(2));
         assert_eq!(m.counter_value(names::MATRIX_CELLS_TRAPPED), Some(1));
-        assert_eq!(
-            m.counter_value(names::MATRIX_RETRIES),
-            Some(u64::from(spec.retries))
-        );
+        assert_eq!(m.counter_value(names::MATRIX_CELLS_RESUMED), Some(0));
     }
 }

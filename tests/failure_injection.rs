@@ -104,7 +104,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 #[test]
 fn trapping_cell_degrades_the_report_and_leaves_the_rest_byte_identical() {
     let clean = run_matrix(&matrix_spec(), 2);
-    let spec = matrix_spec().with_fault(InjectedFault::permanent(3, FaultKind::Trap));
+    let spec = matrix_spec().with_fault(InjectedFault::new(3, FaultKind::Trap));
     let report = run_matrix(&spec, 2);
 
     // The cube completed: same shape, the faulty cell carries the error.
@@ -134,9 +134,7 @@ fn trapping_cell_degrades_the_report_and_leaves_the_rest_byte_identical() {
 
 #[test]
 fn journal_resume_reproduces_a_partially_failed_sweep() {
-    let spec = matrix_spec()
-        .with_retries(0)
-        .with_fault(InjectedFault::permanent(1, FaultKind::Panic));
+    let spec = matrix_spec().with_fault(InjectedFault::new(1, FaultKind::Panic));
 
     // Uninterrupted journaled run (one trapping cell included).
     let clean_dir = scratch_dir("clean");
@@ -227,8 +225,7 @@ fn break_instruction_traps() {
 }
 
 // --- Failures inside a group: cells that share one functional execution
-// --- still fail, retry, time out and resume one by one. Each report is
-// --- pinned by the digest the one-cell-at-a-time runner gave.
+// --- still fail and resume one by one. Each report is pinned by digest.
 
 /// Twelve cells: the 4-issue machine at three memory timings (one group
 /// of nine, cells 0–8) and the 1-issue machine (a group of three).
@@ -266,70 +263,42 @@ fn grouped_report_digest(spec: &MatrixSpec) -> u64 {
     one
 }
 
-/// (fault kind, permanent?) on the middle cell, and its pinned digest.
-const MIDDLE_FAULTS: [(FaultKind, bool, u64); 6] = [
-    (FaultKind::Panic, true, 0x8646_fad3_0ec1_e145),
-    (FaultKind::Panic, false, 0x386d_feea_91d4_ac8d),
-    (FaultKind::Trap, true, 0x4be6_4a11_08c2_862a),
-    (FaultKind::Trap, false, 0x386d_feea_91d4_ac8d),
-    (FaultKind::Skip, true, 0x36c0_dad9_27ca_6eb5),
-    (FaultKind::Skip, false, 0x36c0_dad9_27ca_6eb5),
+/// A fault on the middle cell, and its pinned digest.
+const MIDDLE_FAULTS: [(FaultKind, u64); 2] = [
+    (FaultKind::Panic, 0x72b5_da1a_a536_576d),
+    (FaultKind::Trap, 0x122c_05c4_152d_c1c4),
 ];
 /// The fault-free report.
-const CLEAN_GROUPS: u64 = 0x7278_0355_4fcc_ec81;
-/// The slowest cell past its deadline.
-const DEADLINE_OVERRUN: u64 = 0x67b5_a539_1a51_6d85;
-/// A permanently trapping middle cell, resumed from four journaled cells.
-const HALF_JOURNALED: u64 = 0xea69_6e65_d091_a47e;
+const CLEAN_GROUPS: u64 = 0xea8d_33b5_e5d8_3da1;
+/// A trapping middle cell, resumed from four journaled cells.
+const HALF_JOURNALED: u64 = 0x78e9_0bb6_e988_a388;
 
 #[test]
 fn a_fault_on_the_middle_cell_of_a_group_fails_that_cell_alone() {
     assert_eq!(grouped_report_digest(&group_spec()), CLEAN_GROUPS);
-    for (kind, permanent, golden) in MIDDLE_FAULTS {
-        let fault = if permanent {
-            InjectedFault::permanent(MIDDLE, kind)
-        } else {
-            InjectedFault::transient(MIDDLE, kind, 1)
-        };
-        let spec = group_spec().with_fault(fault);
+    for (kind, golden) in MIDDLE_FAULTS {
+        let spec = group_spec().with_fault(InjectedFault::new(MIDDLE, kind));
         let report = run_matrix(&spec, 2);
-        // A retry clears a transient panic or trap; a skip is never retried.
-        let middle_ok = !permanent && kind != FaultKind::Skip;
         for (i, cell) in report.cells.iter().enumerate() {
             assert_eq!(
                 cell.outcome.is_ok(),
-                i != MIDDLE || middle_ok,
-                "{kind:?} permanent={permanent}: cell {i} is {}",
+                i != MIDDLE,
+                "{kind:?}: cell {i} is {}",
                 cell.outcome.label()
             );
+            assert_eq!(cell.attempts, 1, "{kind:?}: cell {i} ran once");
         }
         assert_eq!(
             grouped_report_digest(&spec),
             golden,
-            "{kind:?} permanent={permanent}: report digest drifted"
+            "{kind:?}: report digest drifted"
         );
     }
 }
 
 #[test]
-fn a_deadline_overrun_times_out_one_cell_of_a_group() {
-    // The deadline sits one cycle below the slowest cell of the group.
-    let clean = run_matrix(&group_spec(), 1);
-    let slowest = clean
-        .cells
-        .iter()
-        .map(|c| c.expect_ok().cycles())
-        .max()
-        .expect("cells ran");
-    let spec = group_spec().with_deadline_cycles(slowest - 1);
-    let report = run_matrix(&spec, 2);
-    assert_eq!(report.summary().timed_out, 1);
-    assert_eq!(grouped_report_digest(&spec), DEADLINE_OVERRUN);
-}
-
-#[test]
 fn resume_finishes_a_half_journaled_group() {
-    let spec = group_spec().with_fault(InjectedFault::permanent(MIDDLE, FaultKind::Trap));
+    let spec = group_spec().with_fault(InjectedFault::new(MIDDLE, FaultKind::Trap));
     let clean_dir = scratch_dir("group-clean");
     let clean = run_matrix_with(&spec, &MatrixOptions::new(1).with_journal(&clean_dir)).unwrap();
 

@@ -2,8 +2,9 @@
 //! share a program and an outcome pass, and replays its records through
 //! every cell's timing part. Each cell's result must not depend on that:
 //! a cube run grouped must equal the same cells run one at a time — the
-//! results `Debug`-equal, and the observed metrics snapshots and the
-//! merged block profile byte-identical — at one worker and at two.
+//! outcomes and errors equal, the results `Debug`-equal, and the observed
+//! metrics snapshots and the merged block profile byte-identical — at one
+//! worker and at two.
 
 use std::sync::Arc;
 
@@ -11,8 +12,8 @@ use codepack::core::{CodePackImage, CompressionConfig, DecompressorConfig, Index
 use codepack::mem::{IntegrityConfig, SoftErrorConfig};
 use codepack::obs::{BlockProfile, Obs, ObsReport};
 use codepack::sim::{
-    run_matrix_with, ArchConfig, CellOutcome, CodeModel, MatrixCell, MatrixOptions, MatrixSpec,
-    SimReport, Simulation,
+    run_matrix_with, ArchConfig, CellOutcome, CodeModel, FaultCampaignSpec, MatrixCell,
+    MatrixOptions, MatrixSpec, SimReport, Simulation,
 };
 use codepack::synth::{generate, BenchmarkProfile};
 use codepack_testkit::forall;
@@ -24,8 +25,9 @@ const INSNS: u64 = 6_000;
 
 /// Runs every cell of `spec` alone through `Simulation::try_run_observed`,
 /// in enumeration order, and assembles the report a cube run gives: the
-/// same observer per cell, metrics snapshots when observed, and the
-/// cells' block profiles merged in order when profiled.
+/// same observer per cell, a trapped record for a cell that fails,
+/// metrics snapshots when observed, and the cells' block profiles merged
+/// in order when profiled.
 fn one_at_a_time(spec: &MatrixSpec, opts: &MatrixOptions) -> SimReport {
     let mut cells = Vec::new();
     let mut merged: Option<BlockProfile> = None;
@@ -46,17 +48,26 @@ fn one_at_a_time(spec: &MatrixSpec, opts: &MatrixOptions) -> SimReport {
                     obs.arm_profile();
                 }
                 let image = (model != CodeModel::Native).then(|| Arc::clone(&image));
-                let (result, report) = Simulation::new(*arch, model)
+                let (outcome, result, report) = match Simulation::new(*arch, model)
                     .try_run_observed(&program, spec.max_insns, image, obs)
-                    .expect("cell runs");
+                {
+                    Ok((result, report)) => (CellOutcome::Ok, Some(result), report),
+                    Err(e) => (
+                        CellOutcome::Trapped {
+                            error: e.to_string(),
+                        },
+                        None,
+                        None,
+                    ),
+                };
                 let cell = MatrixCell {
                     profile: profile.name,
                     arch: arch.name,
                     model: label,
-                    outcome: CellOutcome::Ok,
+                    outcome,
                     attempts: 1,
                     resumed: false,
-                    result: Some(result),
+                    result,
                     metrics: report
                         .as_ref()
                         .filter(|_| opts.observed)
@@ -83,9 +94,17 @@ fn one_at_a_time(spec: &MatrixSpec, opts: &MatrixOptions) -> SimReport {
     }
 }
 
-/// Asserts that `spec` gives the same cells grouped and one at a time,
-/// plain, observed and profiled, at one and two workers.
+/// Asserts that every cell of `spec` completes, and gives the same
+/// result grouped and one at a time.
 fn assert_grouping_is_invisible(spec: &MatrixSpec) {
+    assert_grouped_equals_alone(spec, true);
+}
+
+/// Asserts that `spec` gives the same cells grouped and one at a time,
+/// plain, observed and profiled, at one and two workers. With `all_ok`,
+/// every grouped cell must also complete; without it, a cell may trap,
+/// and must then trap alone with the same error.
+fn assert_grouped_equals_alone(spec: &MatrixSpec, all_ok: bool) {
     let modes = [
         MatrixOptions::new(1),
         MatrixOptions::new(1).observed(true),
@@ -101,7 +120,15 @@ fn assert_grouping_is_invisible(spec: &MatrixSpec) {
             let grouped = run_matrix_with(spec, &opts).expect("unjournaled run");
             assert_eq!(grouped.cells.len(), alone.cells.len());
             for (g, a) in grouped.cells.iter().zip(&alone.cells) {
-                assert!(g.outcome.is_ok(), "{}: {:?}", g.file_stem(), g.outcome);
+                if all_ok {
+                    assert!(g.outcome.is_ok(), "{}: {:?}", g.file_stem(), g.outcome);
+                }
+                assert_eq!(
+                    g.outcome,
+                    a.outcome,
+                    "{} (workers {workers}): grouped outcome differs",
+                    g.file_stem()
+                );
                 assert_eq!(
                     format!("{:?}", g.result),
                     format!("{:?}", a.result),
@@ -150,7 +177,7 @@ fn the_default_cube_is_the_same_grouped_and_alone() {
 #[test]
 fn sweeps_of_the_miss_path_are_the_same_grouped_and_alone() {
     // Every axis a paper table sweeps, next to a cell armed with soft
-    // errors (which runs alone) and one behind an L2.
+    // errors and one behind an L2.
     let base = ArchConfig::four_issue();
     let protected = CodeModel::codepack_optimized().with_protection(SoftErrorConfig::new(
         0xFA117,
@@ -184,6 +211,39 @@ fn sweeps_of_the_miss_path_are_the_same_grouped_and_alone() {
             ("protected", protected),
         ]);
     assert_grouping_is_invisible(&spec);
+}
+
+#[test]
+fn soft_error_cells_are_the_same_grouped_and_alone() {
+    // A fault campaign's cube: native, unprotected CodePack and a
+    // protected CodePack per (integrity, rate) point, all on one machine,
+    // so one group. A strike on every probed access exhausts recovery
+    // under parity and CRC-32 and machine-checks those cells.
+    let spec = FaultCampaignSpec::new(5, INSNS)
+        .with_rates_ppb(vec![0, 20_000_000, 1_000_000_000])
+        .with_integrity(vec![
+            IntegrityConfig::none(),
+            IntegrityConfig::parity(),
+            IntegrityConfig::crc32(),
+        ])
+        .to_matrix_spec();
+    let alone = one_at_a_time(&spec, &MatrixOptions::new(1));
+    assert!(
+        alone.cells.iter().any(|c| matches!(
+            &c.outcome,
+            CellOutcome::Trapped { error } if error.contains("machine check")
+        )),
+        "a cell machine-checks"
+    );
+    assert!(
+        alone
+            .cells
+            .iter()
+            .filter_map(|c| c.result.as_ref()?.faults)
+            .any(|ft| ft.injected > 0),
+        "a completed cell is struck"
+    );
+    assert_grouped_equals_alone(&spec, false);
 }
 
 /// One drawn machine: a Table 2 width, then the swept knobs.

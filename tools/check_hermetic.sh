@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Hermeticity gate for the deterministic core crates.
 #
-# crates/core, crates/analyze, crates/isa, crates/mem and crates/cpu must
-# be pure functions of their inputs: the codec's byte streams, the
-# linter's reports, the decoder tables and every simulated statistic are
-# all golden-value- and cross-worker-compared in CI, so a wall-clock read
-# or a random draw anywhere in them is a latent nondeterminism bug even
-# if today's tests happen to pass. (The simulator's soft-error process
+# crates/core, crates/analyze, crates/isa, crates/mem, crates/cpu and
+# crates/sim must be pure functions of their inputs: the codec's byte
+# streams, the linter's reports, the decoder tables, every simulated
+# statistic and the matrix runner's reports and journals are all
+# golden-value- and cross-worker-compared in CI, so a wall-clock read or
+# a random draw anywhere in them is a latent nondeterminism bug even if
+# today's tests happen to pass. (The simulator's soft-error process
 # draws from the testkit PRNG seeded by its own key, not from `rand`.)
 #
 # Enforced textually (fast, dependency-free, and impossible to dodge via
@@ -21,7 +22,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(crates/core/src crates/analyze/src crates/isa/src crates/mem/src crates/cpu/src)
+CRATES=(crates/core/src crates/analyze/src crates/isa/src crates/mem/src crates/cpu/src
+    crates/sim/src)
 fail=0
 
 ban() {
@@ -45,4 +47,4 @@ if [ "$fail" -ne 0 ]; then
     echo "hermeticity gate FAILED" >&2
     exit 1
 fi
-echo "hermeticity gate: core/analyze/isa/mem/cpu clean"
+echo "hermeticity gate: core/analyze/isa/mem/cpu/sim clean"
