@@ -11,7 +11,7 @@ cargo fmt --all --check
 echo "== clippy (offline, deny warnings) =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
-echo "== hermeticity grep gate (core/analyze/isa/mem/cpu/sim) =="
+echo "== hermeticity grep gate (core/analyze/isa/mem/cpu/sim/obs) =="
 # No wall clocks, no randomness, no hash-ordered serialization in the
 # deterministic crates; see tools/check_hermetic.sh for the rationale.
 tools/check_hermetic.sh

@@ -5,7 +5,7 @@ use codepack_baselines::{estimate_thumb, CcrpImage, HuffPackImage, InsnDictImage
 use codepack_core::frame::{pack_frame, unpack_frame, PackOptions, UnpackOptions};
 use codepack_core::{CodePackImage, CompressionConfig};
 use codepack_isa::{decode, Program, TEXT_BASE};
-use codepack_mem::{IntegrityConfig, PPB_SCALE};
+use codepack_mem::{StreamIntegrity, PPB_SCALE};
 use codepack_obs::{chrome_trace_json, parse_jsonl, BlockProfile, JsonlSink, Obs};
 use codepack_sim::{
     run_fault_campaign, run_matrix, run_matrix_with, ArchConfig, CodeModel, FaultCampaignSpec,
@@ -51,7 +51,7 @@ USAGE:
                                         (a trapping cell degrades, never
                                         aborts), --journal
                                         records completed cells crash-safely
-                                        and --resume re-runs only the rest
+                                        and --resume runs only the rest
     cpack profile  <profile> [INSNS] [--out FILE.json] [--top N] [--json]
                                         block-level access profile: run the
                                         benchmark on the 4-issue cp-opt
@@ -506,9 +506,9 @@ pub fn trace_export(args: &[String]) -> Result<(), CliError> {
 /// (outcome `trapped`) and the rest of the cube completes, so finishing
 /// with failed cells is still exit 0 — the *report* is the product. With
 /// `--journal DIR` every completed cell is appended to a crash-safe
-/// journal; `--resume` restores completed cells from it and re-runs only
-/// the missing or failed ones, producing byte-identical output to an
-/// uninterrupted run.
+/// journal; `--resume` restores every journaled cell from it, trapped ones
+/// included, and runs only the missing ones, producing byte-identical
+/// output to an uninterrupted run.
 pub fn matrix(args: &[String]) -> Result<(), CliError> {
     let mut insns: Option<u64> = None;
     let mut workers = all_cores();
@@ -801,7 +801,7 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     let mut json = false;
     let mut profiles: Vec<BenchmarkProfile> = Vec::new();
     let mut rates: Option<Vec<u32>> = None;
-    let mut integrity: Option<Vec<IntegrityConfig>> = None;
+    let mut integrity: Option<Vec<StreamIntegrity>> = None;
     let mut journal_dir: Option<String> = None;
     let mut resume = false;
     let mut it = args.iter();
@@ -830,18 +830,11 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
                 rates = Some(parsed);
             }
             "--integrity" => {
-                let v = required(it.next(), "faults: --integrity needs a config list")?;
+                let v = required(it.next(), "faults: --integrity needs a mode list")?;
                 let parsed = v
                     .split(',')
-                    .map(|c| match c {
-                        "none" => Ok(IntegrityConfig::none()),
-                        "parity" => Ok(IntegrityConfig::parity()),
-                        "crc32" => Ok(IntegrityConfig::crc32()),
-                        other => Err(usage(format!(
-                            "unknown integrity config `{other}` (none, parity, crc32)"
-                        ))),
-                    })
-                    .collect::<Result<Vec<IntegrityConfig>, CliError>>()?;
+                    .map(|c| StreamIntegrity::parse(c).map_err(|e| usage(format!("faults: {e}"))))
+                    .collect::<Result<Vec<StreamIntegrity>, CliError>>()?;
                 integrity = Some(parsed);
             }
             "--journal" => {
@@ -1144,16 +1137,7 @@ fn pack_args(args: &[String]) -> Result<(String, String, PackOptions), String> {
                 let v = it
                     .next()
                     .ok_or(format!("pack: --integrity needs a mode\n{PACK_USAGE}"))?;
-                opts.integrity = match v.as_str() {
-                    "none" => codepack_mem::StreamIntegrity::None,
-                    "parity" => codepack_mem::StreamIntegrity::Parity,
-                    "crc32" => codepack_mem::StreamIntegrity::Crc32,
-                    other => {
-                        return Err(format!(
-                            "pack: unknown integrity mode `{other}` (none|parity|crc32)"
-                        ))
-                    }
-                };
+                opts.integrity = StreamIntegrity::parse(v).map_err(|e| format!("pack: {e}"))?;
             }
             flag if flag.starts_with('-') && flag.len() > 1 => {
                 return Err(format!("pack: unknown flag `{flag}`\n{PACK_USAGE}"));

@@ -133,6 +133,7 @@ fn command_line_misuse_exits_two() {
         // A cell runs once: there is no retry budget to set.
         &["matrix", "1000", "--retries", "1"],
         &["faults", "1000", "--profile", "pegwit", "--retries", "1"],
+        &["faults", "1000", "--integrity", "sha9000"],
     ] {
         let out = cpack(args);
         assert_eq!(

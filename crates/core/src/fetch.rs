@@ -20,8 +20,7 @@
 use std::sync::Arc;
 
 use codepack_mem::{
-    Cache, CacheConfig, FaultDomain, FaultStats, Flips, MemoryTiming, SoftErrorConfig,
-    StreamIntegrity,
+    Cache, CacheConfig, FaultStats, Flips, MemoryTiming, SoftErrorConfig, StreamIntegrity,
 };
 use codepack_obs::{EventKind, FaultArea, MissRecord, Obs};
 
@@ -30,15 +29,6 @@ use crate::CodePackImage;
 
 /// Bytes of one dictionary SRAM entry (a 16-bit half-word).
 const DICT_ENTRY_BYTES: u32 = 2;
-
-fn fault_area(domain: FaultDomain) -> FaultArea {
-    match domain {
-        FaultDomain::Stream => FaultArea::Stream,
-        FaultDomain::Index => FaultArea::Index,
-        FaultDomain::Dictionary => FaultArea::Dictionary,
-        FaultDomain::IcacheLine => FaultArea::IcacheLine,
-    }
-}
 
 /// How the decompressor reaches the index table.
 ///
@@ -488,35 +478,6 @@ impl CodePackFetch {
         &self.config
     }
 
-    /// Emits the injection event plus its outcome event for one fault.
-    fn emit_fault(
-        obs: &mut Obs,
-        cycle: u64,
-        domain: FaultDomain,
-        addr: u32,
-        flips: &Flips,
-        detected: bool,
-    ) {
-        if !obs.enabled() {
-            return;
-        }
-        let area = fault_area(domain);
-        obs.emit(
-            cycle,
-            EventKind::FaultInjected {
-                area,
-                addr,
-                flips: flips.count,
-            },
-        );
-        let outcome = if detected {
-            EventKind::FaultDetected { area, addr }
-        } else {
-            EventKind::FaultSilent { area, addr }
-        };
-        obs.emit(cycle, outcome);
-    }
-
     /// Whether the codec rejects `block`'s stream bytes after applying
     /// `flips` to a scratch copy — the `DecompressError` leg of detection.
     /// The image itself is never mutated.
@@ -631,7 +592,7 @@ impl FetchEngine for CodePackFetch {
             self.index
                 .probe(group, INDEX_ENTRY_BYTES, &self.timing, &mut self.stats);
 
-        // Index-SRAM fault domain: a struck entry is caught by parity (odd
+        // Index-SRAM fault area: a struck entry is caught by parity (odd
         // flips only) and cured by re-reading the entry from main memory,
         // whose copy is assumed good. Undetected strikes escape silently —
         // the simulator meters the escape; the functional machine remains
@@ -641,37 +602,20 @@ impl FetchEngine for CodePackFetch {
             if let Some(flips) = p.faults.probe(
                 now,
                 u64::from(entry_addr),
-                FaultDomain::Index,
+                FaultArea::Index,
                 INDEX_ENTRY_BYTES * 8,
             ) {
-                self.faults.injected += 1;
-                let detected = p.integrity.index_parity && flips.parity_detects();
-                Self::emit_fault(
+                if self.faults.parity_strike(
                     obs,
                     now + t_index,
-                    FaultDomain::Index,
+                    FaultArea::Index,
                     entry_addr,
                     &flips,
-                    detected,
-                );
-                if detected {
-                    self.faults.detected += 1;
-                    self.faults.retries += 1;
-                    if obs.enabled() {
-                        obs.emit(
-                            now + t_index,
-                            EventKind::FaultRetry {
-                                area: FaultArea::Index,
-                                attempt: 1,
-                            },
-                        );
-                    }
+                    p.integrity,
+                ) {
                     self.stats.memory_beats += u64::from(self.timing.beats_for(INDEX_ENTRY_BYTES));
                     t_index += self.timing.burst_read_cycles(INDEX_ENTRY_BYTES)
-                        + u64::from(p.integrity.check_cycles);
-                    self.faults.recovered += 1;
-                } else {
-                    self.faults.silent += 1;
+                        + p.integrity.check_cycles();
                 }
             }
         }
@@ -691,54 +635,37 @@ impl FetchEngine for CodePackFetch {
         let payload = u32::from(info.byte_len);
         let (overhead, check_cycles) = match self.protection {
             Some(p) => (
-                p.integrity.stream.overhead_bytes(payload),
-                u64::from(p.integrity.check_cycles),
+                p.integrity.overhead_bytes(payload),
+                p.integrity.check_cycles(),
             ),
             None => (0, 0),
         };
         let protected_read = self.timing.burst_read_cycles(payload + overhead) + check_cycles;
 
-        // Dictionary-SRAM fault domain: parity-detected strikes reload the
+        // Dictionary-SRAM fault area: parity-detected strikes reload the
         // entry from the dictionary's ROM image before decode can start.
         let mut t_extra = 0u64;
         if let Some(p) = self.protection {
             if let Some(flips) = p
                 .faults
-                .probe(now, u64::from(block), FaultDomain::Dictionary, 16)
+                .probe(now, u64::from(block), FaultArea::Dictionary, 16)
             {
-                self.faults.injected += 1;
-                let detected = p.integrity.dict_parity && flips.parity_detects();
-                Self::emit_fault(
+                if self.faults.parity_strike(
                     obs,
                     now + t_index,
-                    FaultDomain::Dictionary,
+                    FaultArea::Dictionary,
                     block,
                     &flips,
-                    detected,
-                );
-                if detected {
-                    self.faults.detected += 1;
-                    self.faults.retries += 1;
-                    if obs.enabled() {
-                        obs.emit(
-                            now + t_index,
-                            EventKind::FaultRetry {
-                                area: FaultArea::Dictionary,
-                                attempt: 1,
-                            },
-                        );
-                    }
+                    p.integrity,
+                ) {
                     self.stats.memory_beats += u64::from(self.timing.beats_for(DICT_ENTRY_BYTES));
                     t_extra += self.timing.burst_read_cycles(DICT_ENTRY_BYTES)
-                        + u64::from(p.integrity.check_cycles);
-                    self.faults.recovered += 1;
-                } else {
-                    self.faults.silent += 1;
+                        + p.integrity.check_cycles();
                 }
             }
         }
 
-        // Compressed-stream fault domain: detect → re-fetch → trap. Each
+        // Compressed-stream fault area: detect → re-fetch → trap. Each
         // read of the block is an independent strike opportunity (keyed on
         // the attempt number); detection is the armed stream check or the
         // codec rejecting the corrupted bytes. Detections in a service that
@@ -754,7 +681,7 @@ impl FetchEngine for CodePackFetch {
                 let flips = match p.faults.probe(
                     now + u64::from(attempt),
                     u64::from(info.byte_offset),
-                    FaultDomain::Stream,
+                    FaultArea::Stream,
                     payload * 8,
                 ) {
                     None => {
@@ -763,24 +690,20 @@ impl FetchEngine for CodePackFetch {
                     }
                     Some(flips) => flips,
                 };
-                self.faults.injected += 1;
-                let detected = p.integrity.stream.detects(&flips)
-                    || !self.corrupted_block_decodes(block, &flips);
-                let fault_addr = info.byte_offset + flips.bits[0] / 8;
-                Self::emit_fault(
+                let detected =
+                    p.integrity.detects(&flips) || !self.corrupted_block_decodes(block, &flips);
+                self.faults.strike(
                     obs,
                     now + t_index + t_extra + stream_extra,
-                    FaultDomain::Stream,
-                    fault_addr,
+                    FaultArea::Stream,
+                    info.byte_offset + flips.bits[0] / 8,
                     &flips,
                     detected,
                 );
                 if !detected {
-                    self.faults.silent += 1;
                     self.faults.recovered += pending;
                     break;
                 }
-                self.faults.detected += 1;
                 pending += 1;
                 if attempt >= p.max_refetch {
                     self.faults.trapped += pending;
@@ -839,7 +762,7 @@ impl FetchEngine for CodePackFetch {
             &mut ready,
         );
         let gate = match self.protection {
-            Some(p) if p.integrity.stream != StreamIntegrity::None => t_start + protected_read,
+            Some(p) if p.integrity != StreamIntegrity::None => t_start + protected_read,
             _ => 0,
         };
 

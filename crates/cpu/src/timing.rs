@@ -11,7 +11,7 @@
 //! resident-line soft-error probe and the cell's [`Obs`] events.
 
 use codepack_core::{FetchEngine, MissSource};
-use codepack_mem::{Cache, CacheConfig, FaultDomain, MemoryTiming, PageTable, SoftErrorConfig};
+use codepack_mem::{Cache, CacheConfig, MemoryTiming, PageTable, SoftErrorConfig};
 use codepack_obs::{names, EventKind, FaultArea, MissOrigin, Obs};
 
 use crate::outcome::{Outcome, Outcomes, READY_SLOTS};
@@ -561,49 +561,22 @@ impl Timing {
         let Some(flips) = cfg.faults.probe(
             self.fetch_cycle,
             u64::from(line),
-            FaultDomain::IcacheLine,
+            FaultArea::IcacheLine,
             line_bytes * 8,
         ) else {
             return true;
         };
-        self.stats.faults.injected += 1;
-        let area = FaultArea::IcacheLine;
-        if self.obs.enabled() {
-            self.obs.emit(
-                self.fetch_cycle,
-                EventKind::FaultInjected {
-                    area,
-                    addr: line,
-                    flips: flips.count,
-                },
-            );
-        }
-        if cfg.integrity.icache_parity && flips.parity_detects() {
-            // Parity caught the strike: re-fetch. The gold copy lives
-            // behind the miss engine, so one re-fetch always cures an
-            // I-cache-resident fault.
-            self.stats.faults.detected += 1;
-            self.stats.faults.recovered += 1;
-            self.stats.faults.retries += 1;
-            if self.obs.enabled() {
-                self.obs.emit(
-                    self.fetch_cycle,
-                    EventKind::FaultDetected { area, addr: line },
-                );
-                self.obs
-                    .emit(self.fetch_cycle, EventKind::FaultRetry { area, attempt: 1 });
-            }
-            false
-        } else {
-            self.stats.faults.silent += 1;
-            if self.obs.enabled() {
-                self.obs.emit(
-                    self.fetch_cycle,
-                    EventKind::FaultSilent { area, addr: line },
-                );
-            }
-            true
-        }
+        // Parity caught the strike: re-fetch. The gold copy lives behind
+        // the miss engine, so one re-fetch always cures an
+        // I-cache-resident fault.
+        !self.stats.faults.parity_strike(
+            &mut self.obs,
+            self.fetch_cycle,
+            FaultArea::IcacheLine,
+            line,
+            &flips,
+            cfg.integrity,
+        )
     }
 
     /// Redirects the fetch cursor after a control instruction.

@@ -13,10 +13,11 @@
 //!   the decompressor's index cache (paper §5.3, Table 6),
 //! * [`SparseMemory`] — a paged functional memory backing the executor's
 //!   data space, built on the hash-free two-level [`PageTable`],
-//! * [`FaultModel`] / [`IntegrityConfig`] / [`FaultStats`] — the
-//!   deterministic soft-error process, the armed integrity checks with
-//!   their modeled costs, and the injected/detected/recovered/silent
-//!   conservation ledger (see [`fault`]'s module docs).
+//! * [`FaultModel`] / [`StreamIntegrity`] / [`FaultStats`] — the
+//!   deterministic soft-error process, the one integrity setting with its
+//!   modeled costs, and the injected/detected/recovered/silent
+//!   conservation ledger with the strike-and-recover routine of every
+//!   parity-protected structure (see [`fault`]'s module docs).
 //!
 //! ```
 //! use codepack_mem::{Cache, CacheConfig, MemoryTiming};
@@ -41,8 +42,7 @@ mod timing;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use fault::{
-    crc32, FaultDomain, FaultModel, FaultStats, Flips, IntegrityConfig, SoftErrorConfig,
-    StreamIntegrity, PPB_SCALE,
+    crc32, FaultModel, FaultStats, Flips, SoftErrorConfig, StreamIntegrity, PPB_SCALE,
 };
 pub use page_table::PageTable;
 pub use sparse::SparseMemory;

@@ -14,8 +14,6 @@
 /// use codepack_mem::MemoryTiming;
 /// let m = MemoryTiming::default();
 /// assert_eq!(m.bus_bits(), 64);
-/// // 4 beats for a 32-byte line: 10, 12, 14, 16.
-/// assert_eq!(m.beat_completion_cycles(32).collect::<Vec<_>>(), vec![10, 12, 14, 16]);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemoryTiming {
@@ -134,19 +132,18 @@ impl MemoryTiming {
         (self.beats_for(bytes), self.burst_read_cycles(bytes))
     }
 
-    /// Completion cycle of each beat of a burst read of `bytes`, relative to
-    /// issue. Beat `i` delivers bytes `[i*bus, (i+1)*bus)`.
-    pub fn beat_completion_cycles(&self, bytes: u32) -> impl Iterator<Item = u64> + '_ {
-        let beats = self.beats_for(bytes);
-        (0..beats).map(move |i| {
-            u64::from(self.first_access_cycles) + u64::from(i) * u64::from(self.next_access_cycles)
-        })
-    }
-
     /// Per-beat schedule of a burst read of `bytes`:
     /// `(beat index, bytes carried, completion cycle)` — the shape trace
     /// instrumentation wants for burst-beat events. A zero-byte read still
     /// schedules one (empty) beat, matching [`Self::burst_read_cycles`].
+    ///
+    /// ```
+    /// use codepack_mem::MemoryTiming;
+    /// let m = MemoryTiming::default();
+    /// // 4 beats for a 32-byte line: 10, 12, 14, 16.
+    /// let done: Vec<u64> = m.burst_schedule(32).map(|(_, _, done)| done).collect();
+    /// assert_eq!(done, vec![10, 12, 14, 16]);
+    /// ```
     pub fn burst_schedule(&self, bytes: u32) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
         let beats = self.beats_for(bytes);
         (0..beats).map(move |i| {
@@ -155,16 +152,6 @@ impl MemoryTiming {
                 + u64::from(i) * u64::from(self.next_access_cycles);
             (i, carried, done)
         })
-    }
-
-    /// Extra cycles an integrity-protected burst read of `payload` bytes
-    /// costs over the unprotected read: the additional beats carrying
-    /// `overhead` check bytes, plus `check_cycles` of checker latency after
-    /// the data lands. Zero overhead and zero check cycles cost nothing —
-    /// the armed-but-free case stays cycle-identical to unprotected.
-    pub fn integrity_read_cycles(&self, payload: u32, overhead: u32, check_cycles: u32) -> u64 {
-        self.burst_read_cycles(payload + overhead) - self.burst_read_cycles(payload)
-            + u64::from(check_cycles)
     }
 
     /// Timing of a native cache-line fill using critical-word-first: the
@@ -250,18 +237,6 @@ mod tests {
         assert_eq!(m.next_access_cycles(), 16);
         let m = MemoryTiming::new(1, 1, 8).scaled_latency(0.25);
         assert_eq!(m.next_access_cycles(), 1, "clamped to one cycle");
-    }
-
-    #[test]
-    fn integrity_overhead_prices_extra_beats_plus_check() {
-        let m = MemoryTiming::default();
-        // 32-byte payload + 4-byte CRC: 36 bytes is 5 beats vs 4 → one
-        // extra 2-cycle beat, plus 2 checker cycles.
-        assert_eq!(m.integrity_read_cycles(32, 4, 2), 4);
-        // Overhead that fits in the last partial beat costs only the check.
-        assert_eq!(m.integrity_read_cycles(30, 2, 1), 1);
-        // No overhead, no check: free.
-        assert_eq!(m.integrity_read_cycles(32, 0, 0), 0);
     }
 
     #[test]

@@ -45,9 +45,8 @@ impl MissOrigin {
     }
 }
 
-/// Which storage structure a soft-error event touched. Mirrors
-/// `codepack_mem::FaultDomain` without depending on it (obs sits below
-/// every other crate in the dependency graph).
+/// Which storage structure a soft error strikes: the four areas
+/// `codepack_mem`'s fault model probes, and the name its trace events carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultArea {
     /// Compressed instruction stream bytes.

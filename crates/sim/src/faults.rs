@@ -1,4 +1,4 @@
-//! Soft-error fault-injection campaigns: fault rates × integrity configs.
+//! Soft-error fault-injection campaigns: fault rates × integrity settings.
 //!
 //! A campaign is a thin layer over the journaled matrix runner
 //! ([`run_matrix_with`]): the code-model axis carries one protected
@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
 
-use codepack_mem::{FaultStats, IntegrityConfig, SoftErrorConfig};
+use codepack_mem::{FaultStats, SoftErrorConfig, StreamIntegrity};
 use codepack_synth::BenchmarkProfile;
 
 use crate::matrix::{run_matrix_with, MatrixOptions, MatrixSpec, SimReport};
@@ -33,8 +33,8 @@ pub struct FaultCampaignSpec {
     pub arch: ArchConfig,
     /// Fault rates in parts-per-billion per probed access.
     pub rates_ppb: Vec<u32>,
-    /// Integrity configurations to cross with the rates.
-    pub integrity: Vec<IntegrityConfig>,
+    /// Integrity settings to cross with the rates.
+    pub integrity: Vec<StreamIntegrity>,
     /// Program-generation and fault-process seed.
     pub seed: u64,
     /// Instruction budget per cell.
@@ -42,7 +42,7 @@ pub struct FaultCampaignSpec {
 }
 
 impl FaultCampaignSpec {
-    /// A small default campaign: one profile, three integrity configs,
+    /// A small default campaign: one profile, three integrity settings,
     /// rate 0 plus two nonzero rates.
     pub fn new(seed: u64, max_insns: u64) -> FaultCampaignSpec {
         FaultCampaignSpec {
@@ -50,9 +50,9 @@ impl FaultCampaignSpec {
             arch: ArchConfig::four_issue(),
             rates_ppb: vec![0, 2_000_000, 20_000_000],
             integrity: vec![
-                IntegrityConfig::none(),
-                IntegrityConfig::parity(),
-                IntegrityConfig::crc32(),
+                StreamIntegrity::None,
+                StreamIntegrity::Parity,
+                StreamIntegrity::Crc32,
             ],
             seed,
             max_insns,
@@ -72,7 +72,7 @@ impl FaultCampaignSpec {
     }
 
     /// Replaces the integrity axis.
-    pub fn with_integrity(mut self, integrity: Vec<IntegrityConfig>) -> FaultCampaignSpec {
+    pub fn with_integrity(mut self, integrity: Vec<StreamIntegrity>) -> FaultCampaignSpec {
         self.integrity = integrity;
         self
     }
@@ -87,7 +87,7 @@ impl FaultCampaignSpec {
         ];
         for integrity in &self.integrity {
             for &ppb in &self.rates_ppb {
-                let label = intern_label(&format!("cp-{}-r{}", integrity.label(), ppb));
+                let label = intern_label(&format!("cp-{}-r{}", integrity.as_str(), ppb));
                 let protection = SoftErrorConfig::new(self.seed, ppb, *integrity);
                 models.push((
                     label,
@@ -163,16 +163,12 @@ impl FaultReport {
     /// `detected == recovered + trapped`) over every completed cell's
     /// ledger and the campaign total.
     pub fn conservation_holds(&self) -> bool {
-        let conserved = |s: &FaultStats| {
-            s.injected == s.recovered + s.trapped + s.silent
-                && s.detected == s.recovered + s.trapped
-        };
         self.report
             .cells
             .iter()
             .filter_map(|c| c.result.as_ref().and_then(|r| r.faults.as_ref()))
-            .all(conserved)
-            && conserved(&self.total_faults())
+            .all(FaultStats::conserves)
+            && self.total_faults().conserves()
     }
 
     /// Renders the campaign as one table: a row per cell with the fault
@@ -252,12 +248,11 @@ impl FaultReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codepack_mem::StreamIntegrity;
 
     fn tiny_spec() -> FaultCampaignSpec {
         FaultCampaignSpec::new(7, 4_000)
             .with_rates_ppb(vec![0, 50_000_000])
-            .with_integrity(vec![IntegrityConfig::none(), IntegrityConfig::crc32()])
+            .with_integrity(vec![StreamIntegrity::None, StreamIntegrity::Crc32])
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(p.faults.ppb, 50_000_000);
-                assert_eq!(p.integrity.stream, StreamIntegrity::Crc32);
+                assert_eq!(p.integrity, StreamIntegrity::Crc32);
             }
             other => panic!("expected protected CodePack, got {other:?}"),
         }

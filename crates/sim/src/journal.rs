@@ -1,6 +1,6 @@
 //! Crash-safe sweep journal: one JSONL file recording every completed
-//! cell of a matrix run, so an interrupted sweep resumes by re-running
-//! only missing or failed cells.
+//! cell of a matrix run, so an interrupted sweep resumes by running only
+//! the cells the journal lacks.
 //!
 //! # Format
 //!
@@ -24,7 +24,8 @@
 //! appending to a resumed journal the writer re-terminates the file so
 //! new records never concatenate onto a torn tail.
 //!
-//! Only `ok` records are restored on resume; trapped cells are re-run.
+//! Every record is restored on resume, trapped cells included: the
+//! simulator is deterministic, so a re-run would only trap the same way.
 
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};

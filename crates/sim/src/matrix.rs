@@ -40,8 +40,9 @@
 //! completed cell is appended to a crash-safe JSONL journal as its group
 //! finishes, so a kill loses at most the groups in flight; a killed sweep
 //! resumes ([`MatrixOptions::resuming`]) by
-//! re-running only missing and failed cells, and the resumed report is
-//! byte-identical to an uninterrupted run for any worker count.
+//! restoring every journaled cell, trapped ones included, and running only
+//! the missing ones; the resumed report is byte-identical to an
+//! uninterrupted run for any worker count.
 //!
 //! ```no_run
 //! use codepack_sim::{ArchConfig, CodeModel, MatrixSpec};
@@ -676,9 +677,6 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
             let writer = if opts.resume && journal_exists(dir) {
                 let contents = read_journal(dir, spec, opts.observed)?;
                 for e in contents.entries {
-                    if !e.outcome.is_ok() {
-                        continue; // failed cells re-run on resume
-                    }
                     slots[e.cell]
                         .set(Done {
                             outcome: e.outcome,

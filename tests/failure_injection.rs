@@ -6,9 +6,10 @@ use std::path::PathBuf;
 use codepack::core::{CodePackImage, CompressionConfig, DecompressError};
 use codepack::cpu::{ExecError, Machine};
 use codepack::isa::{Assembler, Instruction, Reg};
+use codepack::mem::StreamIntegrity;
 use codepack::sim::{
-    run_matrix, run_matrix_with, ArchConfig, CellOutcome, CodeModel, FaultKind, InjectedFault,
-    MatrixOptions, MatrixSpec, Simulation,
+    run_matrix, run_matrix_with, ArchConfig, CellOutcome, CodeModel, FaultCampaignSpec, FaultKind,
+    InjectedFault, MatrixOptions, MatrixSpec, Simulation,
 };
 use codepack::synth::{generate, BenchmarkProfile};
 
@@ -181,12 +182,39 @@ fn journal_resume_reproduces_a_partially_failed_sweep() {
             .map(|n| s.lines().take(n).collect::<Vec<_>>().join("\n"))
     };
     assert_eq!(body(clean.render()), body(resumed.render()));
-    // Only the journaled-ok prefix was restored; failed and torn cells re-ran.
+    // Only the journaled prefix was restored; torn and missing cells re-ran.
     assert!(resumed.summary().resumed >= 1);
     assert!(resumed.cells.iter().any(|c| !c.resumed));
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&resumed_dir);
+}
+
+/// The simulator is deterministic, so a journaled trapped cell would trap
+/// the same way again: resuming a complete journal restores every cell,
+/// the machine-checked one included, and runs nothing.
+#[test]
+fn resume_restores_a_journaled_trapped_cell() {
+    let spec = FaultCampaignSpec::new(7, 4_000)
+        .with_rates_ppb(vec![1_000_000_000])
+        .with_integrity(vec![StreamIntegrity::Crc32])
+        .to_matrix_spec();
+    let dir = scratch_dir("trapped-resume");
+    let clean = run_matrix_with(&spec, &MatrixOptions::new(1).with_journal(&dir)).unwrap();
+    assert_eq!(
+        clean.summary().trapped,
+        1,
+        "the saturated cell machine-checks"
+    );
+
+    let resumed = run_matrix_with(
+        &spec,
+        &MatrixOptions::new(1).with_journal(&dir).resuming(true),
+    )
+    .unwrap();
+    assert_eq!(resumed.summary().resumed, spec.len());
+    assert_eq!(clean.to_json(), resumed.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

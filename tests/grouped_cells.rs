@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use codepack::core::{CodePackImage, CompressionConfig, DecompressorConfig, IndexCacheModel};
-use codepack::mem::{IntegrityConfig, SoftErrorConfig};
+use codepack::mem::{SoftErrorConfig, StreamIntegrity};
 use codepack::obs::{BlockProfile, Obs, ObsReport};
 use codepack::sim::{
     run_matrix_with, ArchConfig, CellOutcome, CodeModel, FaultCampaignSpec, MatrixCell,
@@ -182,7 +182,7 @@ fn sweeps_of_the_miss_path_are_the_same_grouped_and_alone() {
     let protected = CodeModel::codepack_optimized().with_protection(SoftErrorConfig::new(
         0xFA117,
         20_000_000,
-        IntegrityConfig::crc32(),
+        StreamIntegrity::Crc32,
     ));
     let spec = MatrixSpec::new(7, INSNS)
         .with_profiles(vec![BenchmarkProfile::cc1_like()])
@@ -222,9 +222,9 @@ fn soft_error_cells_are_the_same_grouped_and_alone() {
     let spec = FaultCampaignSpec::new(5, INSNS)
         .with_rates_ppb(vec![0, 20_000_000, 1_000_000_000])
         .with_integrity(vec![
-            IntegrityConfig::none(),
-            IntegrityConfig::parity(),
-            IntegrityConfig::crc32(),
+            StreamIntegrity::None,
+            StreamIntegrity::Parity,
+            StreamIntegrity::Crc32,
         ])
         .to_matrix_spec();
     let alone = one_at_a_time(&spec, &MatrixOptions::new(1));

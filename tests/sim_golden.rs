@@ -12,7 +12,7 @@
 
 use codepack::cpu::{Machine, Pipeline};
 use codepack::isa::{DATA_BASE, STACK_BASE};
-use codepack::mem::{IntegrityConfig, SoftErrorConfig};
+use codepack::mem::{SoftErrorConfig, StreamIntegrity};
 use codepack::sim::{
     run_matrix, run_matrix_observed, ArchConfig, CodeModel, MatrixSpec, Simulation,
 };
@@ -72,7 +72,7 @@ fn protected_cell_matches_the_pinned_digest() {
     let model = CodeModel::codepack_optimized().with_protection(SoftErrorConfig::new(
         0xFA117,
         20_000_000,
-        IntegrityConfig::crc32(),
+        StreamIntegrity::Crc32,
     ));
     let result = Simulation::new(ArchConfig::four_issue(), model).run(&program, INSNS);
     let faults = result.faults.expect("armed run carries a ledger");

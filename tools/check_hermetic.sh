@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Hermeticity gate for the deterministic core crates.
 #
-# crates/core, crates/analyze, crates/isa, crates/mem, crates/cpu and
-# crates/sim must be pure functions of their inputs: the codec's byte
-# streams, the linter's reports, the decoder tables, every simulated
-# statistic and the matrix runner's reports and journals are all
+# crates/core, crates/analyze, crates/isa, crates/mem, crates/cpu,
+# crates/sim and crates/obs must be pure functions of their inputs: the
+# codec's byte streams, the linter's reports, the decoder tables, every
+# simulated statistic, the matrix runner's reports and journals, and the
+# metrics, profile and trace documents obs renders for all of them are
 # golden-value- and cross-worker-compared in CI, so a wall-clock read or
 # a random draw anywhere in them is a latent nondeterminism bug even if
 # today's tests happen to pass. (The simulator's soft-error process
@@ -23,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CRATES=(crates/core/src crates/analyze/src crates/isa/src crates/mem/src crates/cpu/src
-    crates/sim/src)
+    crates/sim/src crates/obs/src)
 fail=0
 
 ban() {
@@ -47,4 +48,4 @@ if [ "$fail" -ne 0 ]; then
     echo "hermeticity gate FAILED" >&2
     exit 1
 fi
-echo "hermeticity gate: core/analyze/isa/mem/cpu/sim clean"
+echo "hermeticity gate: core/analyze/isa/mem/cpu/sim/obs clean"
