@@ -803,6 +803,88 @@ mod tests {
         assert_eq!((stats.instructions, stats.cycles), (7_203, 7_229));
     }
 
+    /// perfbench's two uses of a [`Pipeline`]: [`Pipeline::run`], and
+    /// [`Pipeline::account`] over recorded steps closed by a `run` of
+    /// budget 0. Both read what a one-cell [`run_group`] and
+    /// [`Timing::finish`] read, through a run that halts and one cut
+    /// mid-chunk, on the native and the CodePack miss path.
+    #[test]
+    fn pipeline_uses_equal_a_one_cell_group() {
+        use codepack_core::{CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig};
+        use codepack_isa::TEXT_BASE;
+
+        let mut a = Assembler::new();
+        store_load_loop(&mut a, 400);
+        ilp_loop(&mut a, 300);
+        a.halt();
+        let program = a.finish("t").unwrap();
+        let image = std::sync::Arc::new(CodePackImage::compress(
+            program.text_words(),
+            &CompressionConfig::default(),
+        ));
+        let engine = |packed: bool| -> Box<dyn FetchEngine> {
+            if packed {
+                Box::new(CodePackFetch::new(
+                    std::sync::Arc::clone(&image),
+                    MemoryTiming::default(),
+                    DecompressorConfig::optimized(),
+                    TEXT_BASE,
+                ))
+            } else {
+                Box::new(NativeFetch::new(MemoryTiming::default()))
+            }
+        };
+        let (icache, dcache) = (CacheConfig::icache_4issue(), CacheConfig::dcache_4issue());
+        let pipeline = |config: PipelineConfig, packed: bool| {
+            Pipeline::new(
+                config,
+                icache,
+                dcache,
+                MemoryTiming::default(),
+                engine(packed),
+            )
+        };
+        for config in [PipelineConfig::one_issue(), PipelineConfig::four_issue()] {
+            for packed in [false, true] {
+                for budget in [u64::MAX, 5_000] {
+                    let mut machine = Machine::load(&program);
+                    let mut pipe = pipeline(config, packed);
+                    let ran = pipe.run(&mut machine, budget).unwrap();
+
+                    let mut grouped_machine = Machine::load(&program);
+                    let mut outcomes = Outcomes::new(config.predictor, icache, dcache);
+                    let mut cells = [Timing::new(
+                        config,
+                        icache,
+                        dcache,
+                        MemoryTiming::default(),
+                        engine(packed),
+                    )];
+                    run_group(&mut grouped_machine, &mut outcomes, &mut cells, budget).unwrap();
+                    assert_eq!(cells[0].finish(&outcomes), ran);
+                    assert_eq!(cells[0].fetch_engine().stats(), pipe.fetch_engine().stats());
+                    assert_eq!(grouped_machine.state_hash(), machine.state_hash());
+
+                    let mut replay_machine = Machine::load(&program);
+                    let mut steps = Vec::new();
+                    while !replay_machine.halted() && (steps.len() as u64) < budget {
+                        let info = replay_machine.step().unwrap();
+                        if replay_machine.halted() {
+                            break;
+                        }
+                        steps.push(info);
+                    }
+                    let mut replayed = pipeline(config, packed);
+                    for info in &steps {
+                        replayed.account(info);
+                    }
+                    assert_eq!(replayed.run(&mut replay_machine, 0).unwrap(), ran);
+                    assert_eq!(replayed.fetch_engine().stats(), pipe.fetch_engine().stats());
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_load_of_a_just_stored_word_waits_for_the_store() {
         use crate::exec::MemAccess;

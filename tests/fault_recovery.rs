@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use codepack::core::{CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig};
+use codepack::core::{
+    CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig, FetchStats,
+};
 use codepack::cpu::{ExecError, Machine, Pipeline, PipelineConfig};
 use codepack::isa::TEXT_BASE;
 use codepack::mem::{CacheConfig, FaultStats, MemoryTiming, SoftErrorConfig, StreamIntegrity};
@@ -152,6 +154,32 @@ fn exhausted_recovery_raises_a_precise_machine_check() {
     assert!(
         stats.cycles > 0,
         "partial statistics survive the trap for campaign reporting"
+    );
+    // The trapped cell's exact partial reading: cycles and instructions to
+    // the trap, the whole fault ledger and the fetch engine's statistics.
+    assert_eq!((stats.cycles, stats.instructions), (120, 0));
+    assert_eq!(
+        ft,
+        FaultStats {
+            injected: 5,
+            detected: 5,
+            recovered: 2,
+            trapped: 3,
+            silent: 0,
+            retries: 4,
+            machine_checks: 1,
+        }
+    );
+    assert_eq!(
+        pipe.fetch_engine().stats(),
+        FetchStats {
+            misses: 1,
+            buffer_hits: 0,
+            index_hits: 0,
+            index_misses: 1,
+            memory_beats: 30,
+            total_critical_cycles: 120,
+        }
     );
 }
 
