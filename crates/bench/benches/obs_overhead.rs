@@ -28,7 +28,7 @@ fn main() {
     let program = generate(&BenchmarkProfile::pegwit_like(), 42);
     let sim = Simulation::new(ArchConfig::one_issue(), CodeModel::Native);
     let run = |obs: Obs| {
-        sim.try_run_observed(&program, INSNS, None, obs)
+        sim.run(&program, INSNS, None, obs)
             .expect("pegwit runs clean")
             .0
             .cycles()

@@ -36,7 +36,7 @@ fn main() {
     let image = Arc::new(CodePackImage::compress(program.text_words(), &compression));
     let sim = Simulation::new(ArchConfig::four_issue(), model);
     let run = |obs: Obs| {
-        sim.try_run_observed(&program, INSNS, Some(Arc::clone(&image)), obs)
+        sim.run(&program, INSNS, Some(Arc::clone(&image)), obs)
             .expect("pegwit runs clean")
             .0
             .cycles()

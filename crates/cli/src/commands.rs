@@ -421,7 +421,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         None => Obs::with_null_sink(),
     };
     let (result, report) = Simulation::new(arch, model.1)
-        .try_run_observed(&program, insns, None, obs)
+        .run(&program, insns, None, obs)
         .map_err(|e| format!("run: program trapped: {e}"))?;
     let report = report.expect("run always enables the observer");
 

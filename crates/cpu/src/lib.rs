@@ -1,15 +1,20 @@
 //! # codepack-cpu — functional executor and pipeline timing models
 //!
 //! The SimpleScalar stand-in for the CodePack evaluation: a functional SR32
-//! executor ([`Machine`]) drives parameterized cycle-level pipelines
-//! ([`Pipeline`], [`PipelineConfig`]) covering the paper's Table 2 machines —
-//! 1-issue in-order, and 4/8-issue out-of-order with RUU/LSQ windows,
+//! executor ([`Machine`]) drives a parameterized cycle-level pipeline
+//! ([`PipelineConfig`]) covering the paper's Table 2 machines — 1-issue
+//! in-order, and 4/8-issue out-of-order with RUU/LSQ windows,
 //! function-unit contention, and bimodal/gshare/hybrid branch prediction.
 //! The L1 I-miss path is pluggable ([`codepack_core::FetchEngine`]): native
 //! burst reads or the CodePack decompressor.
 //!
+//! [`run_group`] is the one loop that steps a [`Machine`] for timing: one
+//! [`Outcomes`] pass (caches and predictor, in program order) feeds one
+//! [`Timing`] part per cell, and [`Timing::finish`] closes each cell's
+//! statistics. A single cell is a group of one:
+//!
 //! ```
-//! use codepack_cpu::{Machine, Pipeline, PipelineConfig};
+//! use codepack_cpu::{run_group, Machine, Outcomes, PipelineConfig, Timing};
 //! use codepack_core::NativeFetch;
 //! use codepack_isa::{Assembler, Reg};
 //! use codepack_mem::{CacheConfig, MemoryTiming};
@@ -23,15 +28,18 @@
 //! a.halt();
 //! let program = a.finish("loop").unwrap();
 //!
-//! let mut machine = Machine::load(&program);
-//! let mut pipe = Pipeline::new(
-//!     PipelineConfig::four_issue(),
-//!     CacheConfig::icache_4issue(),
-//!     CacheConfig::dcache_4issue(),
+//! let config = PipelineConfig::four_issue();
+//! let (icache, dcache) = (CacheConfig::icache_4issue(), CacheConfig::dcache_4issue());
+//! let mut outcomes = Outcomes::new(config.predictor, icache, dcache);
+//! let mut cells = [Timing::new(
+//!     config,
+//!     icache,
+//!     dcache,
 //!     MemoryTiming::default(),
 //!     Box::new(NativeFetch::new(MemoryTiming::default())),
-//! );
-//! let stats = pipe.run(&mut machine, u64::MAX).unwrap();
+//! )];
+//! run_group(&mut Machine::load(&program), &mut outcomes, &mut cells, u64::MAX).unwrap();
+//! let stats = cells[0].finish(&outcomes);
 //! assert!(stats.ipc() > 0.5);
 //! ```
 

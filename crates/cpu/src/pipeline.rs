@@ -23,14 +23,13 @@
 //! [`Outcomes`] pass (L1 I-cache, D-cache, predictor, RAS) condenses each
 //! instruction into a 16-byte outcome record. A [`Timing`]
 //! part (L2, fetch engine, memory timing, rings, function units, issue
-//! slots, soft-error probe, [`Obs`] events) replays the records and
-//! accounts cycles. [`Pipeline`] composes one of each for a single cell;
-//! [`run_group`] drives one machine and one outcome pass for many timing
-//! parts that share the program, the cache geometry and the predictor.
+//! slots, soft-error probe, [`Obs`](codepack_obs::Obs) events) replays the records and
+//! accounts cycles. [`run_group`] is the one loop that steps a machine for
+//! timing: it drives one outcome pass for one or many timing parts that
+//! share the program, the cache geometry and the predictor.
 
 use codepack_core::FetchEngine;
 use codepack_mem::{CacheConfig, CacheStats, FaultStats, MemoryTiming, SoftErrorConfig};
-use codepack_obs::Obs;
 
 use crate::bpred::PredictorConfig;
 use crate::exec::{ExecError, Machine, StepInfo};
@@ -221,26 +220,16 @@ impl PipelineStats {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// Conditional-branch prediction accuracy in [0, 1].
-    pub fn branch_accuracy(&self) -> f64 {
-        if self.branches == 0 {
-            1.0
-        } else {
-            1.0 - self.mispredicts as f64 / self.branches as f64
-        }
-    }
 }
 
 /// Records per chunk [`run_group`] streams to each timing part: 64 KiB of
 /// records, so a chunk stays cache-resident while every cell replays it.
 const CHUNK: usize = 4096;
 
-/// A cycle-level pipeline bound to an I-miss service engine: one
-/// [`Outcomes`] pass and one [`Timing`] part composed, for a single cell.
-///
-/// Drives a functional [`Machine`] and accounts cycles; see the module
-/// documentation for the model.
+/// One [`Outcomes`] pass and one [`Timing`] part for a single cell,
+/// driven instruction by instruction through [`Self::account`] or as a
+/// one-cell [`run_group`] through [`Self::run`]. Only perfbench's
+/// layer split builds it; everything else drives [`run_group`].
 pub struct Pipeline {
     outcomes: Outcomes,
     timing: Timing,
@@ -264,93 +253,55 @@ impl Pipeline {
         }
     }
 
-    /// Installs an observability handle. Events on the miss/mispredict path
-    /// and end-of-run metrics flow to it; pass [`Obs::disabled`] (the
-    /// construction default) to turn instrumentation back off.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.timing.set_obs(obs);
-    }
-
-    /// Takes the observability handle back (leaving a disabled one), so the
-    /// caller can close it into a report after [`Self::run`].
-    pub fn take_obs(&mut self) -> Obs {
-        self.timing.take_obs()
-    }
-
-    /// The configuration this pipeline was built with.
-    pub fn config(&self) -> &PipelineConfig {
-        self.timing.config()
-    }
-
     /// The I-miss service engine (for its statistics).
     pub fn fetch_engine(&self) -> &dyn FetchEngine {
         self.timing.fetch_engine()
     }
 
     /// Arms (or disarms, with `None`) soft-error injection on resident
-    /// I-cache lines. The same configuration's memory-side domains are the
-    /// fetch engine's responsibility — install it there with
-    /// `CodePackFetch::with_protection`; this method covers only strikes on
-    /// data already resident in the L1 I-cache.
+    /// I-cache lines; see [`Timing::set_soft_errors`].
     pub fn set_soft_errors(&mut self, soft_errors: Option<SoftErrorConfig>) {
         self.timing.set_soft_errors(soft_errors);
     }
 
-    /// The statistics accumulated so far. After [`Self::run`] returns
-    /// `Err(ExecError::MachineCheck { .. })` this still carries the cycle
-    /// and fault ledger up to the trap.
-    pub fn stats(&self) -> PipelineStats {
-        let o = self.outcomes.stats();
-        PipelineStats {
-            branches: o.branches,
-            mispredicts: o.mispredicts,
-            indirect_mispredicts: o.indirect_mispredicts,
-            ..self.timing.stats()
-        }
-    }
-
     /// Installs a unified L2 between the L1 I-cache and the miss engine.
-    /// L1 misses that hit the L2 are served at `hit_cycles`; only L2 misses
-    /// reach the engine (which also fills the L2).
     pub fn set_l2(&mut self, config: L2Config) {
         self.timing.set_l2(config);
     }
 
-    /// Runs `machine` until it halts or `max_insns` instructions retire;
-    /// returns the timing statistics.
+    /// Runs `machine` as a one-cell [`run_group`] until it halts or this
+    /// pipeline has accounted `max_insns` instructions in all (those
+    /// [`Self::account`] took included), then returns
+    /// [`Timing::finish`]'s statistics.
     ///
     /// # Errors
     ///
-    /// Propagates functional-execution errors ([`ExecError`]), including the
-    /// precise [`ExecError::MachineCheck`] raised when a detected soft error
-    /// exhausts its re-fetch budget; partial statistics remain readable
-    /// through [`Self::stats`] in that case.
+    /// The precise [`ExecError::MachineCheck`] when a detected soft error
+    /// exhausted its re-fetch budget, else `machine`'s functional-execution
+    /// error.
     pub fn run(
         &mut self,
         machine: &mut Machine,
         max_insns: u64,
     ) -> Result<PipelineStats, ExecError> {
-        while !machine.halted() && self.timing.instructions() < max_insns {
-            let info = machine.step()?;
-            if machine.halted() {
-                break;
-            }
-            self.account(&info);
-            if let Some(pc) = self.timing.machine_check() {
-                self.timing.finish(&self.outcomes);
-                return Err(ExecError::MachineCheck { pc });
-            }
+        let budget = max_insns.saturating_sub(self.timing.instructions());
+        let ran = run_group(
+            machine,
+            &mut self.outcomes,
+            std::slice::from_mut(&mut self.timing),
+            budget,
+        );
+        if let Some(pc) = self.timing.machine_check() {
+            return Err(ExecError::MachineCheck { pc });
         }
+        ran?;
         Ok(self.timing.finish(&self.outcomes))
     }
 
-    /// Accounts one retired instruction. Exposed for fine-grained tests.
-    ///
-    /// The fetch half of the outcome runs first: an instruction whose fetch
-    /// raises a machine check never reaches the D-cache or the predictor.
-    /// An instruction is known by its pc, as in any program run: the
-    /// operand slots and latency worked out for the first instruction
-    /// accounted at a pc serve every later one there.
+    /// Accounts one retired instruction, as [`run_group`] replays its
+    /// record: the fetch half of the outcome first, so an instruction
+    /// whose fetch raises a machine check never reaches the D-cache or
+    /// the predictor.
     pub fn account(&mut self, info: &StepInfo) {
         let mut o = self.outcomes.fetch(info.pc);
         if let Some(fetch_t) = self.timing.fetch(&o) {
@@ -360,22 +311,12 @@ impl Pipeline {
     }
 }
 
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("config", self.config())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
 /// Runs `machine` once for every cell in `cells`: until it halts, or
 /// `max_insns` instructions retire, or every cell has raised a machine
 /// check. Each instruction is condensed by `outcomes` and streamed, a
 /// chunk of 4096 records at a time, to every cell's [`Timing`]
 /// part; nothing keeps the trace. Each cell's statistics then come from
-/// [`Timing::finish`] against the same `outcomes`, and equal what a
-/// [`Pipeline`] of that cell's configuration reports. Every cell must be
+/// [`Timing::finish`] against the same `outcomes`. Every cell must be
 /// built for the cache geometry and predictor `outcomes` models.
 ///
 /// # Errors
@@ -420,23 +361,39 @@ pub fn run_group(
 mod tests {
     use super::*;
     use codepack_core::NativeFetch;
-    use codepack_isa::{Assembler, Instruction, Reg};
-    use codepack_obs::EventKind;
+    use codepack_isa::{Assembler, Instruction, Program, Reg};
+    use codepack_obs::{EventKind, Obs};
+
+    /// Runs `program` to its halt as a one-cell [`run_group`] on the
+    /// 4-issue caches with native fetch and `obs` installed; returns the
+    /// statistics and the handle.
+    fn run_cell(program: &Program, config: PipelineConfig, obs: Obs) -> (PipelineStats, Obs) {
+        let (icache, dcache) = (CacheConfig::icache_4issue(), CacheConfig::dcache_4issue());
+        let mut outcomes = Outcomes::new(config.predictor, icache, dcache);
+        let mut cell = Timing::new(
+            config,
+            icache,
+            dcache,
+            MemoryTiming::default(),
+            Box::new(NativeFetch::new(MemoryTiming::default())),
+        );
+        cell.set_obs(obs);
+        let mut machine = Machine::load(program);
+        run_group(
+            &mut machine,
+            &mut outcomes,
+            std::slice::from_mut(&mut cell),
+            u64::MAX,
+        )
+        .unwrap();
+        (cell.finish(&outcomes), cell.take_obs())
+    }
 
     fn run_program(build: impl FnOnce(&mut Assembler), config: PipelineConfig) -> PipelineStats {
         let mut a = Assembler::new();
         build(&mut a);
         a.halt();
-        let program = a.finish("t").unwrap();
-        let mut machine = Machine::load(&program);
-        let mut pipe = Pipeline::new(
-            config,
-            CacheConfig::icache_4issue(),
-            CacheConfig::dcache_4issue(),
-            MemoryTiming::default(),
-            Box::new(NativeFetch::new(MemoryTiming::default())),
-        );
-        pipe.run(&mut machine, u64::MAX).unwrap()
+        run_cell(&a.finish("t").unwrap(), config, Obs::disabled()).0
     }
 
     fn straightline(a: &mut Assembler, n: usize) {
@@ -542,11 +499,8 @@ mod tests {
         let stats = run_program(branchy, PipelineConfig::four_issue());
         assert!(stats.branches > 4000);
         // gshare learns the alternation: accuracy should be high.
-        assert!(
-            stats.branch_accuracy() > 0.9,
-            "accuracy {}",
-            stats.branch_accuracy()
-        );
+        let accuracy = 1.0 - stats.mispredicts as f64 / stats.branches as f64;
+        assert!(accuracy > 0.9, "accuracy {accuracy}");
     }
 
     #[test]
@@ -615,23 +569,11 @@ mod tests {
     fn observability_does_not_perturb_timing() {
         use codepack_obs::RingSink;
 
-        let build = |obs: Obs| {
-            let mut a = Assembler::new();
-            ilp_loop(&mut a, 500);
-            a.halt();
-            let program = a.finish("t").unwrap();
-            let mut machine = Machine::load(&program);
-            let mut pipe = Pipeline::new(
-                PipelineConfig::four_issue(),
-                CacheConfig::icache_4issue(),
-                CacheConfig::dcache_4issue(),
-                MemoryTiming::default(),
-                Box::new(NativeFetch::new(MemoryTiming::default())),
-            );
-            pipe.set_obs(obs);
-            let stats = pipe.run(&mut machine, u64::MAX).unwrap();
-            (stats, pipe.take_obs())
-        };
+        let mut a = Assembler::new();
+        ilp_loop(&mut a, 500);
+        a.halt();
+        let program = a.finish("t").unwrap();
+        let build = |obs: Obs| run_cell(&program, PipelineConfig::four_issue(), obs);
 
         let (plain, off) = build(Obs::disabled());
         assert!(!off.enabled());
@@ -688,22 +630,14 @@ mod tests {
         a.bgtz(Reg::T0, top);
         a.halt();
         let program = a.finish("t").unwrap();
-        let mut machine = Machine::load(&program);
-        let mut pipe = Pipeline::new(
+        let (stats, obs) = run_cell(
+            &program,
             PipelineConfig::four_issue(),
-            CacheConfig::icache_4issue(),
-            CacheConfig::dcache_4issue(),
-            MemoryTiming::default(),
-            Box::new(NativeFetch::new(MemoryTiming::default())),
+            Obs::with_sink(Box::new(RingSink::new(1 << 14))),
         );
-        pipe.set_obs(Obs::with_sink(Box::new(RingSink::new(1 << 14))));
-        let stats = pipe.run(&mut machine, u64::MAX).unwrap();
         assert!(stats.mispredicts > 0);
 
-        let report = pipe
-            .take_obs()
-            .into_report(stats.cycles, stats.instructions)
-            .unwrap();
+        let report = obs.into_report(stats.cycles, stats.instructions).unwrap();
         let events = report.sink.events();
         let mispredicts = events
             .iter()
@@ -894,10 +828,13 @@ mod tests {
         // of the stored word must issue after it, a load of a word in the
         // same line that no store wrote need not.
         let load_issue = |load_addr: u32| {
-            let mut pipe = Pipeline::new(
-                PipelineConfig::four_issue(),
-                CacheConfig::icache_4issue(),
-                CacheConfig::dcache_4issue(),
+            let config = PipelineConfig::four_issue();
+            let (icache, dcache) = (CacheConfig::icache_4issue(), CacheConfig::dcache_4issue());
+            let mut outcomes = Outcomes::new(config.predictor, icache, dcache);
+            let mut cell = Timing::new(
+                config,
+                icache,
+                dcache,
                 MemoryTiming::default(),
                 Box::new(NativeFetch::new(MemoryTiming::default())),
             );
@@ -937,18 +874,18 @@ mod tests {
             let mut store_issue = 0;
             for (i, (insn, mem)) in insns.into_iter().enumerate() {
                 let pc = TEXT_BASE + 4 * i as u32;
-                pipe.account(&StepInfo {
+                cell.replay(&[outcomes.record(&StepInfo {
                     pc,
                     insn,
                     next_pc: pc + 4,
                     mem,
                     taken: false,
-                });
+                })]);
                 if insn.is_store() {
-                    store_issue = pipe.timing.last_issue();
+                    store_issue = cell.last_issue();
                 }
             }
-            (store_issue, pipe.timing.last_issue())
+            (store_issue, cell.last_issue())
         };
         let base = codepack_isa::DATA_BASE;
         let (store, forwarded) = load_issue(base);

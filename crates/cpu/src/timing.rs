@@ -198,11 +198,6 @@ impl Timing {
         self.obs.take()
     }
 
-    /// The configuration this part was built with.
-    pub(crate) fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// The I-miss service engine (for its statistics).
     pub fn fetch_engine(&self) -> &dyn FetchEngine {
         self.fetch_engine.as_ref()
@@ -222,12 +217,6 @@ impl Timing {
     /// one did.
     pub fn machine_check(&self) -> Option<u32> {
         self.pending_machine_check
-    }
-
-    /// The statistics this part accumulated so far; the program-order
-    /// counters are filled in by [`Self::finish`].
-    pub(crate) fn stats(&self) -> PipelineStats {
-        self.stats
     }
 
     /// Instructions accounted so far.

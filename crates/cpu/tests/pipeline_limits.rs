@@ -3,20 +3,28 @@
 //! down on a workload designed to stress it.
 
 use codepack_core::NativeFetch;
-use codepack_cpu::{Machine, Pipeline, PipelineConfig, PipelineStats};
+use codepack_cpu::{run_group, Machine, Outcomes, PipelineConfig, PipelineStats, Timing};
 use codepack_isa::{Assembler, Instruction, Program, Reg};
 use codepack_mem::{CacheConfig, MemoryTiming};
 
 fn run(config: PipelineConfig, program: &Program) -> PipelineStats {
-    let mut machine = Machine::load(program);
-    let mut pipe = Pipeline::new(
+    let (icache, dcache) = (CacheConfig::icache_4issue(), CacheConfig::dcache_4issue());
+    let mut outcomes = Outcomes::new(config.predictor, icache, dcache);
+    let mut cells = [Timing::new(
         config,
-        CacheConfig::icache_4issue(),
-        CacheConfig::dcache_4issue(),
+        icache,
+        dcache,
         MemoryTiming::default(),
         Box::new(NativeFetch::new(MemoryTiming::default())),
-    );
-    pipe.run(&mut machine, u64::MAX).expect("program runs")
+    )];
+    run_group(
+        &mut Machine::load(program),
+        &mut outcomes,
+        &mut cells,
+        u64::MAX,
+    )
+    .expect("program runs");
+    cells[0].finish(&outcomes)
 }
 
 /// A warm loop of independent ALU work with one load per iteration.

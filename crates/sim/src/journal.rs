@@ -544,7 +544,10 @@ mod tests {
 
     fn sample_result(model: CodeModel) -> SimResult {
         let p = generate(&BenchmarkProfile::pegwit_like(), 3);
-        Simulation::new(ArchConfig::four_issue(), model).run(&p, 20_000)
+        Simulation::new(ArchConfig::four_issue(), model)
+            .run(&p, 20_000, None, codepack_obs::Obs::disabled())
+            .expect("pegwit runs")
+            .0
     }
 
     /// `result` read back from its own serialization.

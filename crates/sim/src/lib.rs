@@ -7,13 +7,15 @@
 //! raw material of every table in the paper.
 //!
 //! ```no_run
+//! use codepack_obs::Obs;
 //! use codepack_sim::{ArchConfig, CodeModel, Simulation};
 //! use codepack_synth::{generate, BenchmarkProfile};
 //!
 //! let program = generate(&BenchmarkProfile::go_like(), 42);
 //! let sim = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_optimized());
-//! let result = sim.run(&program, 2_000_000);
+//! let (result, _) = sim.run(&program, 2_000_000, None, Obs::disabled())?;
 //! println!("{}: IPC {:.2}", result.benchmark, result.ipc());
+//! # Ok::<(), codepack_cpu::ExecError>(())
 //! ```
 
 #![forbid(unsafe_code)]

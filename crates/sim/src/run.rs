@@ -92,20 +92,25 @@ impl SimResult {
 
 /// A runnable experiment: one architecture + one code model.
 ///
-/// Every run is a group of one cell: the same path by which
+/// [`Self::run`] runs it as a group of one cell: the same path by which
 /// [`crate::run_matrix`] runs many cells that share a program and an
 /// outcome pass from one functional execution, so a cell gives the same
 /// result alone and in a group.
 ///
 /// ```no_run
+/// use codepack_obs::Obs;
 /// use codepack_sim::{ArchConfig, CodeModel, Simulation};
 /// use codepack_synth::{generate, BenchmarkProfile};
 ///
 /// let program = generate(&BenchmarkProfile::pegwit_like(), 42);
-/// let native = Simulation::new(ArchConfig::four_issue(), CodeModel::Native)
-///     .run(&program, 100_000);
-/// let packed = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-///     .run(&program, 100_000);
+/// let run = |model| {
+///     Simulation::new(ArchConfig::four_issue(), model)
+///         .run(&program, 100_000, None, Obs::disabled())
+///         .expect("synthetic programs never trap")
+///         .0
+/// };
+/// let native = run(CodeModel::Native);
+/// let packed = run(CodeModel::codepack_baseline());
 /// assert_eq!(native.state_hash, packed.state_hash);
 /// println!("speedup {:.3}", packed.speedup_over(&native));
 /// ```
@@ -131,40 +136,37 @@ impl Simulation {
         &self.model
     }
 
-    /// Runs `program` for at most `max_insns` instructions.
+    /// Runs `program` for at most `max_insns` instructions and returns
+    /// the result with the closed-out [`ObsReport`] of `obs`.
+    ///
+    /// A CodePack model reuses `image` when one is given (the compression
+    /// step dominates setup time in large sweeps) and compresses the
+    /// program's text otherwise. A disabled handle yields `None` for the
+    /// report; an enabled one must not change any timing statistic (the
+    /// traced fetch engines reconstruct their timeline from results, they
+    /// never participate in it).
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] if the program traps (illegal instruction,
-    /// wild PC, unknown syscall).
-    pub fn try_run(&self, program: &Program, max_insns: u64) -> Result<SimResult, ExecError> {
-        self.try_run_observed(program, max_insns, None, Obs::disabled())
-            .map(|(result, _)| result)
-    }
-
-    /// Like [`Self::try_run`], but reuses a pre-compressed `image` when
-    /// one is given (the compression step dominates setup time in large
-    /// sweeps), threads an [`Obs`] handle through the pipeline, and returns
-    /// the closed-out [`ObsReport`] alongside the result. A disabled
-    /// handle yields `None` for the report; an enabled one must not change
-    /// any timing statistic (the traced fetch engines reconstruct their
-    /// timeline from results, they never participate in it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] if the program traps.
+    /// wild PC, unknown syscall) or the fetch engine raises a machine
+    /// check.
     ///
     /// # Panics
     ///
-    /// Panics if `image` was compressed from a different text section.
-    pub fn try_run_observed(
+    /// Panics if `image` holds a different number of instructions than
+    /// `program`'s text section: the only check made, so an image of
+    /// another text of the same length is not caught.
+    pub fn run(
         &self,
         program: &Program,
         max_insns: u64,
         image: Option<Arc<CodePackImage>>,
         obs: Obs,
     ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
-        run_alone(program, max_insns, self.cell(program, image, obs))
+        run_group(program, max_insns, vec![self.cell(program, image, obs)])
+            .pop()
+            .expect("a group of one yields one result")
     }
 
     /// This simulation as one cell of a group run: the fetch engine its
@@ -238,7 +240,9 @@ impl Simulation {
             model,
             compression: None,
         };
-        run_alone(program, max_insns, cell)
+        run_group(program, max_insns, vec![cell])
+            .pop()
+            .expect("a group of one yields one result")
     }
 
     /// Soft-error injection armed by the code model, if any.
@@ -247,21 +251,6 @@ impl Simulation {
             CodeModel::Native => None,
             CodeModel::CodePack { protection, .. } => protection,
         }
-    }
-
-    /// Runs `program`, panicking on functional-execution errors.
-    ///
-    /// Synthetic benchmarks are well-formed by construction, so examples
-    /// and tests use this convenience wrapper (the paper's tables run their
-    /// cells through [`crate::run_matrix`]); prefer [`Self::try_run`] for
-    /// untrusted programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program traps during execution.
-    pub fn run(&self, program: &Program, max_insns: u64) -> SimResult {
-        self.try_run(program, max_insns)
-            .unwrap_or_else(|e| panic!("program {:?} trapped: {e}", program.name()))
     }
 }
 
@@ -283,17 +272,6 @@ pub(crate) fn group_key(
     arch: &ArchConfig,
 ) -> (CacheConfig, CacheConfig, Option<L2Config>, PredictorConfig) {
     (arch.icache, arch.dcache, arch.l2, arch.pipeline.predictor)
-}
-
-/// [`run_group`] of the one cell `cell`.
-fn run_alone(
-    program: &Program,
-    max_insns: u64,
-    cell: GroupCell,
-) -> Result<(SimResult, Option<ObsReport>), ExecError> {
-    run_group(program, max_insns, vec![cell])
-        .pop()
-        .expect("a group of one yields one result")
 }
 
 /// Runs every cell of a group from one functional execution of `program`:
@@ -376,12 +354,24 @@ mod tests {
         generate(&BenchmarkProfile::pegwit_like(), 3)
     }
 
+    /// `arch` × `model` over `p` for `max_insns`, unobserved.
+    fn run(arch: ArchConfig, model: CodeModel, p: &Program, max_insns: u64) -> SimResult {
+        Simulation::new(arch, model)
+            .run(p, max_insns, None, Obs::disabled())
+            .expect("synthetic programs never trap")
+            .0
+    }
+
     #[test]
     fn native_and_codepack_execute_identically() {
         let p = small_program();
-        let native = Simulation::new(ArchConfig::four_issue(), CodeModel::Native).run(&p, 50_000);
-        let packed = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-            .run(&p, 50_000);
+        let native = run(ArchConfig::four_issue(), CodeModel::Native, &p, 50_000);
+        let packed = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_baseline(),
+            &p,
+            50_000,
+        );
         assert_eq!(native.retired_instructions, packed.retired_instructions);
         assert_eq!(native.state_hash, packed.state_hash);
         assert_eq!(native.pipeline.branches, packed.pipeline.branches);
@@ -390,12 +380,15 @@ mod tests {
     #[test]
     fn codepack_reports_compression_stats() {
         let p = small_program();
-        let r = Simulation::new(ArchConfig::one_issue(), CodeModel::codepack_baseline())
-            .run(&p, 20_000);
+        let r = run(
+            ArchConfig::one_issue(),
+            CodeModel::codepack_baseline(),
+            &p,
+            20_000,
+        );
         let c = r.compression.expect("codepack run has composition stats");
         assert!(c.compression_ratio() > 0.3 && c.compression_ratio() < 1.0);
-        assert!(Simulation::new(ArchConfig::one_issue(), CodeModel::Native)
-            .run(&p, 20_000)
+        assert!(run(ArchConfig::one_issue(), CodeModel::Native, &p, 20_000)
             .compression
             .is_none());
     }
@@ -403,10 +396,18 @@ mod tests {
     #[test]
     fn optimized_is_at_least_as_fast_as_baseline() {
         let p = generate(&BenchmarkProfile::go_like(), 5);
-        let base = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-            .run(&p, 100_000);
-        let opt = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_optimized())
-            .run(&p, 100_000);
+        let base = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_baseline(),
+            &p,
+            100_000,
+        );
+        let opt = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_optimized(),
+            &p,
+            100_000,
+        );
         assert!(
             opt.cycles() <= base.cycles(),
             "optimizations must not slow the machine: {} vs {}",
@@ -418,26 +419,47 @@ mod tests {
     #[test]
     fn image_reuse_matches_fresh_compression() {
         let p = small_program();
-        let sim = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline());
-        let fresh = sim.run(&p, 30_000);
+        let model = CodeModel::codepack_baseline();
+        let fresh = run(ArchConfig::four_issue(), model, &p, 30_000);
         let image = Arc::new(CodePackImage::compress(
             p.text_words(),
             &codepack_core::CompressionConfig::default(),
         ));
-        let (reused, _) = sim
-            .try_run_observed(&p, 30_000, Some(image), Obs::disabled())
+        let (reused, _) = Simulation::new(ArchConfig::four_issue(), model)
+            .run(&p, 30_000, Some(image), Obs::disabled())
             .unwrap();
         assert_eq!(fresh.cycles(), reused.cycles());
+    }
+
+    #[test]
+    #[should_panic(expected = "image does not match program")]
+    fn an_image_of_another_length_panics() {
+        let p = small_program();
+        let other = generate(&BenchmarkProfile::go_like(), 3);
+        assert_ne!(other.text_words().len(), p.text_words().len());
+        let image = Arc::new(CodePackImage::compress(
+            other.text_words(),
+            &codepack_core::CompressionConfig::default(),
+        ));
+        let _ = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline()).run(
+            &p,
+            1_000,
+            Some(image),
+            Obs::disabled(),
+        );
     }
 
     #[test]
     fn observed_run_matches_plain_run_and_reports() {
         let p = small_program();
         let sim = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_optimized());
-        let plain = sim.run(&p, 30_000);
-        let (observed, report) = sim
-            .try_run_observed(&p, 30_000, None, Obs::with_null_sink())
-            .unwrap();
+        let plain = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_optimized(),
+            &p,
+            30_000,
+        );
+        let (observed, report) = sim.run(&p, 30_000, None, Obs::with_null_sink()).unwrap();
         assert_eq!(
             plain.cycles(),
             observed.cycles(),
@@ -455,9 +477,7 @@ mod tests {
         assert!((b.component_sum() - b.total).abs() < 1e-9, "CPI closes");
 
         // A disabled handle reports nothing and changes nothing.
-        let (unobserved, none) = sim
-            .try_run_observed(&p, 30_000, None, Obs::disabled())
-            .unwrap();
+        let (unobserved, none) = sim.run(&p, 30_000, None, Obs::disabled()).unwrap();
         assert!(none.is_none());
         assert_eq!(unobserved.cycles(), plain.cycles());
     }
@@ -474,7 +494,7 @@ mod tests {
         assert_eq!(r.model, "native");
         assert!(report.is_none());
         // The same engine through the code-model path is the same run.
-        let native = Simulation::new(arch, CodeModel::Native).run(&p, 20_000);
+        let native = run(arch, CodeModel::Native, &p, 20_000);
         assert_eq!(r.cycles(), native.cycles());
         assert_eq!(native.model, "Native");
     }
@@ -482,9 +502,13 @@ mod tests {
     #[test]
     fn speedup_is_relative_cycles() {
         let p = small_program();
-        let a = Simulation::new(ArchConfig::four_issue(), CodeModel::Native).run(&p, 30_000);
-        let b = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-            .run(&p, 30_000);
+        let a = run(ArchConfig::four_issue(), CodeModel::Native, &p, 30_000);
+        let b = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_baseline(),
+            &p,
+            30_000,
+        );
         let s = b.speedup_over(&a);
         assert!((s - a.cycles() as f64 / b.cycles() as f64).abs() < 1e-12);
     }
@@ -492,9 +516,8 @@ mod tests {
     #[test]
     fn checked_speedup_rejects_mismatched_work_without_panicking() {
         let p = small_program();
-        let sim = Simulation::new(ArchConfig::four_issue(), CodeModel::Native);
-        let full = sim.run(&p, 30_000);
-        let short = sim.run(&p, 500);
+        let full = run(ArchConfig::four_issue(), CodeModel::Native, &p, 30_000);
+        let short = run(ArchConfig::four_issue(), CodeModel::Native, &p, 500);
         assert_ne!(full.retired_instructions, short.retired_instructions);
         // Regression: `speedup_over` assert!-panics here; the checked
         // variant must yield None so a partial/error cell degrades.

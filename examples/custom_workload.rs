@@ -9,6 +9,7 @@
 
 use codepack::cpu::Machine;
 use codepack::isa::{Assembler, Instruction, Reg, DATA_BASE};
+use codepack::obs::Obs;
 use codepack::sim::{ArchConfig, CodeModel, Simulation};
 
 fn main() {
@@ -86,8 +87,14 @@ fn main() {
 
     // Timing: native vs. CodePack on the 1-issue embedded machine.
     let arch = ArchConfig::one_issue();
-    let native = Simulation::new(arch, CodeModel::Native).run(&program, u64::MAX);
-    let packed = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, u64::MAX);
+    let run = |model| {
+        Simulation::new(arch, model)
+            .run(&program, u64::MAX, None, Obs::disabled())
+            .expect("program is well-formed")
+            .0
+    };
+    let native = run(CodeModel::Native);
+    let packed = run(CodeModel::codepack_optimized());
 
     // The simulated machine computed the same thing.
     assert_eq!(native.state_hash, packed.state_hash);

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example embedded_tradeoff`
 
+use codepack::obs::Obs;
 use codepack::sim::{ArchConfig, CodeModel, Simulation, Table};
 use codepack::synth::{generate, BenchmarkProfile};
 
@@ -19,6 +20,12 @@ fn main() {
         .with_memory_scale(2.0);
     let program = generate(&BenchmarkProfile::go_like(), 42);
     let insns = 400_000;
+    let run = |arch, model| {
+        Simulation::new(arch, model)
+            .run(&program, insns, None, Obs::disabled())
+            .expect("synthetic programs never trap")
+            .0
+    };
 
     let mut table = Table::new(
         ["Design", "I-cache", "ROM (bytes)", "IPC", "vs option A"]
@@ -28,12 +35,11 @@ fn main() {
     .with_title("Embedded SoC options (1-issue, 16-bit bus, 2x memory latency)");
 
     // Option A: plain core, 4 KB I-cache.
-    let a = Simulation::new(base.with_icache_kb(4), CodeModel::Native).run(&program, insns);
+    let a = run(base.with_icache_kb(4), CodeModel::Native);
     // Option B: double the cache instead.
-    let b = Simulation::new(base.with_icache_kb(8), CodeModel::Native).run(&program, insns);
+    let b = run(base.with_icache_kb(8), CodeModel::Native);
     // Option C: keep 4 KB, add the CodePack decompressor (optimized).
-    let c = Simulation::new(base.with_icache_kb(4), CodeModel::codepack_optimized())
-        .run(&program, insns);
+    let c = run(base.with_icache_kb(4), CodeModel::codepack_optimized());
 
     let rom_native = program.text_size_bytes() as u64;
     let rom_packed = c.compression.expect("codepack").total_bytes();

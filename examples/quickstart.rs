@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use codepack::obs::Obs;
 use codepack::sim::{ArchConfig, CodeModel, Simulation};
 use codepack::synth::{generate, BenchmarkProfile};
 
@@ -19,9 +20,17 @@ fn main() {
     let insns = 500_000;
     let arch = ArchConfig::four_issue();
 
-    let native = Simulation::new(arch, CodeModel::Native).run(&program, insns);
-    let packed = Simulation::new(arch, CodeModel::codepack_baseline()).run(&program, insns);
-    let optimized = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, insns);
+    // Each run compresses the text itself (no shared image) and records
+    // nothing (a disabled observer).
+    let run = |model| {
+        Simulation::new(arch, model)
+            .run(&program, insns, None, Obs::disabled())
+            .expect("synthetic programs never trap")
+            .0
+    };
+    let native = run(CodeModel::Native);
+    let packed = run(CodeModel::codepack_baseline());
+    let optimized = run(CodeModel::codepack_optimized());
 
     // Compression must never change what the program computes.
     assert_eq!(native.state_hash, packed.state_hash);

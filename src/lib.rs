@@ -17,8 +17,11 @@
 //! ## Quickstart
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use codepack::synth::{generate, BenchmarkProfile};
 //! use codepack::core::{CodePackImage, CompressionConfig};
+//! use codepack::obs::Obs;
 //! use codepack::sim::{ArchConfig, CodeModel, Simulation};
 //!
 //! // Generate a small synthetic workload (deterministic for a given seed).
@@ -28,12 +31,14 @@
 //! let image = CodePackImage::compress(program.text_words(), &CompressionConfig::default());
 //! assert!(image.stats().compression_ratio() < 1.0);
 //!
-//! // Simulate it on the paper's 4-issue machine, native vs. compressed.
-//! let native = Simulation::new(ArchConfig::four_issue(), CodeModel::Native)
-//!     .run(&program, 200_000);
-//! let packed = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-//!     .run(&program, 200_000);
+//! // Simulate it on the paper's 4-issue machine, native vs. compressed;
+//! // the CodePack run reuses the image instead of compressing again.
+//! let (native, _) = Simulation::new(ArchConfig::four_issue(), CodeModel::Native)
+//!     .run(&program, 200_000, None, Obs::disabled())?;
+//! let (packed, _) = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
+//!     .run(&program, 200_000, Some(Arc::new(image)), Obs::disabled())?;
 //! assert_eq!(native.retired_instructions, packed.retired_instructions);
+//! # Ok::<(), codepack::cpu::ExecError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,10 +2,20 @@
 //! every benchmark profile and code model.
 
 use codepack::core::{CodePackImage, CompressionConfig};
-use codepack::sim::{ArchConfig, CodeModel, Simulation};
+use codepack::isa::Program;
+use codepack::obs::Obs;
+use codepack::sim::{ArchConfig, CodeModel, SimResult, Simulation};
 use codepack::synth::{generate, BenchmarkProfile};
 
 const RUN: u64 = 60_000;
+
+/// `arch` × `model` over `program` for `insns`, unobserved.
+fn run(arch: ArchConfig, model: CodeModel, program: &Program, insns: u64) -> SimResult {
+    Simulation::new(arch, model)
+        .run(program, insns, None, Obs::disabled())
+        .expect("synthetic programs never trap")
+        .0
+}
 
 #[test]
 fn compression_round_trips_every_benchmark() {
@@ -32,9 +42,9 @@ fn all_code_models_execute_identically() {
             ArchConfig::four_issue(),
             ArchConfig::eight_issue(),
         ] {
-            let native = Simulation::new(arch, CodeModel::Native).run(&program, RUN);
-            let packed = Simulation::new(arch, CodeModel::codepack_baseline()).run(&program, RUN);
-            let opt = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, RUN);
+            let native = run(arch, CodeModel::Native, &program, RUN);
+            let packed = run(arch, CodeModel::codepack_baseline(), &program, RUN);
+            let opt = run(arch, CodeModel::codepack_optimized(), &program, RUN);
             assert_eq!(
                 native.state_hash, packed.state_hash,
                 "{} {}",
@@ -78,8 +88,12 @@ fn compressed_blocks_match_text_through_the_index_table() {
 fn every_profile_simulates_on_the_baseline_machine() {
     for profile in BenchmarkProfile::suite() {
         let program = generate(&profile, 5);
-        let r = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-            .run(&program, 30_000);
+        let r = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_baseline(),
+            &program,
+            30_000,
+        );
         assert!(r.cycles() > 0);
         assert!(
             r.ipc() > 0.05 && r.ipc() < 8.0,
@@ -98,9 +112,9 @@ fn every_profile_simulates_on_the_baseline_machine() {
 #[test]
 fn deterministic_cycles_across_repeated_runs() {
     let program = generate(&BenchmarkProfile::pegwit_like(), 1234);
-    let sim = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_optimized());
-    let a = sim.run(&program, RUN);
-    let b = sim.run(&program, RUN);
+    let (arch, model) = (ArchConfig::four_issue(), CodeModel::codepack_optimized());
+    let a = run(arch, model, &program, RUN);
+    let b = run(arch, model, &program, RUN);
     assert_eq!(a.cycles(), b.cycles(), "simulation must be deterministic");
     assert_eq!(a.fetch.misses, b.fetch.misses);
 }

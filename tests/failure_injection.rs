@@ -7,6 +7,7 @@ use codepack::core::{CodePackImage, CompressionConfig, DecompressError};
 use codepack::cpu::{ExecError, Machine};
 use codepack::isa::{Assembler, Instruction, Reg};
 use codepack::mem::StreamIntegrity;
+use codepack::obs::Obs;
 use codepack::sim::{
     run_matrix, run_matrix_with, ArchConfig, CellOutcome, CodeModel, FaultCampaignSpec, FaultKind,
     InjectedFault, MatrixOptions, MatrixSpec, Simulation,
@@ -51,7 +52,7 @@ fn illegal_instruction_surfaces_through_simulation() {
     a.halt();
     let program = a.finish("bad").unwrap();
     let err = Simulation::new(ArchConfig::four_issue(), CodeModel::Native)
-        .try_run(&program, 1_000)
+        .run(&program, 1_000, None, Obs::disabled())
         .unwrap_err();
     assert!(
         matches!(err, ExecError::IllegalInstruction { pc, .. } if pc == codepack::isa::TEXT_BASE + 4)
@@ -65,7 +66,7 @@ fn wild_jump_is_a_clean_trap() {
     a.push(Instruction::Jr { rs: Reg::T0 });
     let program = a.finish("wild").unwrap();
     let err = Simulation::new(ArchConfig::one_issue(), CodeModel::codepack_baseline())
-        .try_run(&program, 1_000)
+        .run(&program, 1_000, None, Obs::disabled())
         .unwrap_err();
     assert!(matches!(err, ExecError::PcOutOfText { .. }));
 }
@@ -246,7 +247,7 @@ fn break_instruction_traps() {
     a.push(Instruction::Break);
     let program = a.finish("brk").unwrap();
     let err = Simulation::new(ArchConfig::four_issue(), CodeModel::Native)
-        .try_run(&program, 10)
+        .run(&program, 10, None, Obs::disabled())
         .unwrap_err();
     assert!(matches!(err, ExecError::Break { .. }));
     assert!(err.to_string().contains("break"));

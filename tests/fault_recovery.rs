@@ -7,7 +7,7 @@ use std::sync::Arc;
 use codepack::core::{
     CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig, FetchStats,
 };
-use codepack::cpu::{ExecError, Machine, Pipeline, PipelineConfig};
+use codepack::cpu::{run_group, ExecError, Machine, Outcomes, PipelineConfig, Timing};
 use codepack::isa::TEXT_BASE;
 use codepack::mem::{CacheConfig, FaultStats, MemoryTiming, SoftErrorConfig, StreamIntegrity};
 use codepack::obs::{parse_jsonl, EventKind, FaultArea, JsonlSink, Obs, RingSink};
@@ -23,7 +23,7 @@ fn observed(
 ) {
     let p = generate(&BenchmarkProfile::pegwit_like(), 17);
     let (result, report) = Simulation::new(ArchConfig::four_issue(), model)
-        .try_run_observed(
+        .run(
             &p,
             30_000,
             None,
@@ -107,7 +107,7 @@ fn exhausted_recovery_raises_a_precise_machine_check() {
         ArchConfig::four_issue(),
         CodeModel::codepack_optimized().with_protection(cfg),
     )
-    .try_run(&p, 30_000)
+    .run(&p, 30_000, None, Obs::disabled())
     .expect_err("saturated faults must trap");
     assert!(
         matches!(err, ExecError::MachineCheck { .. }),
@@ -115,8 +115,8 @@ fn exhausted_recovery_raises_a_precise_machine_check() {
     );
     assert!(err.to_string().contains("machine check"), "{err}");
 
-    // Drive the pipeline directly to read the partial ledger: the trap is
-    // counted, the faulted instruction is not retired.
+    // Drive one timing part directly to read the partial ledger: the trap
+    // is counted, the faulted instruction is not retired.
     let image = Arc::new(CodePackImage::compress(
         p.text_words(),
         &CompressionConfig::default(),
@@ -128,22 +128,22 @@ fn exhausted_recovery_raises_a_precise_machine_check() {
         TEXT_BASE,
     )
     .with_protection(cfg);
-    let mut pipe = Pipeline::new(
-        PipelineConfig::four_issue(),
-        CacheConfig::icache_4issue(),
-        CacheConfig::dcache_4issue(),
+    let config = PipelineConfig::four_issue();
+    let (icache, dcache) = (CacheConfig::icache_4issue(), CacheConfig::dcache_4issue());
+    let mut outcomes = Outcomes::new(config.predictor, icache, dcache);
+    let mut cells = [Timing::new(
+        config,
+        icache,
+        dcache,
         MemoryTiming::default(),
         Box::new(fetch),
-    );
-    pipe.set_soft_errors(Some(cfg));
-    let mut machine = Machine::load(&p);
-    let err = pipe.run(&mut machine, 30_000).expect_err("must trap");
-    let pc = match err {
-        ExecError::MachineCheck { pc } => pc,
-        other => panic!("expected machine check, got {other:?}"),
-    };
+    )];
+    cells[0].set_soft_errors(Some(cfg));
+    run_group(&mut Machine::load(&p), &mut outcomes, &mut cells, 30_000)
+        .expect("the program itself does not trap");
+    let pc = cells[0].machine_check().expect("must trap");
     assert!(pc >= TEXT_BASE, "trap pc {pc:#x} is a text address");
-    let stats = pipe.stats();
+    let stats = cells[0].finish(&outcomes);
     let ft = stats.faults;
     assert_eq!(
         ft.machine_checks, 1,
@@ -171,7 +171,7 @@ fn exhausted_recovery_raises_a_precise_machine_check() {
         }
     );
     assert_eq!(
-        pipe.fetch_engine().stats(),
+        cells[0].fetch_engine().stats(),
         FetchStats {
             misses: 1,
             buffer_hits: 0,
@@ -193,8 +193,12 @@ fn machine_checks_are_deterministic() {
         ArchConfig::four_issue(),
         CodeModel::codepack_optimized().with_protection(cfg),
     );
-    let a = sim.try_run(&p, 30_000).expect_err("traps");
-    let b = sim.try_run(&p, 30_000).expect_err("traps");
+    let a = sim
+        .run(&p, 30_000, None, Obs::disabled())
+        .expect_err("traps");
+    let b = sim
+        .run(&p, 30_000, None, Obs::disabled())
+        .expect_err("traps");
     assert_eq!(a, b, "fault injection is a pure function of the run");
 }
 
@@ -217,7 +221,7 @@ fn pinned_cell(cfg: SoftErrorConfig) -> ([u64; 3], Vec<codepack::obs::TraceEvent
         ArchConfig::four_issue(),
         CodeModel::codepack_optimized().with_protection(cfg),
     )
-    .try_run_observed(&p, 30_000, None, Obs::with_sink(Box::new(sink)));
+    .run(&p, 30_000, None, Obs::with_sink(Box::new(sink)));
     let (report, result) = match run {
         Ok((result, report)) => (
             report.expect("enabled handle yields a report").to_json(),

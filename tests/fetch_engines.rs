@@ -27,11 +27,10 @@ use codepack::core::{
     CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig, FetchEngine, FetchStats,
     IndexCacheModel, MissService, NativeFetch,
 };
-use codepack::cpu::{Machine, Pipeline};
 use codepack::isa::{Program, TEXT_BASE};
 use codepack::mem::MemoryTiming;
 use codepack::obs::Obs;
-use codepack::sim::ArchConfig;
+use codepack::sim::{ArchConfig, CodeModel, Simulation};
 use codepack::synth::{generate, BenchmarkProfile};
 
 /// Instructions run to record the miss stream.
@@ -101,18 +100,12 @@ fn miss_stream() -> (Program, Vec<(u32, u32)>) {
         inner: NativeFetch::new(arch.memory),
         log: Rc::clone(&log),
     };
-    let mut pipeline = Pipeline::new(
-        arch.pipeline,
-        arch.icache,
-        arch.dcache,
-        arch.memory,
-        Box::new(recorder),
-    );
-    pipeline
-        .run(&mut Machine::load(&program), INSNS)
+    Simulation::new(arch, CodeModel::Native)
+        .try_run_engine(&program, INSNS, Box::new(recorder), Obs::disabled())
         .expect("go runs");
-    drop(pipeline);
-    let stream = Rc::try_unwrap(log).expect("pipeline dropped").into_inner();
+    let stream = Rc::try_unwrap(log)
+        .expect("the run dropped its engine")
+        .into_inner();
     assert!(stream.len() > 1_000, "the stream exercises the engines");
     (program, stream)
 }

@@ -23,7 +23,7 @@ use codepack_testkit::prop::Gen;
 /// the I-cache and mispredict many times, short enough for debug builds.
 const INSNS: u64 = 6_000;
 
-/// Runs every cell of `spec` alone through `Simulation::try_run_observed`,
+/// Runs every cell of `spec` alone through `Simulation::run`,
 /// in enumeration order, and assembles the report a cube run gives: the
 /// same observer per cell, a trapped record for a cell that fails,
 /// metrics snapshots when observed, and the cells' block profiles merged
@@ -48,18 +48,17 @@ fn one_at_a_time(spec: &MatrixSpec, opts: &MatrixOptions) -> SimReport {
                     obs.arm_profile();
                 }
                 let image = (model != CodeModel::Native).then(|| Arc::clone(&image));
-                let (outcome, result, report) = match Simulation::new(*arch, model)
-                    .try_run_observed(&program, spec.max_insns, image, obs)
-                {
-                    Ok((result, report)) => (CellOutcome::Ok, Some(result), report),
-                    Err(e) => (
-                        CellOutcome::Trapped {
-                            error: e.to_string(),
-                        },
-                        None,
-                        None,
-                    ),
-                };
+                let (outcome, result, report) =
+                    match Simulation::new(*arch, model).run(&program, spec.max_insns, image, obs) {
+                        Ok((result, report)) => (CellOutcome::Ok, Some(result), report),
+                        Err(e) => (
+                            CellOutcome::Trapped {
+                                error: e.to_string(),
+                            },
+                            None,
+                            None,
+                        ),
+                    };
                 let cell = MatrixCell {
                     profile: profile.name,
                     arch: arch.name,

@@ -3,13 +3,17 @@
 //! than exact numbers.
 
 use codepack::core::DecompressorConfig;
+use codepack::obs::Obs;
 use codepack::sim::{ArchConfig, CodeModel, SimResult, Simulation};
 use codepack::synth::{generate, BenchmarkProfile};
 
 const RUN: u64 = 120_000;
 
 fn run(program: &codepack::isa::Program, arch: ArchConfig, model: CodeModel) -> SimResult {
-    Simulation::new(arch, model).run(program, RUN)
+    Simulation::new(arch, model)
+        .run(program, RUN, None, Obs::disabled())
+        .expect("synthetic programs never trap")
+        .0
 }
 
 #[test]

@@ -1,18 +1,32 @@
 //! The reproduction's conclusions must not be artifacts of one particular
 //! generated program: the paper-level trends hold across generator seeds.
 
-use codepack::sim::{ArchConfig, CodeModel, Simulation};
+use codepack::isa::Program;
+use codepack::obs::Obs;
+use codepack::sim::{ArchConfig, CodeModel, SimResult, Simulation};
 use codepack::synth::{generate, BenchmarkProfile};
 
 const RUN: u64 = 80_000;
 const SEEDS: [u64; 3] = [7, 1234, 987_654_321];
 
+/// `arch` × `model` over `program` for `insns`, unobserved.
+fn run(arch: ArchConfig, model: CodeModel, program: &Program, insns: u64) -> SimResult {
+    Simulation::new(arch, model)
+        .run(program, insns, None, Obs::disabled())
+        .expect("synthetic programs never trap")
+        .0
+}
+
 #[test]
 fn compression_band_holds_across_seeds() {
     for seed in SEEDS {
         let program = generate(&BenchmarkProfile::go_like(), seed);
-        let r = Simulation::new(ArchConfig::four_issue(), CodeModel::codepack_baseline())
-            .run(&program, RUN);
+        let r = run(
+            ArchConfig::four_issue(),
+            CodeModel::codepack_baseline(),
+            &program,
+            RUN,
+        );
         let ratio = r.compression.unwrap().compression_ratio();
         assert!(
             (0.50..0.70).contains(&ratio),
@@ -26,9 +40,9 @@ fn optimization_ordering_holds_across_seeds() {
     for seed in SEEDS {
         let program = generate(&BenchmarkProfile::vortex_like(), seed);
         let arch = ArchConfig::four_issue();
-        let native = Simulation::new(arch, CodeModel::Native).run(&program, RUN);
-        let base = Simulation::new(arch, CodeModel::codepack_baseline()).run(&program, RUN);
-        let opt = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, RUN);
+        let native = run(arch, CodeModel::Native, &program, RUN);
+        let base = run(arch, CodeModel::codepack_baseline(), &program, RUN);
+        let opt = run(arch, CodeModel::codepack_optimized(), &program, RUN);
         assert!(
             base.cycles() > opt.cycles(),
             "seed {seed}: optimizations must help"
@@ -46,8 +60,8 @@ fn narrow_bus_advantage_holds_across_seeds() {
     for seed in SEEDS {
         let program = generate(&BenchmarkProfile::cc1_like(), seed);
         let narrow = ArchConfig::four_issue().with_bus_bits(16);
-        let native = Simulation::new(narrow, CodeModel::Native).run(&program, RUN);
-        let opt = Simulation::new(narrow, CodeModel::codepack_optimized()).run(&program, RUN);
+        let native = run(narrow, CodeModel::Native, &program, RUN);
+        let opt = run(narrow, CodeModel::codepack_optimized(), &program, RUN);
         assert!(
             opt.speedup_over(&native) > 1.0,
             "seed {seed}: narrow-bus win must hold ({:.3})",

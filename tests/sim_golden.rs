@@ -10,9 +10,10 @@
 //! the pipeline, the caches, the fetch engines or the functional memory
 //! that alters one simulated statistic or one stored byte fails here.
 
-use codepack::cpu::{Machine, Pipeline};
+use codepack::cpu::{run_group, Machine, Outcomes, Timing};
 use codepack::isa::{DATA_BASE, STACK_BASE};
 use codepack::mem::{SoftErrorConfig, StreamIntegrity};
+use codepack::obs::Obs;
 use codepack::sim::{
     run_matrix, run_matrix_observed, ArchConfig, CodeModel, MatrixSpec, Simulation,
 };
@@ -61,7 +62,9 @@ fn full_cube_reports_match_the_pinned_digests() {
 fn l2_cell_matches_the_pinned_digest() {
     let program = generate(&BenchmarkProfile::cc1_like(), 42);
     let arch = ArchConfig::four_issue().with_l2_kb(64);
-    let result = Simulation::new(arch, CodeModel::codepack_optimized()).run(&program, INSNS);
+    let (result, _) = Simulation::new(arch, CodeModel::codepack_optimized())
+        .run(&program, INSNS, None, Obs::disabled())
+        .expect("cc1 runs");
     assert!(result.pipeline.l2.is_some(), "the L2 was installed");
     assert_eq!(digest_debug(&result), L2_CELL, "L2 cell digest drifted");
 }
@@ -74,7 +77,9 @@ fn protected_cell_matches_the_pinned_digest() {
         20_000_000,
         StreamIntegrity::Crc32,
     ));
-    let result = Simulation::new(ArchConfig::four_issue(), model).run(&program, INSNS);
+    let (result, _) = Simulation::new(ArchConfig::four_issue(), model)
+        .run(&program, INSNS, None, Obs::disabled())
+        .expect("go runs");
     let faults = result.faults.expect("armed run carries a ledger");
     assert!(faults.injected > 0, "the soft-error process struck");
     assert_eq!(
@@ -113,15 +118,16 @@ fn observed_metrics_match_the_pinned_digest() {
 fn final_memory_matches_the_pinned_digest() {
     let program = generate(&BenchmarkProfile::vortex_like(), 42);
     let arch = ArchConfig::four_issue();
-    let mut pipeline = Pipeline::new(
+    let mut outcomes = Outcomes::new(arch.pipeline.predictor, arch.icache, arch.dcache);
+    let mut cells = [Timing::new(
         arch.pipeline,
         arch.icache,
         arch.dcache,
         arch.memory,
         Box::new(codepack::core::NativeFetch::new(arch.memory)),
-    );
+    )];
     let mut machine = Machine::load(&program);
-    pipeline.run(&mut machine, 100_000).expect("vortex runs");
+    run_group(&mut machine, &mut outcomes, &mut cells, 100_000).expect("vortex runs");
 
     let memory = machine.memory();
     let data_len = program.data_bytes().len() as u32;
