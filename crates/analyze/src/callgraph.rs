@@ -78,13 +78,8 @@ impl CallGraph {
         self.funcs.is_empty()
     }
 
-    /// Entry instruction index of function `f`.
-    pub fn entry_of(&self, f: usize) -> u32 {
-        self.funcs[f].entry
-    }
-
     /// Function index whose entry is instruction `entry`, if one exists.
-    pub fn function_at(&self, entry: u32) -> Option<usize> {
+    fn function_at(&self, entry: u32) -> Option<usize> {
         self.funcs.binary_search_by_key(&entry, |f| f.entry).ok()
     }
 
@@ -425,7 +420,7 @@ mod tests {
     fn straight_line_program_is_one_function() {
         let (_, cg, report) = graph_and_report(&halt());
         assert_eq!(cg.len(), 1);
-        assert_eq!(cg.entry_of(0), 0);
+        assert_eq!(cg.funcs[0].entry, 0);
         assert!(report.is_clean());
         assert_eq!(report.warnings(), 0, "{}", report.render());
     }

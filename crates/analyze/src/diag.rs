@@ -171,7 +171,7 @@ impl LintReport {
 
     /// Records that `n` further findings from `check` were suppressed past
     /// its emission cap (accumulates; keeps the list sorted by check name).
-    pub fn suppress(&mut self, check: &'static str, n: u64) {
+    fn suppress(&mut self, check: &'static str, n: u64) {
         if n == 0 {
             return;
         }
@@ -179,11 +179,6 @@ impl LintReport {
             Ok(i) => self.suppressed[i].1 += n,
             Err(i) => self.suppressed.insert(i, (check, n)),
         }
-    }
-
-    /// Total findings suppressed across all checks.
-    pub fn total_suppressed(&self) -> u64 {
-        self.suppressed.iter().map(|&(_, n)| n).sum()
     }
 
     /// Number of error-severity findings.
@@ -386,7 +381,6 @@ mod tests {
         cap.finish(&mut r);
         assert_eq!(r.diagnostics.len(), 3, "emission stops at the cap");
         assert_eq!(r.suppressed, vec![("dict-slot", 7)]);
-        assert_eq!(r.total_suppressed(), 7);
 
         let text = r.render();
         assert!(

@@ -189,7 +189,7 @@ impl CcrpImage {
     /// # Errors
     ///
     /// Returns a [`DecompressError`] on out-of-range lines or corrupt data.
-    pub fn decompress_line(&self, line: u32) -> Result<Vec<u32>, DecompressError> {
+    fn decompress_line(&self, line: u32) -> Result<Vec<u32>, DecompressError> {
         let mut out = vec![0; (self.line_bytes / 4) as usize];
         self.lines.decode(line, &mut out, |r| {
             let mut word_bytes = [0u8; 4];

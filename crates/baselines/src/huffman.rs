@@ -173,15 +173,6 @@ impl HuffmanCode {
             dict_len: self.sorted_symbols.len() as u16,
         })
     }
-
-    /// Total encoded bits for a stream with the given frequencies.
-    pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
-            .iter()
-            .enumerate()
-            .map(|(s, &f)| f * u64::from(self.lengths[s]))
-            .sum()
-    }
 }
 
 /// Optimal (unlimited) Huffman code lengths via pairwise merging.
@@ -325,18 +316,5 @@ mod tests {
         let code = HuffmanCode::build(&[10, 1, 1, 1]);
         let mut r = BitReader::new(&[]);
         assert!(code.decode(&mut r).is_err());
-    }
-
-    #[test]
-    fn encoded_bits_matches_actual_encoding() {
-        let freqs = [50u64, 30, 20, 5];
-        let code = HuffmanCode::build(&freqs);
-        let mut w = BitWriter::new();
-        for (s, &f) in freqs.iter().enumerate() {
-            for _ in 0..f {
-                code.encode(&mut w, s as u16);
-            }
-        }
-        assert_eq!(w.bit_len(), code.encoded_bits(&freqs));
     }
 }

@@ -35,7 +35,7 @@ pub struct CompositionStats {
 impl CompositionStats {
     /// Bits of the compressed instruction region (everything except index
     /// table and dictionaries).
-    pub fn stream_bits(&self) -> u64 {
+    fn stream_bits(&self) -> u64 {
         self.compressed_tag_bits
             + self.dict_index_bits
             + self.raw_tag_bits

@@ -183,15 +183,10 @@ impl Machine {
     }
 
     /// Writes an integer register (writes to `$zero` are discarded).
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
+    fn set_reg(&mut self, r: Reg, value: u32) {
         if r != Reg::ZERO {
             self.regs[r.index() as usize] = value;
         }
-    }
-
-    /// Reads an FP register.
-    pub fn freg(&self, r: codepack_isa::FReg) -> f32 {
-        self.fregs[r.index() as usize]
     }
 
     /// The functional data memory.
@@ -621,7 +616,7 @@ mod tests {
         a.halt();
         let m = run_to_halt(&a.finish("fp").unwrap());
         assert_eq!(m.reg(Reg::V1), 1);
-        assert_eq!(m.freg(FReg::new(2)), 12.0);
+        assert_eq!(m.fregs_at(FReg::new(2)), 12.0);
     }
 
     #[test]

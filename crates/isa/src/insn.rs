@@ -231,11 +231,6 @@ impl Instruction {
         )
     }
 
-    /// Does this instruction write `$ra`-style linkage (function call)?
-    pub fn is_call(&self) -> bool {
-        matches!(self, Instruction::Jal { .. } | Instruction::Jalr { .. })
-    }
-
     /// Does this instruction use the floating-point unit?
     pub fn is_fp(&self) -> bool {
         matches!(
@@ -291,9 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn jal_is_call_and_jump() {
+    fn jal_is_a_jump_not_a_branch() {
         let j = Instruction::Jal { target: 0x100 };
-        assert!(j.is_call() && j.is_jump() && j.is_control() && !j.is_branch());
+        assert!(j.is_jump() && j.is_control() && !j.is_branch());
     }
 
     #[test]

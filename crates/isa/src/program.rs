@@ -28,7 +28,6 @@ pub const STACK_BASE: u32 = 0x7fff_f000;
 /// let p = Program::new("demo", text, vec![0u8; 16]);
 /// assert_eq!(p.entry(), TEXT_BASE);
 /// assert_eq!(p.text_size_bytes(), 16);
-/// assert_eq!(p.fetch_word(TEXT_BASE + 4), Some(0));
 /// ```
 #[derive(Clone)]
 pub struct Program {
@@ -64,31 +63,6 @@ impl Program {
         }
     }
 
-    /// Creates a program with an explicit entry address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `text` is empty, or if `entry` is not word-aligned inside
-    /// the text section.
-    pub fn with_entry(
-        name: impl Into<String>,
-        text: Vec<u32>,
-        data: Vec<u8>,
-        entry: u32,
-    ) -> Program {
-        let p = Program::new(name, text, data);
-        assert!(
-            entry >= TEXT_BASE
-                && entry < TEXT_BASE + p.text_size_bytes()
-                && entry.is_multiple_of(INSN_BYTES),
-            "entry {entry:#x} outside text section"
-        );
-        Program {
-            entry: entry.to_owned(),
-            ..p
-        }
-    }
-
     /// The program's name (used in experiment tables).
     pub fn name(&self) -> &str {
         &self.name
@@ -120,18 +94,6 @@ impl Program {
     /// Size of the text section in bytes (the paper's "original size").
     pub fn text_size_bytes(&self) -> u32 {
         (self.text.len() as u32) * INSN_BYTES
-    }
-
-    /// Fetches the instruction word at virtual address `addr`, or `None` if
-    /// the address is outside the text section or unaligned.
-    #[inline]
-    pub fn fetch_word(&self, addr: u32) -> Option<u32> {
-        if addr < TEXT_BASE || !addr.is_multiple_of(INSN_BYTES) {
-            return None;
-        }
-        self.text
-            .get(((addr - TEXT_BASE) / INSN_BYTES) as usize)
-            .copied()
     }
 }
 
@@ -169,24 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn fetch_within_and_outside_text() {
-        let p = tiny();
-        assert!(p.fetch_word(TEXT_BASE).is_some());
-        assert!(p.fetch_word(TEXT_BASE + 8).is_none());
-        assert!(p.fetch_word(TEXT_BASE - 4).is_none());
-        assert!(p.fetch_word(TEXT_BASE + 1).is_none(), "unaligned fetch");
-    }
-
-    #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_text_panics() {
         let _ = Program::new("e", vec![], vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside text")]
-    fn bad_entry_panics() {
-        let _ = Program::with_entry("e", vec![0], vec![], TEXT_BASE + 4);
     }
 
     #[test]
@@ -205,9 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_defaults_to_text_base() {
+    fn entry_is_the_text_base() {
         assert_eq!(tiny().entry(), TEXT_BASE);
-        let p = Program::with_entry("e", vec![0, 0, 0], vec![], TEXT_BASE + 8);
-        assert_eq!(p.entry(), TEXT_BASE + 8);
     }
 }

@@ -53,7 +53,7 @@ pub struct Flips {
 
 impl Flips {
     /// Whether parity (an odd-flip detector) catches this event.
-    pub fn parity_detects(&self) -> bool {
+    fn parity_detects(&self) -> bool {
         self.count % 2 == 1
     }
 }
@@ -145,7 +145,7 @@ impl FaultModel {
 /// check over the compressed instruction stream.
 ///
 /// Every protected setting also arms parity over the index-table,
-/// dictionary and resident I-cache SRAM ([`StreamIntegrity::sram_parity`]).
+/// dictionary and resident I-cache SRAM.
 /// That parity is modeled as widened SRAM — the parity bits ride in the
 /// same physical word, so they add checker cycles but no bus beats. Stream
 /// protection travels over the bus with the block and does add beats (see
@@ -191,7 +191,7 @@ impl StreamIntegrity {
 
     /// Whether parity protects the index, dictionary and I-cache SRAM:
     /// every setting but `None` arms it.
-    pub fn sram_parity(&self) -> bool {
+    fn sram_parity(&self) -> bool {
         *self != StreamIntegrity::None
     }
 

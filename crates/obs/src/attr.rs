@@ -49,15 +49,6 @@ impl CycleAttribution {
         }
     }
 
-    /// Folds a whole event stream.
-    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> CycleAttribution {
-        let mut acc = CycleAttribution::default();
-        for ev in events {
-            acc.absorb(ev);
-        }
-        acc
-    }
-
     /// Sum of all attributed stall cycles.
     pub fn attributed(&self) -> u64 {
         self.icache_miss + self.decompress + self.index_lookup + self.memory + self.branch
@@ -216,7 +207,10 @@ mod tests {
                 kind: EventKind::PipelineFlush { cycles: 3 },
             },
         ];
-        let attr = CycleAttribution::from_events(&events);
+        let mut attr = CycleAttribution::default();
+        for e in &events {
+            attr.absorb(e);
+        }
         assert_eq!(attr.icache_miss, 10);
         assert_eq!(attr.index_lookup, 12);
         assert_eq!(attr.decompress, 13 + 1);

@@ -121,7 +121,7 @@ impl Histogram {
     }
 
     /// Per-bucket counts (index → count), nonzero buckets only.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()

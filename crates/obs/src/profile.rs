@@ -214,7 +214,7 @@ impl BlockProfile {
     }
 
     /// Mutable stats for `block`, created zeroed on first touch.
-    pub fn stats_mut(&mut self, block: u32) -> &mut BlockStats {
+    fn stats_mut(&mut self, block: u32) -> &mut BlockStats {
         self.blocks.entry(block).or_default()
     }
 

@@ -149,7 +149,7 @@ pub struct FaultReport {
 
 impl FaultReport {
     /// Sums the fault ledgers of every completed protected cell.
-    pub fn total_faults(&self) -> FaultStats {
+    fn total_faults(&self) -> FaultStats {
         let mut total = FaultStats::default();
         for cell in &self.report.cells {
             if let Some(ft) = cell.result.as_ref().and_then(|r| r.faults.as_ref()) {

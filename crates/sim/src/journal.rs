@@ -342,7 +342,7 @@ fn parse_entry(
 /// Serializes a complete [`SimResult`] — every field, not just the ones
 /// the report table shows — so a restored cell is indistinguishable from
 /// a re-run one.
-pub fn result_json(r: &SimResult) -> String {
+fn result_json(r: &SimResult) -> String {
     use std::fmt::Write as _;
     let cache = |c: &CacheStats| {
         format!(
@@ -432,11 +432,7 @@ pub fn result_json(r: &SimResult) -> String {
 
 /// Reconstructs a [`SimResult`] from [`result_json`] output, for a run on
 /// the machine named `arch` under a code model labeled `model`.
-pub fn parse_result(
-    v: &Value,
-    arch: &'static str,
-    model: &'static str,
-) -> Result<SimResult, String> {
+fn parse_result(v: &Value, arch: &'static str, model: &'static str) -> Result<SimResult, String> {
     let u = |node: &Value, k: &str| -> Result<u64, String> {
         node.get(k)
             .and_then(Value::as_u64)

@@ -138,19 +138,10 @@ impl Client {
         }
     }
 
-    /// Issues `op` with the config deadline. See [`Client::call_with_deadline`].
-    pub fn call(&mut self, op: Op, payload: &[u8]) -> Result<Vec<u8>, CallError> {
-        self.call_with_deadline(op, payload, self.config.deadline_ms)
-    }
-
-    /// Issues `op` with an explicit per-attempt deadline, retrying per
+    /// Issues `op` with the config's per-attempt deadline, retrying per
     /// the policy. Returns the response payload on `Ok`.
-    pub fn call_with_deadline(
-        &mut self,
-        op: Op,
-        payload: &[u8],
-        deadline_ms: u32,
-    ) -> Result<Vec<u8>, CallError> {
+    pub fn call(&mut self, op: Op, payload: &[u8]) -> Result<Vec<u8>, CallError> {
+        let deadline_ms = self.config.deadline_ms;
         let call_id = self.next_call;
         self.next_call += 1;
         let delays = self.config.retry.schedule(self.config.seed, call_id);
@@ -269,11 +260,6 @@ impl Client {
             .map_err(|e| e.to_string())?;
         Ok(conn)
     }
-
-    /// Calls made so far (successful or not) — the next call id.
-    pub fn calls_issued(&self) -> u64 {
-        self.next_call
-    }
 }
 
 /// Sends raw bytes to the server and drains whatever comes back until
@@ -339,6 +325,5 @@ mod tests {
             Err(CallError::Connection { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("expected Connection error, got {other:?}"),
         }
-        assert_eq!(client.calls_issued(), 1);
     }
 }

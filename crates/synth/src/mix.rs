@@ -28,33 +28,13 @@ pub struct InstructionMix {
 }
 
 impl InstructionMix {
-    /// Fraction helper: `count / total` (0 when empty).
-    fn frac(&self, count: u64) -> f64 {
+    /// Conditional-branch fraction (0 when empty).
+    pub fn branch_fraction(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
-            count as f64 / self.total as f64
+            self.branches as f64 / self.total as f64
         }
-    }
-
-    /// Load fraction.
-    pub fn load_fraction(&self) -> f64 {
-        self.frac(self.loads)
-    }
-
-    /// Store fraction.
-    pub fn store_fraction(&self) -> f64 {
-        self.frac(self.stores)
-    }
-
-    /// Conditional-branch fraction.
-    pub fn branch_fraction(&self) -> f64 {
-        self.frac(self.branches)
-    }
-
-    /// Control-transfer fraction (branches + jumps).
-    pub fn control_fraction(&self) -> f64 {
-        self.frac(self.branches + self.jumps)
     }
 }
 
@@ -101,7 +81,9 @@ mod tests {
         for profile in BenchmarkProfile::suite() {
             let p = generate(&profile, 3);
             let mix = instruction_mix(&p);
-            let mem = mix.load_fraction() + mix.store_fraction();
+            let frac = |n: u64| n as f64 / mix.total as f64;
+            let mem = frac(mix.loads + mix.stores);
+            let control = frac(mix.branches + mix.jumps);
             assert!(
                 (0.05..0.40).contains(&mem),
                 "{}: memory fraction {:.2} out of band",
@@ -109,10 +91,10 @@ mod tests {
                 mem
             );
             assert!(
-                (0.08..0.35).contains(&mix.control_fraction()),
+                (0.08..0.35).contains(&control),
                 "{}: control fraction {:.2} out of band",
                 profile.name,
-                mix.control_fraction()
+                control
             );
         }
     }
