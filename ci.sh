@@ -56,6 +56,15 @@ CPACK=target/release/cpack
     --trace "$OBS_TMP/run.jsonl" --metrics "$OBS_TMP/run.metrics.json" > /dev/null
 "$CPACK" trace-export "$OBS_TMP/run.jsonl" --chrome -o "$OBS_TMP/run.chrome.json" > /dev/null
 
+echo "== tier-2: examples (release) =="
+# The five examples drive the public API end to end (generation,
+# compression, Simulation::run, the prior-art codecs); each must run to
+# completion in release.
+for e in custom_workload embedded_tradeoff inspect_compression prior_art quickstart; do
+    cargo run -q --release --offline --example "$e" > /dev/null \
+        || { echo "example $e failed"; exit 1; }
+done
+
 echo "== tier-2: matrix journal kill/resume smoke =="
 # A journaled sweep killed mid-run and resumed must produce byte-identical
 # JSON to an uninterrupted run — the crash-safety contract of the journal.

@@ -217,14 +217,15 @@ impl Simulation {
         }
     }
 
-    /// Runs `program` on this simulation's machine (L2 included) with a
-    /// caller-supplied I-miss service `engine`, as a group of one cell.
-    /// The code model only arms soft errors; the result's `model` is the
-    /// engine's name and it carries no compression stats.
+    /// [`Self::run`] with a caller-supplied I-miss service `engine` on
+    /// this simulation's machine (L2 included), for engines no
+    /// [`CodeModel`] expresses. The code model only arms soft errors; the
+    /// result's `model` is the engine's name and it carries no
+    /// compression stats.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] if the program traps.
+    /// As [`Self::run`].
     pub fn try_run_engine(
         &self,
         program: &Program,
