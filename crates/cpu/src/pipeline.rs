@@ -21,12 +21,13 @@
 //! The model has two parts. The caches and the predictor are consulted in
 //! program order, so their outcomes do not depend on time: the
 //! [`Outcomes`] pass (L1 I-cache, D-cache, predictor, RAS) condenses each
-//! instruction into a 16-byte outcome record. A [`Timing`]
-//! part (L2, fetch engine, memory timing, rings, function units, issue
-//! slots, soft-error probe, [`Obs`](codepack_obs::Obs) events) replays the records and
-//! accounts cycles. [`run_group`] is the one loop that steps a machine for
-//! timing: it drives one outcome pass for one or many timing parts that
-//! share the program, the cache geometry and the predictor.
+//! instruction into a 16-byte outcome record. A [`Timing`] part (L2,
+//! fetch engine, memory timing, rings, function units, issue slots,
+//! soft-error probe, [`Obs`](codepack_obs::Obs) events) replays the
+//! records and accounts cycles. [`run_group`] is the one loop that steps
+//! a machine for timing: it drives one outcome pass for one or many
+//! timing parts that share the program, the cache geometry and the
+//! predictor.
 
 use codepack_core::FetchEngine;
 use codepack_mem::{CacheConfig, CacheStats, FaultStats, MemoryTiming, SoftErrorConfig};
