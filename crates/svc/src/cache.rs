@@ -1,7 +1,9 @@
 //! Sharded in-memory cache of compressed images, keyed by content hash.
 //!
 //! The compress endpoint is a pure function of its payload, so identical
-//! requests can be answered from memory. The cache is sharded to keep lock
+//! requests can be answered from memory. FNV-1a is not collision-resistant,
+//! so each entry keeps its payload and a lookup hits only when the payload
+//! is equal, never merely when the hash is. The cache is sharded to keep lock
 //! contention off the hot path (shard = high bits of the key, so the
 //! FNV-1a avalanche spreads load), and **bounded** in both entries and
 //! bytes per shard with deterministic FIFO eviction: for a given sequence
@@ -20,7 +22,7 @@ pub struct CacheConfig {
     pub shards: usize,
     /// Max entries per shard.
     pub max_entries_per_shard: usize,
-    /// Max value bytes per shard.
+    /// Max payload plus value bytes per shard.
     pub max_bytes_per_shard: usize,
 }
 
@@ -45,8 +47,20 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A cached payload and its value.
+struct Entry {
+    payload: Vec<u8>,
+    value: Vec<u8>,
+}
+
+impl Entry {
+    fn bytes(&self) -> usize {
+        self.payload.len() + self.value.len()
+    }
+}
+
 struct Shard {
-    map: HashMap<u64, Vec<u8>>,
+    map: HashMap<u64, Entry>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u64>,
     bytes: usize,
@@ -88,51 +102,59 @@ impl ShardedCache {
         &self.shards[i]
     }
 
-    /// Looks up `key`, counting the hit or miss.
-    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        if self.shards.is_empty() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        match shard.map.get(&key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Looks up `payload` under its content hash `key`, counting the hit
+    /// or miss. An entry stored under `key` for another payload is a miss.
+    pub fn get(&self, key: u64, payload: &[u8]) -> Option<Vec<u8>> {
+        let hit = if self.shards.is_empty() {
+            None
+        } else {
+            let shard = self.shard_of(key).lock().expect("cache shard poisoned");
+            shard
+                .map
+                .get(&key)
+                .filter(|e| e.payload == payload)
+                .map(|e| e.value.clone())
+        };
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Inserts `key -> value`, evicting oldest-inserted entries until the
-    /// shard fits its bounds again. A value bigger than a whole shard is
-    /// simply not cached.
-    pub fn insert(&self, key: u64, value: Vec<u8>) {
-        if self.shards.is_empty() || value.len() > self.config.max_bytes_per_shard {
+    /// Inserts `payload -> value` under `key`, evicting oldest-inserted
+    /// entries until the shard fits its bounds again. An entry bigger than
+    /// a whole shard is simply not cached, and a resident entry under
+    /// `key` stays (the first payload with a given hash keeps the slot).
+    pub fn insert(&self, key: u64, payload: &[u8], value: Vec<u8>) {
+        let entry = Entry {
+            payload: payload.to_vec(),
+            value,
+        };
+        if self.shards.is_empty() || entry.bytes() > self.config.max_bytes_per_shard {
             return;
         }
         let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
         if shard.map.contains_key(&key) {
-            return; // same content hash ⇒ same value; nothing to update
+            return;
         }
         while shard.order.len() >= self.config.max_entries_per_shard
-            || shard.bytes + value.len() > self.config.max_bytes_per_shard
+            || shard.bytes + entry.bytes() > self.config.max_bytes_per_shard
         {
             let oldest = match shard.order.pop_front() {
                 Some(k) => k,
                 None => break,
             };
-            if let Some(v) = shard.map.remove(&oldest) {
-                shard.bytes -= v.len();
+            if let Some(e) = shard.map.remove(&oldest) {
+                shard.bytes -= e.bytes();
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.bytes += value.len();
+        shard.bytes += entry.bytes();
         shard.order.push_back(key);
-        shard.map.insert(key, value);
+        shard.map.insert(key, entry);
     }
 
     /// (hits, misses, evictions) so far.
@@ -180,26 +202,49 @@ mod tests {
         assert_ne!(content_hash(b"ab"), content_hash(b"ba"));
     }
 
+    /// Caches `value` for a one-byte payload planted under key `k`.
+    fn put(c: &ShardedCache, k: u64, value: Vec<u8>) {
+        c.insert(k, &[k as u8], value);
+    }
+
+    fn get(c: &ShardedCache, k: u64) -> Option<Vec<u8>> {
+        c.get(k, &[k as u8])
+    }
+
     #[test]
     fn hit_miss_and_round_trip() {
         let c = tiny();
-        assert_eq!(c.get(1), None);
-        c.insert(1, vec![1, 2, 3]);
-        assert_eq!(c.get(1), Some(vec![1, 2, 3]));
+        assert_eq!(get(&c, 1), None);
+        put(&c, 1, vec![1, 2, 3]);
+        assert_eq!(get(&c, 1), Some(vec![1, 2, 3]));
         assert_eq!(c.stats(), (1, 1, 0));
+    }
+
+    #[test]
+    fn another_payload_under_the_same_hash_misses() {
+        let c = tiny();
+        let key = content_hash(b"other payload");
+        // A colliding entry: stored under the hash of another payload.
+        c.insert(key, b"planted payload", vec![0xAB; 4]);
+        assert_eq!(c.get(key, b"other payload"), None);
+        assert_eq!(c.get(key, b"planted payload"), Some(vec![0xAB; 4]));
+        // The colliding payload does not displace the resident entry.
+        c.insert(key, b"other payload", vec![0xCD; 4]);
+        assert_eq!(c.get(key, b"other payload"), None);
+        assert_eq!(c.stats(), (1, 2, 0));
     }
 
     #[test]
     fn entry_bound_evicts_fifo() {
         let c = tiny();
         for k in 0..5u64 {
-            c.insert(k, vec![k as u8]);
+            put(&c, k, vec![k as u8]);
         }
         // Capacity 3: the two oldest (0, 1) must be gone, newest resident.
-        assert_eq!(c.get(0), None);
-        assert_eq!(c.get(1), None);
-        assert_eq!(c.get(2), Some(vec![2]));
-        assert_eq!(c.get(4), Some(vec![4]));
+        assert_eq!(get(&c, 0), None);
+        assert_eq!(get(&c, 1), None);
+        assert_eq!(get(&c, 2), Some(vec![2]));
+        assert_eq!(get(&c, 4), Some(vec![4]));
         assert_eq!(c.len(), 3);
         assert_eq!(c.stats().2, 2);
     }
@@ -207,18 +252,21 @@ mod tests {
     #[test]
     fn byte_bound_evicts_until_fit() {
         let c = tiny();
-        c.insert(1, vec![0; 60]);
-        c.insert(2, vec![0; 30]);
-        c.insert(3, vec![0; 50]); // 140 > 100: evict 1 (60) → 80, fits
-        assert_eq!(c.get(1), None);
-        assert!(c.get(2).is_some() && c.get(3).is_some());
+        put(&c, 1, vec![0; 60]);
+        put(&c, 2, vec![0; 30]);
+        put(&c, 3, vec![0; 50]); // 143 > 100: evict 1 (61) → 82, fits
+        assert_eq!(get(&c, 1), None);
+        assert!(get(&c, 2).is_some() && get(&c, 3).is_some());
     }
 
     #[test]
     fn oversized_value_not_cached() {
         let c = tiny();
-        c.insert(1, vec![0; 101]);
-        assert_eq!(c.get(1), None);
+        put(&c, 1, vec![0; 101]);
+        assert_eq!(get(&c, 1), None);
+        // The payload counts toward the bound: 98 + 3 bytes exceed 100.
+        c.insert(2, &[2, 2, 2], vec![0; 98]);
+        assert_eq!(c.get(2, &[2, 2, 2]), None);
         assert!(c.is_empty());
     }
 
@@ -227,9 +275,9 @@ mod tests {
         let survivors = |order: &[u64]| -> Vec<u64> {
             let c = tiny();
             for &k in order {
-                c.insert(k, vec![k as u8]);
+                put(&c, k, vec![k as u8]);
             }
-            (0..10u64).filter(|&k| c.get(k).is_some()).collect()
+            (0..10u64).filter(|&k| get(&c, k).is_some()).collect()
         };
         let keys = [7u64, 3, 9, 1, 5, 2];
         assert_eq!(survivors(&keys), survivors(&keys));
@@ -243,8 +291,8 @@ mod tests {
             max_entries_per_shard: 10,
             max_bytes_per_shard: 10,
         });
-        c.insert(1, vec![1]);
-        assert_eq!(c.get(1), None);
+        put(&c, 1, vec![1]);
+        assert_eq!(get(&c, 1), None);
         assert!(c.is_empty());
     }
 }

@@ -400,11 +400,11 @@ fn execute(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
                 );
             };
             let key = content_hash(payload);
-            if let Some(frame) = shared.cache.get(key) {
+            if let Some(frame) = shared.cache.get(key, payload) {
                 return (Status::Ok, frame);
             }
             let frame = pack_frame(&words, &PackOptions::default());
-            shared.cache.insert(key, frame.clone());
+            shared.cache.insert(key, payload, frame.clone());
             (Status::Ok, frame)
         }
         Op::Decompress => match unpack_frame(payload, &UnpackOptions::default()) {
