@@ -90,8 +90,9 @@ impl CallGraph {
         self.function_at(entry).map(|f| self.may_defs[f])
     }
 
-    /// The may-def summary of function `f` (test/inspection surface).
-    pub fn summary_of(&self, f: usize) -> u128 {
+    /// The may-def summary of function `f`.
+    #[cfg(test)]
+    fn summary_of(&self, f: usize) -> u128 {
         self.may_defs[f]
     }
 }

@@ -17,10 +17,10 @@
 
 use codepack_core::{
     decode_schedule, DecompressError, FetchEngine, FetchStats, IndexCacheModel, IndexLookup,
-    MissService, MissSource,
+    MissService,
 };
 use codepack_mem::MemoryTiming;
-use codepack_obs::Obs;
+use codepack_obs::{MissOrigin, Obs};
 use std::fmt;
 use std::sync::Arc;
 
@@ -329,7 +329,7 @@ impl FetchEngine for CcrpFetch {
         MissService {
             critical_ready,
             line_fill_complete,
-            source: MissSource::Decompressor,
+            source: MissOrigin::Decompressor,
             index_hit: Some(hit),
             index_cycles: t_lat,
             machine_check: false,

@@ -13,10 +13,10 @@
 
 use codepack_core::{
     decode_schedule, BitReader, BitWriter, DecompressError, Dictionary, FetchEngine, FetchStats,
-    IndexCacheModel, IndexLookup, MissService, MissSource, BLOCK_INSNS,
+    IndexCacheModel, IndexLookup, MissService, BLOCK_INSNS,
 };
 use codepack_mem::MemoryTiming;
-use codepack_obs::Obs;
+use codepack_obs::{MissOrigin, Obs};
 use std::fmt;
 use std::sync::Arc;
 
@@ -322,7 +322,7 @@ impl FetchEngine for HuffPackFetch {
             return MissService {
                 critical_ready: 1,
                 line_fill_complete: 1,
-                source: MissSource::OutputBuffer,
+                source: MissOrigin::OutputBuffer,
                 index_hit: None,
                 index_cycles: 0,
                 machine_check: false,
@@ -356,7 +356,7 @@ impl FetchEngine for HuffPackFetch {
         MissService {
             critical_ready,
             line_fill_complete,
-            source: MissSource::Decompressor,
+            source: MissOrigin::Decompressor,
             index_hit: Some(hit),
             index_cycles: t_index,
             machine_check: false,
@@ -457,6 +457,6 @@ mod tests {
         let mut f = HuffPackFetch::new(img, MemoryTiming::default(), HuffPackConfig::default(), 0);
         f.service_miss(0, 32);
         let second = f.service_miss(32, 32);
-        assert_eq!(second.source, MissSource::OutputBuffer);
+        assert_eq!(second.source, MissOrigin::OutputBuffer);
     }
 }

@@ -83,9 +83,6 @@ impl fmt::Display for InsnDictStats {
 pub struct InsnDictImage {
     dict: Vec<u32>,
     stream: Vec<u8>,
-    /// Byte offset of each 16-instruction block (random access like
-    /// CodePack's index table).
-    block_offsets: Vec<u32>,
     n_insns: u32,
     stats: InsnDictStats,
 }
@@ -117,12 +114,8 @@ impl InsnDictImage {
             .collect();
 
         let mut stream = Vec::new();
-        let mut block_offsets = Vec::new();
         let mut escaped = 0u64;
-        for (i, &word) in text.iter().enumerate() {
-            if i % 16 == 0 {
-                block_offsets.push(stream.len() as u32);
-            }
+        for &word in text {
             match index.get(&word) {
                 Some(&rank) if rank < 128 => stream.push(rank as u8),
                 Some(&rank) => {
@@ -142,14 +135,15 @@ impl InsnDictImage {
             original_bytes: text.len() as u64 * 4,
             dictionary_bytes: dict.len() as u64 * 4,
             stream_bytes: stream.len() as u64,
-            index_table_bytes: block_offsets.len() as u64 * 4,
+            // One 32-bit offset per 16-instruction block, like CodePack's
+            // index table.
+            index_table_bytes: text.len().div_ceil(16) as u64 * 4,
             escaped_insns: escaped,
             dict_entries: dict.len() as u64,
         };
         InsnDictImage {
             dict,
             stream,
-            block_offsets,
             n_insns: text.len() as u32,
             stats,
         }
@@ -218,11 +212,6 @@ impl InsnDictImage {
             }
         }
         Ok(out)
-    }
-
-    /// Byte offsets of each 16-instruction block (the random-access table).
-    pub fn block_offsets(&self) -> &[u32] {
-        &self.block_offsets
     }
 }
 

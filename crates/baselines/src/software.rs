@@ -12,11 +12,10 @@
 //! hardware output buffer at a small software cost.
 
 use codepack_core::{
-    CodePackImage, FetchEngine, FetchStats, IndexCacheModel, IndexLookup, MissService, MissSource,
-    BLOCK_INSNS,
+    CodePackImage, FetchEngine, FetchStats, IndexCacheModel, IndexLookup, MissService, BLOCK_INSNS,
 };
 use codepack_mem::MemoryTiming;
-use codepack_obs::Obs;
+use codepack_obs::{MissOrigin, Obs};
 use std::fmt;
 use std::sync::Arc;
 
@@ -103,7 +102,7 @@ impl FetchEngine for SoftwareDecompFetch {
             return MissService {
                 critical_ready: self.config.scratchpad_hit_cycles,
                 line_fill_complete: self.config.scratchpad_hit_cycles,
-                source: MissSource::OutputBuffer,
+                source: MissOrigin::OutputBuffer,
                 index_hit: None,
                 index_cycles: 0,
                 machine_check: false,
@@ -128,7 +127,7 @@ impl FetchEngine for SoftwareDecompFetch {
         MissService {
             critical_ready: total,
             line_fill_complete: total,
-            source: MissSource::Decompressor,
+            source: MissOrigin::Decompressor,
             index_hit: Some(false),
             index_cycles,
             machine_check: false,
@@ -202,7 +201,7 @@ mod tests {
         );
         sw.service_miss(0, 32);
         let second = sw.service_miss(32, 32); // other line, same block
-        assert_eq!(second.source, MissSource::OutputBuffer);
+        assert_eq!(second.source, MissOrigin::OutputBuffer);
         assert_eq!(
             second.critical_ready,
             SoftwareDecompConfig::default().scratchpad_hit_cycles

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use codepack_mem::{
     Cache, CacheConfig, FaultStats, Flips, MemoryTiming, SoftErrorConfig, StreamIntegrity,
 };
-use codepack_obs::{EventKind, FaultArea, MissRecord, Obs};
+use codepack_obs::{EventKind, FaultArea, MissOrigin, MissRecord, Obs};
 
 use crate::layout::{BLOCK_INSNS, INDEX_ENTRY_BYTES};
 use crate::CodePackImage;
@@ -146,17 +146,6 @@ impl DecompressorConfig {
     }
 }
 
-/// Where a miss was served from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MissSource {
-    /// Native line fill from main memory.
-    Memory,
-    /// Compressed block fetched from main memory and decompressed.
-    Decompressor,
-    /// The whole block was already in the decompressor's output buffer.
-    OutputBuffer,
-}
-
 /// Timing of one serviced L1 I-miss, in cycles after the miss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MissService {
@@ -165,7 +154,7 @@ pub struct MissService {
     /// When the full 8-instruction cache line has been filled.
     pub line_fill_complete: u64,
     /// Where the instructions came from.
-    pub source: MissSource,
+    pub source: MissOrigin,
     /// Did the index-cache probe hit? `None` for native fetches and
     /// buffer hits (no index access happens).
     pub index_hit: Option<bool>,
@@ -401,7 +390,7 @@ impl FetchEngine for NativeFetch {
         MissService {
             critical_ready: fill.critical_word_ready,
             line_fill_complete: fill.fill_complete,
-            source: MissSource::Memory,
+            source: MissOrigin::Memory,
             index_hit: None,
             index_cycles: 0,
             machine_check: false,
@@ -579,7 +568,7 @@ impl FetchEngine for CodePackFetch {
             return MissService {
                 critical_ready: BUFFER_HIT_CYCLES,
                 line_fill_complete: BUFFER_HIT_CYCLES,
-                source: MissSource::OutputBuffer,
+                source: MissOrigin::OutputBuffer,
                 index_hit: None,
                 index_cycles: 0,
                 machine_check: false,
@@ -739,7 +728,7 @@ impl FetchEngine for CodePackFetch {
             return MissService {
                 critical_ready: elapsed,
                 line_fill_complete: elapsed,
-                source: MissSource::Decompressor,
+                source: MissOrigin::Decompressor,
                 index_hit: Some(hit),
                 index_cycles: t_index,
                 machine_check: true,
@@ -797,7 +786,7 @@ impl FetchEngine for CodePackFetch {
         MissService {
             critical_ready,
             line_fill_complete,
-            source: MissSource::Decompressor,
+            source: MissOrigin::Decompressor,
             index_hit: Some(hit),
             index_cycles: t_index,
             machine_check: false,
@@ -978,7 +967,7 @@ mod tests {
         let svc = native.service_miss(0x40_001c, 32);
         assert_eq!(svc.critical_ready, 10);
         assert_eq!(svc.line_fill_complete, 16);
-        assert_eq!(svc.source, MissSource::Memory);
+        assert_eq!(svc.source, MissOrigin::Memory);
     }
 
     #[test]
@@ -991,12 +980,12 @@ mod tests {
             0,
         );
         let first = f.service_miss(0, 32); // line 0 of block 0
-        assert_eq!(first.source, MissSource::Decompressor);
+        assert_eq!(first.source, MissOrigin::Decompressor);
         let second = f.service_miss(32, 32); // line 1 of block 0
-        assert_eq!(second.source, MissSource::OutputBuffer);
+        assert_eq!(second.source, MissOrigin::OutputBuffer);
         assert_eq!(second.critical_ready, BUFFER_HIT_CYCLES);
         let third = f.service_miss(64, 32); // block 1 evicted nothing: buffer misses
-        assert_eq!(third.source, MissSource::Decompressor);
+        assert_eq!(third.source, MissOrigin::Decompressor);
     }
 
     #[test]
@@ -1009,7 +998,7 @@ mod tests {
         let mut f = CodePackFetch::new(image, MemoryTiming::default(), cfg, 0);
         f.service_miss(0, 32);
         let second = f.service_miss(32, 32);
-        assert_eq!(second.source, MissSource::Decompressor);
+        assert_eq!(second.source, MissOrigin::Decompressor);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use fastdecode::{DecodeCounters, FastDecoder, LOOKUP_BITS};
 pub use fastdecode::{TableEntry, TableEntryKind, TableView};
 pub use fetch::{
     decode_schedule, CodePackFetch, DecompressorConfig, FetchEngine, FetchStats, IndexCacheModel,
-    IndexLookup, MissService, MissSource, NativeFetch,
+    IndexLookup, MissService, NativeFetch,
 };
 pub use frame::{
     pack_frame, scan_frame, unpack_frame, FrameError, FrameRegion, FrameSummary, PackOptions,

@@ -10,7 +10,7 @@
 //! the fetch-queue/RUU/LSQ rings, function-unit pools, issue slots, the
 //! resident-line soft-error probe and the cell's [`Obs`] events.
 
-use codepack_core::{FetchEngine, MissSource};
+use codepack_core::FetchEngine;
 use codepack_mem::{Cache, CacheConfig, MemoryTiming, PageTable, SoftErrorConfig};
 use codepack_obs::{names, EventKind, FaultArea, MissOrigin, Obs};
 
@@ -502,15 +502,10 @@ impl Timing {
                 self.pending_machine_check = Some(pc);
                 return None;
             }
-            let origin = match svc.source {
-                MissSource::Memory => MissOrigin::Memory,
-                MissSource::Decompressor => MissOrigin::Decompressor,
-                MissSource::OutputBuffer => MissOrigin::OutputBuffer,
-            };
             (
                 svc.critical_ready,
                 svc.line_fill_complete,
-                origin,
+                svc.source,
                 svc.index_cycles,
             )
         };

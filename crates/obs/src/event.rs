@@ -11,9 +11,8 @@
 
 use std::fmt::Write as _;
 
-/// Where a serviced miss got its instructions from. Mirrors
-/// `codepack_core::MissSource` without depending on it (obs sits below
-/// every other crate in the dependency graph).
+/// Where a serviced miss got its instructions from: the `source` of
+/// every fetch engine's `MissService` and the `origin` of its trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MissOrigin {
     /// Native line fill from main memory.

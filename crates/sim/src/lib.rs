@@ -36,5 +36,5 @@ pub use matrix::{
     run_matrix, run_matrix_observed, run_matrix_with, CellOutcome, FaultKind, FaultPlan,
     InjectedFault, MatrixCell, MatrixOptions, MatrixSpec, MatrixSummary, SimReport,
 };
-pub use report::{fmt_percent, fmt_speedup, Table};
+pub use report::Table;
 pub use run::{SimResult, Simulation};

@@ -350,15 +350,6 @@ impl SimReport {
             .find(|c| c.profile == profile && c.arch == arch && c.model == model)
     }
 
-    /// Speedup of `model` over `baseline` at the same (profile, arch),
-    /// when both cells exist, both completed, and they retired identical
-    /// work — a failed or partial cell yields `None`, never a panic.
-    pub fn speedup(&self, profile: &str, arch: &str, model: &str, baseline: &str) -> Option<f64> {
-        let m = self.cell(profile, arch, model)?.ok()?;
-        let b = self.cell(profile, arch, baseline)?.ok()?;
-        m.checked_speedup_over(b)
-    }
-
     /// Failure totals across the cube.
     pub fn summary(&self) -> MatrixSummary {
         let mut s = MatrixSummary::default();
@@ -1005,25 +996,6 @@ mod tests {
             assert!(spec.archs.iter().any(|x| x.name == a));
         }
         assert!(spec.coordinate(spec.len()).is_none());
-    }
-
-    #[test]
-    fn speedup_lookup_matches_direct_computation() {
-        let report = run_matrix(&tiny_spec(), 1);
-        let s = report
-            .speedup("pegwit", "1-issue", "cp-opt", "native")
-            .unwrap();
-        let direct = report
-            .cell("pegwit", "1-issue", "cp-opt")
-            .unwrap()
-            .expect_ok()
-            .speedup_over(
-                report
-                    .cell("pegwit", "1-issue", "native")
-                    .unwrap()
-                    .expect_ok(),
-            );
-        assert_eq!(s, direct);
     }
 
     #[test]

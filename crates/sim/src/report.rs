@@ -99,16 +99,6 @@ impl Table {
     }
 }
 
-/// Formats a ratio as the paper prints speedups (e.g. `1.14`).
-pub fn fmt_speedup(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Formats a fraction as a percentage (e.g. `61.4%`).
-pub fn fmt_percent(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,11 +133,5 @@ mod tests {
             lines[lines.len() - 2].starts_with('-'),
             "rule before footer"
         );
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_speedup(1.137), "1.14");
-        assert_eq!(fmt_percent(0.614), "61.4%");
     }
 }
