@@ -1,4 +1,6 @@
-//! Implementation of the `cpack` subcommands.
+//! The `cpack` subcommands: [`COMMANDS`] declares each one once (name,
+//! help block, flags, positionals and handler), and `cpack help` renders
+//! it.
 
 use codepack_analyze::{check_frame, lint_compressed, lint_frame, LintReport, Severity};
 use codepack_baselines::{estimate_thumb, CcrpImage, HuffPackImage, InsnDictImage};
@@ -14,26 +16,90 @@ use codepack_sim::{
 };
 use codepack_synth::{generate, BenchmarkProfile};
 
-/// Help text.
-pub const USAGE: &str = "\
-cpack — CodePack code compression toolkit (MICRO-32 1999 reproduction)
+use crate::args::Slot::{Count, Optional, Required};
+use crate::args::Takes::{Each, Nothing, Number, Text, Two};
+use crate::args::{flag, Args, Command, Flag, Slot};
+use crate::loadgen::loadgen;
 
-USAGE:
-    cpack list                          list the benchmark profiles
-    cpack inspect  <FILE.cpk>           print the composition (Tables 3-4) and
-                                        dictionaries of a .cpk frame
-    cpack disasm   <profile> [N]        disassemble the first N instructions (default 32)
-    cpack sim      <profile> [INSNS]    simulate native vs CodePack (default 500000)
-    cpack run      <profile> [INSNS] [--arch 1|4|8] [--model native|cp-base|cp-opt]
+const PROFILE: Slot = Required("<profile>");
+const INSNS: Slot = Count("[INSNS]");
+const JSON: Flag = flag(&["--json"], Nothing);
+const WORKERS: Flag = flag(&["--workers"], Number);
+const JOURNAL: Flag = flag(&["--journal"], Text);
+const RESUME: Flag = flag(&["--resume"], Nothing);
+
+/// Every `cpack` subcommand, in the order `cpack help` lists them.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        help: "    cpack list                          list the benchmark profiles\n",
+        flags: &[],
+        slots: &[],
+        run: list,
+    },
+    Command {
+        name: "inspect",
+        help: "    cpack inspect  <FILE.cpk>           print the composition (Tables 3-4) and
+                                        dictionaries of a .cpk frame\n",
+        flags: &[],
+        slots: &[Required("<FILE.cpk>")],
+        run: inspect,
+    },
+    Command {
+        name: "disasm",
+        help: "    cpack disasm   <profile> [N]        disassemble the first N instructions (default 32)\n",
+        flags: &[],
+        slots: &[PROFILE, Count("[N]")],
+        run: disasm,
+    },
+    Command {
+        name: "sim",
+        help: "    cpack sim      <profile> [INSNS]    simulate native vs CodePack (default 500000)\n",
+        flags: &[],
+        slots: &[PROFILE, INSNS],
+        run: sim,
+    },
+    Command {
+        name: "run",
+        help: "    cpack run      <profile> [INSNS] [--arch 1|4|8] [--model native|cp-base|cp-opt]
                    [--trace FILE.jsonl] [--metrics FILE.json]
                                         one observed run: event trace, metrics
-                                        registry, CPI attribution
-    cpack trace-export <FILE.jsonl> --chrome [-o FILE.json]
+                                        registry, CPI attribution\n",
+        flags: &[
+            flag(&["--arch"], Text),
+            flag(&["--model"], Text),
+            flag(&["--trace"], Text),
+            flag(&["--metrics"], Text),
+        ],
+        slots: &[PROFILE, INSNS],
+        run,
+    },
+    Command {
+        name: "trace-export",
+        help: "    cpack trace-export <FILE.jsonl> --chrome [-o FILE.json]
                                         convert a JSONL trace to Chrome
-                                        trace-event format (chrome://tracing)
-    cpack sweep    <bus|latency|cache|l2> <profile> [INSNS]
-    cpack compare  <profile>            compression ratio across schemes
-    cpack lint     <profile|FILE.cpk> [--json]
+                                        trace-event format (chrome://tracing)\n",
+        flags: &[flag(&["--chrome"], Nothing), flag(&["-o", "--out"], Text)],
+        slots: &[Required("<FILE.jsonl>")],
+        run: trace_export,
+    },
+    Command {
+        name: "sweep",
+        help: "    cpack sweep    <bus|latency|cache|l2> <profile> [INSNS]\n",
+        flags: &[],
+        slots: &[Required("<bus|latency|cache|l2>"), PROFILE, INSNS],
+        run: sweep,
+    },
+    Command {
+        name: "compare",
+        help: "    cpack compare  <profile>            compression ratio across schemes\n",
+        flags: &[],
+        slots: &[PROFILE],
+        run: compare,
+    },
+    Command {
+        name: "lint",
+        help: "    cpack lint     <profile|FILE.cpk> [--json]
                                         sr32lint: static CFG verification
                                         (decode, reachability, branch
                                         targets, call graph, use-before-def
@@ -43,16 +109,28 @@ USAGE:
                                         file — the static frame linter
                                         (chunk extents, CRCs, integrity
                                         trailers, payload decode);
-                                        exits nonzero on any error
-    cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
+                                        exits nonzero on any error\n",
+        flags: &[JSON],
+        slots: &[Required("<profile|FILE.cpk>")],
+        run: lint,
+    },
+    Command {
+        name: "matrix",
+        help: "    cpack matrix   [INSNS] [--workers N] [--json] [--metrics-dir DIR]
                    [--journal DIR] [--resume]
                                         full profile x machine x model sweep;
                                         each cell runs once and is isolated
                                         (a trapping cell degrades, never
                                         aborts), --journal
                                         records completed cells crash-safely
-                                        and --resume runs only the rest
-    cpack profile  <profile> [INSNS] [--out FILE.json] [--top N] [--json]
+                                        and --resume runs only the rest\n",
+        flags: &[WORKERS, JSON, flag(&["--metrics-dir"], Text), JOURNAL, RESUME],
+        slots: &[INSNS],
+        run: matrix,
+    },
+    Command {
+        name: "profile",
+        help: "    cpack profile  <profile> [INSNS] [--out FILE.json] [--top N] [--json]
                                         block-level access profile: run the
                                         benchmark on the 4-issue cp-opt
                                         machine with the per-block profiler
@@ -60,8 +138,20 @@ USAGE:
                                         cumulative hotness curve, working
                                         set, and decode-path counters; --out
                                         writes the versioned profile artifact
-    cpack profile  --diff A.json B.json compare two profile artifacts
-    cpack pack     <profile|FILE|-> [-o FILE|-] [--workers N]
+    cpack profile  --diff A.json B.json compare two profile artifacts\n",
+        flags: &[
+            flag(&["--out", "-o"], Text),
+            flag(&["--top"], Number),
+            JSON,
+            flag(&["--diff"], Two),
+        ],
+        // `--diff` takes no profile; the handler requires it otherwise.
+        slots: &[Optional("<profile>"), INSNS],
+        run: profile,
+    },
+    Command {
+        name: "pack",
+        help: "    cpack pack     <profile|FILE|-> [-o FILE|-] [--workers N]
                    [--integrity none|parity|crc32]
                                         pack a text section into a streaming
                                         .cpk frame (CPKF): a profile name
@@ -70,22 +160,54 @@ USAGE:
                                         32-bit words; group chunks are
                                         encoded in parallel and the output
                                         is byte-identical at any worker
-                                        count (default output: stdout)
-    cpack unpack   <FILE|-> [-o FILE|-] [--workers N]
+                                        count (default output: stdout)\n",
+        flags: &[flag(&["-o"], Text), WORKERS, flag(&["--integrity"], Text)],
+        slots: &[Required("<profile|FILE|->")],
+        run: pack,
+    },
+    Command {
+        name: "unpack",
+        help: "    cpack unpack   <FILE|-> [-o FILE|-] [--workers N]
                                         decode a .cpk frame back to the
                                         original words (little-endian bytes;
-                                        default output: stdout)
-    cpack cat      <FILE|-> [--workers N]
-                                        decode a .cpk frame to stdout
-    cpack faults   [INSNS] [--profile P] [--rates PPB,PPB,..]
+                                        default output: stdout)\n",
+        flags: &[flag(&["-o"], Text), WORKERS],
+        slots: &[Required("<FILE|->")],
+        run: unpack,
+    },
+    Command {
+        name: "cat",
+        help: "    cpack cat      <FILE|-> [--workers N]
+                                        decode a .cpk frame to stdout\n",
+        flags: &[WORKERS],
+        slots: &[Required("<FILE|->")],
+        run: cat,
+    },
+    Command {
+        name: "faults",
+        help: "    cpack faults   [INSNS] [--profile P] [--rates PPB,PPB,..]
                    [--integrity none,parity,crc32] [--workers N] [--json]
                    [--journal DIR] [--resume]
                                         soft-error campaign: sweep fault
                                         rates x integrity configs on the
                                         journaled matrix runner, reporting
                                         detected/recovered/trapped/silent
-                                        and protection slowdown vs native
-    cpack loadgen  [--requests N] [--clients N] [--seed S] [--connect ADDR]
+                                        and protection slowdown vs native\n",
+        flags: &[
+            flag(&["--profile"], Each),
+            flag(&["--rates"], Text),
+            flag(&["--integrity"], Text),
+            WORKERS,
+            JSON,
+            JOURNAL,
+            RESUME,
+        ],
+        slots: &[INSNS],
+        run: faults,
+    },
+    Command {
+        name: "loadgen",
+        help: "    cpack loadgen  [--requests N] [--clients N] [--seed S] [--connect ADDR]
                    [--mode smoke|full] [--out FILE.json] [--deadline-ms D]
                    [--chaos]
                                         drive cpackd with a fixed-seed mixed
@@ -98,11 +220,36 @@ USAGE:
                                         server is used; --chaos adds worker
                                         kills, slow requests, and torn/
                                         garbage frames while asserting zero
-                                        lost or duplicated responses
+                                        lost or duplicated responses\n",
+        flags: &[
+            flag(&["--requests"], Number),
+            flag(&["--clients"], Number),
+            flag(&["--seed"], Number),
+            flag(&["--connect"], Text),
+            flag(&["--mode"], Text),
+            flag(&["--out"], Text),
+            flag(&["--deadline-ms"], Number),
+            flag(&["--chaos"], Nothing),
+        ],
+        slots: &[],
+        run: loadgen,
+    },
+];
 
-Exit codes: 0 success, 1 operation failed (corrupt data, I/O error, lint
-findings, lost responses), 2 command-line misuse.
-";
+/// `cpack help`: a header, every command's help block, and the exit codes.
+pub fn help() -> String {
+    let mut text = String::from(
+        "cpack — CodePack code compression toolkit (MICRO-32 1999 reproduction)\n\nUSAGE:\n",
+    );
+    for command in COMMANDS {
+        text.push_str(command.help);
+    }
+    text.push_str(
+        "\nExit codes: 0 success, 1 operation failed (corrupt data, I/O error, lint\n\
+         findings, lost responses), 2 command-line misuse.\n",
+    );
+    text
+}
 
 const SEED: u64 = 42;
 
@@ -147,24 +294,15 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// A required argument, or the usage error `missing` when it is absent.
-fn required<T>(arg: Option<T>, missing: &str) -> Result<T, CliError> {
-    arg.ok_or_else(|| usage(missing))
-}
-
-/// Parses a numeric argument, naming it as `what` when it is malformed.
-fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, CliError> {
-    v.parse().map_err(|_| usage(format!("bad {what} `{v}`")))
-}
-
-/// Rejects any argument past what a subcommand consumed, so typos and
-/// unsupported flags fail loudly instead of being silently ignored.
-fn no_more(cmd: &str, rest: &[String]) -> Result<(), CliError> {
-    match rest.first() {
-        Some(a) => Err(usage(format!(
-            "{cmd}: unexpected argument `{a}` (see `cpack help` for usage)"
+/// The `--workers` count, `default` when absent; zero is misuse.
+fn workers(args: &Args, default: usize) -> Result<usize, CliError> {
+    match args.count("--workers") {
+        None => Ok(default),
+        Some(0) => Err(usage(format!(
+            "{}: --workers must be at least 1",
+            args.command.name
         ))),
-        None => Ok(()),
+        Some(n) => Ok(n),
     }
 }
 
@@ -189,8 +327,7 @@ fn program_for(name: &str) -> Result<Program, CliError> {
 }
 
 /// `cpack list`
-pub fn list(args: &[String]) -> Result<(), CliError> {
-    no_more("list", args)?;
+fn list(_: &Args) -> Result<(), CliError> {
     let mut t = Table::new(
         ["Profile", "Functions", "Text (approx)", "Character"]
             .map(String::from)
@@ -213,15 +350,12 @@ pub fn list(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack inspect <FILE.cpk>`
-///
-/// Reports a frame's composition from the frame linter's static recount,
-/// so a damaged frame fails with the linter's diagnostics.
-pub fn inspect(args: &[String]) -> Result<(), CliError> {
-    let path = required(args.first(), "inspect: missing .cpk file")?;
-    no_more("inspect", &args[1..])?;
+/// `cpack inspect`: reports a frame's composition from the frame linter's
+/// static recount, so a damaged frame fails with the linter's diagnostics.
+fn inspect(args: &Args) -> Result<(), CliError> {
+    let path = args.required("<FILE.cpk>")?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut report = LintReport::new(path.as_str());
+    let mut report = LintReport::new(path);
     let walk = check_frame(&bytes, &mut report);
     if !report.is_clean() {
         let errors: Vec<&str> = report
@@ -248,19 +382,10 @@ pub fn inspect(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack disasm <profile> [N]`
-pub fn disasm(args: &[String]) -> Result<(), CliError> {
-    let name = required(args.first(), "disasm: missing profile name")?;
-    let count: usize = match args.get(1).map(String::as_str) {
-        None => 32,
-        Some(s) if s.starts_with('-') && s.len() > 1 => {
-            return Err(usage(format!(
-                "disasm: unknown flag `{s}` (see `cpack help` for usage)"
-            )));
-        }
-        Some(s) => parse_num(s, "count")?,
-    };
-    no_more("disasm", args.get(2..).unwrap_or(&[]))?;
+/// `cpack disasm`
+fn disasm(args: &Args) -> Result<(), CliError> {
+    let name = args.required("<profile>")?;
+    let count = args.count("[N]").unwrap_or(32);
     let program = program_for(name)?;
     for (i, &w) in program.text_words().iter().take(count).enumerate() {
         let addr = TEXT_BASE + 4 * i as u32;
@@ -270,17 +395,6 @@ pub fn disasm(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-fn parse_insns(args: &[String], idx: usize, default: u64) -> Result<u64, CliError> {
-    args.get(idx).map_or(Ok(default), |s| {
-        if s.starts_with('-') && s.len() > 1 {
-            return Err(usage(format!(
-                "unknown flag `{s}` (see `cpack help` for usage)"
-            )));
-        }
-        parse_num(s, "instruction count")
-    })
 }
 
 /// Worker threads for the simulation cubes: every core.
@@ -305,11 +419,10 @@ fn native_and_codepack(
     report.cells.iter().map(result).collect()
 }
 
-/// `cpack sim <profile> [INSNS]`
-pub fn sim(args: &[String]) -> Result<(), CliError> {
-    let name = required(args.first(), "sim: missing profile name")?;
-    let insns = parse_insns(args, 1, 500_000)?;
-    no_more("sim", args.get(2..).unwrap_or(&[]))?;
+/// `cpack sim`
+fn sim(args: &Args) -> Result<(), CliError> {
+    let name = args.required("<profile>")?;
+    let insns = args.number("[INSNS]").unwrap_or(500_000);
     let profile = profile_by_name(name)?;
     let results = native_and_codepack(profile, vec![ArchConfig::four_issue()], insns)?;
     let [native, packed, opt] = &results[..] else {
@@ -344,74 +457,35 @@ pub fn sim(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack run <profile> [INSNS] [--arch 1|4|8] [--model native|cp-base|cp-opt]
-/// [--trace FILE] [--metrics FILE]`
-///
-/// One fully observed simulation: the pipeline runs with a live [`Obs`]
-/// handle, streaming typed events to a JSONL trace (`--trace`) and
-/// closing the books into a metrics + CPI-attribution report
-/// (`--metrics`). The printed attribution always sums to measured CPI.
-pub fn run(args: &[String]) -> Result<(), CliError> {
-    const RUN_USAGE: &str = "usage: cpack run <profile> [INSNS] \
-         [--arch 1|4|8] [--model native|cp-base|cp-opt] \
-         [--trace FILE.jsonl] [--metrics FILE.json]";
-    let mut profile: Option<String> = None;
-    let mut insns: Option<u64> = None;
-    let mut arch = ArchConfig::four_issue();
-    let mut model = ("cp-opt", CodeModel::codepack_optimized());
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--arch" => {
-                let v = required(it.next(), "run: --arch needs a machine (1|4|8)")?;
-                arch = match v.as_str() {
-                    "1" | "1-issue" => ArchConfig::one_issue(),
-                    "4" | "4-issue" => ArchConfig::four_issue(),
-                    "8" | "8-issue" => ArchConfig::eight_issue(),
-                    other => return Err(usage(format!("run: unknown arch `{other}` (1|4|8)"))),
-                };
-            }
-            "--model" => {
-                let v = required(it.next(), "run: --model needs a code model")?;
-                model = match v.as_str() {
-                    "native" => ("native", CodeModel::Native),
-                    "cp-base" => ("cp-base", CodeModel::codepack_baseline()),
-                    "cp-opt" => ("cp-opt", CodeModel::codepack_optimized()),
-                    other => {
-                        return Err(usage(format!(
-                            "run: unknown model `{other}` (native|cp-base|cp-opt)"
-                        )))
-                    }
-                };
-            }
-            "--trace" => {
-                trace_path = Some(required(it.next(), "run: --trace needs a file name")?.clone());
-            }
-            "--metrics" => {
-                metrics_path =
-                    Some(required(it.next(), "run: --metrics needs a file name")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(usage(format!("run: unknown flag `{flag}`\n{RUN_USAGE}")));
-            }
-            v if profile.is_none() => profile = Some(v.to_string()),
-            v if insns.is_none() => {
-                insns = Some(parse_num(v, "instruction count")?);
-            }
-            other => {
-                return Err(usage(format!(
-                    "run: unexpected argument `{other}`\n{RUN_USAGE}"
-                )))
-            }
+/// `cpack run`: one fully observed simulation. The pipeline runs with a
+/// live [`Obs`] handle, streaming typed events to a JSONL trace
+/// (`--trace`) and closing the books into a metrics + CPI-attribution
+/// report (`--metrics`). The printed attribution always sums to measured
+/// CPI.
+fn run(args: &Args) -> Result<(), CliError> {
+    let name = args.required("<profile>")?;
+    let arch = match args.text("--arch") {
+        None | Some("4" | "4-issue") => ArchConfig::four_issue(),
+        Some("1" | "1-issue") => ArchConfig::one_issue(),
+        Some("8" | "8-issue") => ArchConfig::eight_issue(),
+        Some(other) => return Err(usage(format!("run: unknown arch `{other}` (1|4|8)"))),
+    };
+    let model = match args.text("--model").unwrap_or("cp-opt") {
+        "native" => ("native", CodeModel::Native),
+        "cp-base" => ("cp-base", CodeModel::codepack_baseline()),
+        "cp-opt" => ("cp-opt", CodeModel::codepack_optimized()),
+        other => {
+            return Err(usage(format!(
+                "run: unknown model `{other}` (native|cp-base|cp-opt)"
+            )))
         }
-    }
-    let name = required(profile, &format!("run: missing profile name\n{RUN_USAGE}"))?;
-    let program = program_for(&name)?;
-    let insns = insns.unwrap_or(500_000);
+    };
+    let trace_path = args.text("--trace");
+    let metrics_path = args.text("--metrics");
+    let program = program_for(name)?;
+    let insns = args.number("[INSNS]").unwrap_or(500_000);
 
-    let obs = match &trace_path {
+    let obs = match trace_path {
         Some(p) => {
             let file = std::fs::File::create(p).map_err(|e| format!("creating {p}: {e}"))?;
             Obs::with_sink(Box::new(JsonlSink::new(Box::new(std::io::BufWriter::new(
@@ -438,69 +512,39 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     println!("events recorded: {}", report.events_recorded);
     print!("{}", report.breakdown.render());
-    if let Some(p) = &trace_path {
+    if let Some(p) = trace_path {
         println!("trace -> {p}");
     }
-    if let Some(p) = &metrics_path {
+    if let Some(p) = metrics_path {
         std::fs::write(p, report.to_json()).map_err(|e| format!("writing {p}: {e}"))?;
         println!("metrics -> {p}");
     }
     Ok(())
 }
 
-/// `cpack trace-export <FILE.jsonl> --chrome [-o FILE.json]`
-///
-/// Converts a `--trace` JSONL document into Chrome trace-event JSON
-/// loadable in `chrome://tracing` or Perfetto.
-pub fn trace_export(args: &[String]) -> Result<(), CliError> {
-    const TE_USAGE: &str = "usage: cpack trace-export <FILE.jsonl> --chrome [-o FILE.json]";
-    let mut input: Option<String> = None;
-    let mut chrome = false;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--chrome" => chrome = true,
-            "-o" | "--out" => {
-                out = Some(required(it.next(), "trace-export: -o needs a file name")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(usage(format!(
-                    "trace-export: unknown flag `{flag}`\n{TE_USAGE}"
-                )));
-            }
-            v if input.is_none() => input = Some(v.to_string()),
-            other => {
-                return Err(usage(format!(
-                    "trace-export: unexpected argument `{other}`\n{TE_USAGE}"
-                )))
-            }
-        }
+/// `cpack trace-export`: converts a `--trace` JSONL document into Chrome
+/// trace-event JSON loadable in `chrome://tracing` or Perfetto.
+fn trace_export(args: &Args) -> Result<(), CliError> {
+    let input = args.required("<FILE.jsonl>")?;
+    if !args.flag("--chrome") {
+        return Err(args.command.misuse("no output format selected (--chrome)"));
     }
-    let input = required(
-        input,
-        &format!("trace-export: missing trace file\n{TE_USAGE}"),
-    )?;
-    if !chrome {
-        return Err(usage(format!(
-            "trace-export: no output format selected (--chrome)\n{TE_USAGE}"
-        )));
-    }
-    let text = std::fs::read_to_string(&input).map_err(|e| format!("reading {input}: {e}"))?;
+    let text = std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
     let events = parse_jsonl(&text).map_err(|e| format!("trace-export: {input}: {e}"))?;
     let doc = chrome_trace_json(&events);
-    let out = out.unwrap_or_else(|| format!("{}.chrome.json", input.trim_end_matches(".jsonl")));
+    let out = args.text("-o").map_or_else(
+        || format!("{}.chrome.json", input.trim_end_matches(".jsonl")),
+        String::from,
+    );
     std::fs::write(&out, doc).map_err(|e| format!("writing {out}: {e}"))?;
     println!("{input}: {} events -> {out}", events.len());
     Ok(())
 }
 
-/// `cpack matrix [INSNS] [--workers N] [--json] [--metrics-dir DIR]
-/// [--journal DIR] [--resume]`
-///
-/// Runs the whole experiment cube — every profile on every Table 2
-/// machine under every code model — on a worker pool, and prints one
-/// table (or JSON). The report is identical for any worker count.
+/// `cpack matrix`: runs the whole experiment cube — every profile on
+/// every Table 2 machine under every code model — on a worker pool, and
+/// prints one table (or JSON). The report is identical for any worker
+/// count.
 ///
 /// Cells are fault-isolated: a trapping cell is recorded in the report
 /// (outcome `trapped`) and the rest of the cube completes, so finishing
@@ -509,53 +553,23 @@ pub fn trace_export(args: &[String]) -> Result<(), CliError> {
 /// journal; `--resume` restores every journaled cell from it, trapped ones
 /// included, and runs only the missing ones, producing byte-identical
 /// output to an uninterrupted run.
-pub fn matrix(args: &[String]) -> Result<(), CliError> {
-    let mut insns: Option<u64> = None;
-    let mut workers = all_cores();
-    let mut json = false;
-    let mut metrics_dir: Option<String> = None;
-    let mut journal_dir: Option<String> = None;
-    let mut resume = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--resume" => resume = true,
-            "--workers" => workers = parse_workers("matrix", it.next()).map_err(usage)?,
-            "--journal" => {
-                journal_dir =
-                    Some(required(it.next(), "matrix: --journal needs a directory")?.clone());
-            }
-            "--metrics-dir" => {
-                metrics_dir =
-                    Some(required(it.next(), "matrix: --metrics-dir needs a directory")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(usage(format!(
-                    "matrix: unknown flag `{flag}` (see `cpack help` for usage)"
-                )));
-            }
-            n => {
-                // One instruction count: a second bare argument is misuse.
-                match (insns, n.parse()) {
-                    (None, Ok(v)) => insns = Some(v),
-                    _ => return Err(usage(format!("matrix: unexpected argument `{n}`"))),
-                }
-            }
-        }
-    }
+fn matrix(args: &Args) -> Result<(), CliError> {
+    let workers = workers(args, all_cores())?;
+    let metrics_dir = args.text("--metrics-dir");
+    let journal_dir = args.text("--journal");
+    let resume = args.flag("--resume");
     if resume && journal_dir.is_none() {
         return Err(usage("matrix: --resume needs --journal DIR"));
     }
-    let spec = MatrixSpec::new(SEED, insns.unwrap_or(200_000));
+    let spec = MatrixSpec::new(SEED, args.number("[INSNS]").unwrap_or(200_000));
     let mut opts = MatrixOptions::new(workers)
         .observed(metrics_dir.is_some())
         .resuming(resume);
-    if let Some(dir) = &journal_dir {
+    if let Some(dir) = journal_dir {
         opts = opts.with_journal(dir);
     }
     let report = run_matrix_with(&spec, &opts).map_err(|e| format!("matrix: {e}"))?;
-    if let Some(dir) = &metrics_dir {
+    if let Some(dir) = metrics_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         for cell in &report.cells {
             let Some(snapshot) = cell.metrics.as_ref() else {
@@ -566,7 +580,7 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
         }
         println!("wrote metrics snapshots to {dir}/");
     }
-    if json {
+    if args.flag("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
@@ -577,73 +591,26 @@ pub fn matrix(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack profile <profile> [INSNS] [--out FILE] [--top N] [--json]`, or
-/// `cpack profile --diff A.json B.json`
-///
-/// Runs one benchmark as one cell (4-issue machine, cp-opt) with the
-/// per-block profiler armed and prints a hot-block report. `--out` writes
-/// the versioned profile artifact — the input contract of the
-/// profile-guided compressor — which is byte-identical across runs at a
-/// fixed seed. `--diff` instead loads two artifacts and reports per-block
-/// fetch movement between them.
-pub fn profile(args: &[String]) -> Result<(), CliError> {
-    const PROFILE_USAGE: &str = "usage: cpack profile <profile> [INSNS] \
-         [--out FILE.json] [--top N] [--json]\n\
-         \x20      cpack profile --diff A.json B.json";
-    let mut name: Option<String> = None;
-    let mut insns: Option<u64> = None;
-    let mut out: Option<String> = None;
-    let mut top = 10usize;
-    let mut json = false;
-    let mut diff: Option<(String, String)> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--out" | "-o" => {
-                out = Some(required(it.next(), "profile: --out needs a file name")?.clone());
-            }
-            "--top" => {
-                let v = required(it.next(), "profile: --top needs a count")?;
-                top = parse_num(v, "top count")?;
-            }
-            "--diff" => {
-                let a = required(it.next(), "profile: --diff needs two files")?.clone();
-                let b = required(it.next(), "profile: --diff needs two files")?.clone();
-                diff = Some((a, b));
-            }
-            flag if flag.starts_with('-') => {
-                return Err(usage(format!(
-                    "profile: unknown flag `{flag}`\n{PROFILE_USAGE}"
-                )));
-            }
-            v if name.is_none() => name = Some(v.to_string()),
-            v if insns.is_none() => {
-                insns = Some(parse_num(v, "instruction count")?);
-            }
-            other => {
-                return Err(usage(format!(
-                    "profile: unexpected argument `{other}`\n{PROFILE_USAGE}"
-                )))
-            }
+/// `cpack profile`: runs one benchmark as one cell (4-issue machine,
+/// cp-opt) with the per-block profiler armed and prints a hot-block
+/// report. `--out` writes the versioned profile artifact — the input
+/// contract of the profile-guided compressor — which is byte-identical
+/// across runs at a fixed seed. `--diff` instead loads two artifacts and
+/// reports per-block fetch movement between them.
+fn profile(args: &Args) -> Result<(), CliError> {
+    let top = args.count("--top").unwrap_or(10);
+    let out = args.text("--out");
+    let json = args.flag("--json");
+    if let [a, b] = args.all("--diff") {
+        if args.text("<profile>").is_some() || out.is_some() || json {
+            return Err(args.command.misuse("--diff takes exactly two artifacts"));
         }
+        return profile_diff(a, b, top);
     }
 
-    if let Some((a, b)) = diff {
-        if name.is_some() || out.is_some() || json {
-            return Err(usage(format!(
-                "profile: --diff takes exactly two artifacts\n{PROFILE_USAGE}"
-            )));
-        }
-        return profile_diff(&a, &b, top);
-    }
-
-    let name = required(
-        name,
-        &format!("profile: missing profile name\n{PROFILE_USAGE}"),
-    )?;
-    let bench = profile_by_name(&name)?;
-    let insns = insns.unwrap_or(200_000);
+    let name = args.required("<profile>")?;
+    let bench = profile_by_name(name)?;
+    let insns = args.number("[INSNS]").unwrap_or(200_000);
     // One cell, so each fetch of the run is counted once.
     let spec = MatrixSpec::new(SEED, insns)
         .with_profiles(vec![bench])
@@ -658,15 +625,15 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
         "profile: no profile collected (no compressed block was ever fetched)".to_string()
     })?;
 
-    if let Some(path) = &out {
+    if let Some(path) = out {
         std::fs::write(path, merged.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
     }
     if json {
         println!("{}", merged.to_json());
     } else {
-        print!("{}", render_profile(&name, insns, &merged, top));
+        print!("{}", render_profile(name, insns, &merged, top));
     }
-    if let Some(path) = &out {
+    if let Some(path) = out {
         eprintln!("profile -> {path}");
     }
     Ok(())
@@ -730,8 +697,8 @@ fn render_profile(name: &str, insns: u64, p: &BlockProfile, top: usize) -> Strin
     out
 }
 
-/// `cpack profile --diff A.json B.json`: loads two artifacts and reports
-/// the blocks whose fetch counts moved the most.
+/// `cpack profile --diff`: loads two artifacts and reports the blocks
+/// whose fetch counts moved the most.
 fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), CliError> {
     let load = |path: &str| -> Result<BlockProfile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -793,72 +760,41 @@ fn profile_diff(a_path: &str, b_path: &str, top: usize) -> Result<(), CliError> 
     Ok(())
 }
 
-/// `cpack faults [INSNS] [--profile P] [--rates PPB,..] [--integrity C,..]
-/// [--workers N] [--json] [--journal DIR] [--resume]`
-pub fn faults(args: &[String]) -> Result<(), CliError> {
-    let mut insns: Option<u64> = None;
-    let mut workers = all_cores();
-    let mut json = false;
-    let mut profiles: Vec<BenchmarkProfile> = Vec::new();
-    let mut rates: Option<Vec<u32>> = None;
-    let mut integrity: Option<Vec<StreamIntegrity>> = None;
-    let mut journal_dir: Option<String> = None;
-    let mut resume = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--resume" => resume = true,
-            "--workers" => workers = parse_workers("faults", it.next()).map_err(usage)?,
-            "--profile" => {
-                let v = required(it.next(), "faults: --profile needs a name")?;
-                profiles.push(profile_by_name(v)?);
-            }
-            "--rates" => {
-                let v = required(it.next(), "faults: --rates needs a ppb list")?;
-                let parsed = v
-                    .split(',')
-                    .map(|r| {
-                        r.parse::<u32>()
-                            .ok()
-                            .filter(|&ppb| u64::from(ppb) <= PPB_SCALE)
-                            .ok_or_else(|| {
-                                usage(format!("bad fault rate `{r}` (ppb, at most 1e9)"))
-                            })
-                    })
-                    .collect::<Result<Vec<u32>, CliError>>()?;
-                rates = Some(parsed);
-            }
-            "--integrity" => {
-                let v = required(it.next(), "faults: --integrity needs a mode list")?;
-                let parsed = v
-                    .split(',')
-                    .map(|c| StreamIntegrity::parse(c).map_err(|e| usage(format!("faults: {e}"))))
-                    .collect::<Result<Vec<StreamIntegrity>, CliError>>()?;
-                integrity = Some(parsed);
-            }
-            "--journal" => {
-                journal_dir =
-                    Some(required(it.next(), "faults: --journal needs a directory")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(usage(format!(
-                    "faults: unknown flag `{flag}` (see `cpack help` for usage)"
-                )));
-            }
-            n => {
-                // One instruction count: a second bare argument is misuse.
-                match (insns, n.parse()) {
-                    (None, Ok(v)) => insns = Some(v),
-                    _ => return Err(usage(format!("faults: unexpected argument `{n}`"))),
-                }
-            }
-        }
-    }
+/// `cpack faults`: a soft-error campaign on the journaled matrix runner.
+fn faults(args: &Args) -> Result<(), CliError> {
+    let workers = workers(args, all_cores())?;
+    let profiles = args
+        .all("--profile")
+        .iter()
+        .map(|name| profile_by_name(name))
+        .collect::<Result<Vec<BenchmarkProfile>, CliError>>()?;
+    let rates = args
+        .text("--rates")
+        .map(|v| {
+            v.split(',')
+                .map(|r| {
+                    r.parse::<u32>()
+                        .ok()
+                        .filter(|&ppb| u64::from(ppb) <= PPB_SCALE)
+                        .ok_or_else(|| usage(format!("bad fault rate `{r}` (ppb, at most 1e9)")))
+                })
+                .collect::<Result<Vec<u32>, CliError>>()
+        })
+        .transpose()?;
+    let integrity = args
+        .text("--integrity")
+        .map(|v| {
+            v.split(',')
+                .map(|c| StreamIntegrity::parse(c).map_err(|e| usage(format!("faults: {e}"))))
+                .collect::<Result<Vec<StreamIntegrity>, CliError>>()
+        })
+        .transpose()?;
+    let journal_dir = args.text("--journal");
+    let resume = args.flag("--resume");
     if resume && journal_dir.is_none() {
         return Err(usage("faults: --resume needs --journal DIR"));
     }
-    let insns = insns.unwrap_or(50_000);
+    let insns = args.number("[INSNS]").unwrap_or(50_000);
     let mut spec = FaultCampaignSpec::new(SEED, insns);
     if !profiles.is_empty() {
         spec = spec.with_profiles(profiles);
@@ -870,11 +806,11 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
         spec = spec.with_integrity(i);
     }
     let mut opts = MatrixOptions::new(workers).resuming(resume);
-    if let Some(dir) = &journal_dir {
+    if let Some(dir) = journal_dir {
         opts = opts.with_journal(dir);
     }
     let report = run_fault_campaign(&spec, &opts).map_err(|e| format!("faults: {e}"))?;
-    if json {
+    if args.flag("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
@@ -891,16 +827,15 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack sweep <bus|latency|cache|l2> <profile> [INSNS]`
-pub fn sweep(args: &[String]) -> Result<(), CliError> {
-    let kind = required(args.first(), "sweep: missing kind (bus|latency|cache|l2)")?;
-    let name = required(args.get(1), "sweep: missing profile name")?;
-    let insns = parse_insns(args, 2, 300_000)?;
-    no_more("sweep", args.get(3..).unwrap_or(&[]))?;
+/// `cpack sweep`
+fn sweep(args: &Args) -> Result<(), CliError> {
+    let kind = args.required("<bus|latency|cache|l2>")?;
+    let name = args.required("<profile>")?;
+    let insns = args.number("[INSNS]").unwrap_or(300_000);
     let profile = profile_by_name(name)?;
 
     let four = ArchConfig::four_issue();
-    let points: Vec<(String, ArchConfig)> = match kind.as_str() {
+    let points: Vec<(String, ArchConfig)> = match kind {
         "bus" => BUS_SWEEP_BITS
             .iter()
             .map(|&b| (format!("{b}-bit"), four.with_bus_bits(b)))
@@ -957,10 +892,9 @@ pub fn sweep(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack compare <profile>`
-pub fn compare(args: &[String]) -> Result<(), CliError> {
-    let name = required(args.first(), "compare: missing profile name")?;
-    no_more("compare", &args[1..])?;
+/// `cpack compare`
+fn compare(args: &Args) -> Result<(), CliError> {
+    let name = args.required("<profile>")?;
     let program = program_for(name)?;
     let text = program.text_words();
     let cp = CodePackImage::compress(text, &CompressionConfig::default());
@@ -1004,47 +938,27 @@ pub fn compare(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack lint <profile|FILE.cpk> [--json]`
-///
-/// Lints a benchmark profile (generate, CFG-verify, compress, verify the
-/// image against the native text) or a `.cpk` frame (the static frame
-/// linter — there is no native reference). Exits nonzero when any
-/// Error-severity diagnostic fires, so CI can gate on it.
-pub fn lint(args: &[String]) -> Result<(), CliError> {
-    let target = required(args.first(), "lint: missing profile name or .cpk file")?;
-    let mut json = false;
-    for a in &args[1..] {
-        match a.as_str() {
-            "--json" => json = true,
-            other => {
-                return Err(usage(format!(
-                    "lint: unexpected argument `{other}` (see `cpack help` for usage)"
-                )))
-            }
-        }
-    }
-
-    let is_profile = BenchmarkProfile::suite().iter().any(|p| p.name == *target);
+/// `cpack lint`: lints a benchmark profile (generate, CFG-verify,
+/// compress, verify the image against the native text) or a `.cpk` frame
+/// (the static frame linter — there is no native reference). Exits
+/// nonzero when any Error-severity diagnostic fires, so CI can gate on it.
+fn lint(args: &Args) -> Result<(), CliError> {
+    let target = args.required("<profile|FILE.cpk>")?;
+    let is_profile = BenchmarkProfile::suite().iter().any(|p| p.name == target);
     let report: LintReport = if is_profile {
         let program = program_for(target)?;
         let image = CodePackImage::compress(program.text_words(), &CompressionConfig::default());
         lint_compressed(&program, &image)
     } else if std::path::Path::new(target).is_file() {
         let bytes = std::fs::read(target).map_err(|e| format!("reading {target}: {e}"))?;
-        lint_frame(&bytes, target.as_str())
+        lint_frame(&bytes, target)
     } else {
         return Err(usage(format!(
             "lint: `{target}` is neither a benchmark profile nor a readable file"
         )));
     };
 
-    finish_lint(&report, json)
-}
-
-/// Prints a lint report in the requested form and maps it to the lint
-/// exit status (clean → `Ok`).
-fn finish_lint(report: &LintReport, json: bool) -> Result<(), CliError> {
-    if json {
+    if args.flag("--json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render());
@@ -1055,11 +969,6 @@ fn finish_lint(report: &LintReport, json: bool) -> Result<(), CliError> {
         Err(format!("lint: {} error(s) in {}", report.errors(), report.target).into())
     }
 }
-
-const PACK_USAGE: &str = "usage: cpack pack <profile|FILE|-> [-o FILE|-] \
-[--workers N] [--integrity none|parity|crc32]";
-const UNPACK_USAGE: &str = "usage: cpack unpack <FILE|-> [-o FILE|-] [--workers N]";
-const CAT_USAGE: &str = "usage: cpack cat <FILE|-> [--workers N]";
 
 /// Reads a frame command's input: `-` is stdin, anything else a file path.
 fn read_input(cmd: &str, path: &str) -> Result<Vec<u8>, String> {
@@ -1089,16 +998,6 @@ fn write_output(cmd: &str, path: &str, bytes: &[u8]) -> Result<(), String> {
     }
 }
 
-/// Parses a `--workers N` value: a count of at least 1.
-fn parse_workers(cmd: &str, v: Option<&String>) -> Result<usize, String> {
-    let v = v.ok_or(format!("{cmd}: --workers needs a count"))?;
-    match v.parse() {
-        Ok(0) => Err(format!("{cmd}: --workers must be at least 1")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("{cmd}: bad worker count `{v}`")),
-    }
-}
-
 /// The instruction words a pack input denotes: a benchmark profile's
 /// synthetic program, or raw little-endian words from a file / stdin.
 fn pack_input_words(input: &str) -> Result<Vec<u32>, String> {
@@ -1118,48 +1017,16 @@ fn pack_input_words(input: &str) -> Result<Vec<u32>, String> {
         .collect())
 }
 
-/// Parses `cpack pack` arguments; errors here are command-line misuse.
-fn pack_args(args: &[String]) -> Result<(String, String, PackOptions), String> {
-    let mut input: Option<&String> = None;
-    let mut out = String::from("-");
+/// `cpack pack`
+fn pack(args: &Args) -> Result<(), CliError> {
     let mut opts = PackOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" => {
-                out = it
-                    .next()
-                    .ok_or(format!("pack: -o needs a file name\n{PACK_USAGE}"))?
-                    .clone();
-            }
-            "--workers" => opts.workers = parse_workers("pack", it.next())?,
-            "--integrity" => {
-                let v = it
-                    .next()
-                    .ok_or(format!("pack: --integrity needs a mode\n{PACK_USAGE}"))?;
-                opts.integrity = StreamIntegrity::parse(v).map_err(|e| format!("pack: {e}"))?;
-            }
-            flag if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(format!("pack: unknown flag `{flag}`\n{PACK_USAGE}"));
-            }
-            other => {
-                if input.is_some() {
-                    return Err(format!("pack: unexpected argument `{other}`\n{PACK_USAGE}"));
-                }
-                input = Some(a);
-            }
-        }
+    opts.workers = workers(args, opts.workers)?;
+    if let Some(mode) = args.text("--integrity") {
+        opts.integrity = StreamIntegrity::parse(mode).map_err(|e| usage(format!("pack: {e}")))?;
     }
-    let input = input.ok_or(format!("pack: missing input\n{PACK_USAGE}"))?;
-    Ok((input.clone(), out, opts))
-}
-
-/// `cpack pack <profile|FILE|-> [-o FILE|-] [--workers N] [--integrity ...]`
-pub fn pack(args: &[String]) -> Result<(), CliError> {
-    let (input, out, opts) = pack_args(args).map_err(CliError::Usage)?;
-    let words = pack_input_words(&input)?;
+    let words = pack_input_words(args.required("<profile|FILE|->")?)?;
     let frame = pack_frame(&words, &opts);
-    write_output("pack", &out, &frame)?;
+    write_output("pack", args.text("-o").unwrap_or("-"), &frame)?;
     eprintln!(
         "pack: {} words ({} bytes) -> {} bytes ({:.1}%), integrity {}, {} worker(s)",
         words.len(),
@@ -1176,41 +1043,6 @@ pub fn pack(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared argument loop of `cpack unpack` and `cpack cat`.
-fn frame_decode_args<'a>(
-    cmd: &str,
-    args: &'a [String],
-    usage: &str,
-    allow_output: bool,
-) -> Result<(&'a String, String, UnpackOptions), String> {
-    let mut input: Option<&String> = None;
-    let mut out = String::from("-");
-    let mut opts = UnpackOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" if allow_output => {
-                out = it
-                    .next()
-                    .ok_or(format!("{cmd}: -o needs a file name\n{usage}"))?
-                    .clone();
-            }
-            "--workers" => opts.workers = parse_workers(cmd, it.next())?,
-            flag if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(format!("{cmd}: unknown flag `{flag}`\n{usage}"));
-            }
-            other => {
-                if input.is_some() {
-                    return Err(format!("{cmd}: unexpected argument `{other}`\n{usage}"));
-                }
-                input = Some(a);
-            }
-        }
-    }
-    let input = input.ok_or(format!("{cmd}: missing input\n{usage}"))?;
-    Ok((input, out, opts))
-}
-
 fn unpack_to(cmd: &str, input: &str, out: &str, opts: &UnpackOptions) -> Result<usize, String> {
     let frame = read_input(cmd, input)?;
     let words = unpack_frame(&frame, opts).map_err(|e| format!("{cmd}: {e}"))?;
@@ -1222,14 +1054,13 @@ fn unpack_to(cmd: &str, input: &str, out: &str, opts: &UnpackOptions) -> Result<
     Ok(words.len())
 }
 
-/// `cpack unpack <FILE|-> [-o FILE|-] [--workers N]`
-///
-/// Exit codes: 0 on success, 1 when the frame is corrupt or I/O fails,
-/// 2 on command-line misuse.
-pub fn unpack(args: &[String]) -> Result<(), CliError> {
-    let (input, out, opts) =
-        frame_decode_args("unpack", args, UNPACK_USAGE, true).map_err(CliError::Usage)?;
-    let n = unpack_to("unpack", input, &out, &opts)?;
+/// `cpack unpack`: exits 1 when the frame is corrupt or I/O fails.
+fn unpack(args: &Args) -> Result<(), CliError> {
+    let opts = UnpackOptions {
+        workers: workers(args, UnpackOptions::default().workers)?,
+    };
+    let out = args.text("-o").unwrap_or("-");
+    let n = unpack_to("unpack", args.required("<FILE|->")?, out, &opts)?;
     eprintln!(
         "unpack: {n} words ({} bytes), {} worker(s)",
         n * 4,
@@ -1238,12 +1069,11 @@ pub fn unpack(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `cpack cat <FILE|-> [--workers N]`
-///
-/// Exit codes mirror `unpack`: corruption exits 1, misuse exits 2.
-pub fn cat(args: &[String]) -> Result<(), CliError> {
-    let (input, _, opts) =
-        frame_decode_args("cat", args, CAT_USAGE, false).map_err(CliError::Usage)?;
-    unpack_to("cat", input, "-", &opts)?;
+/// `cpack cat`: `unpack` to stdout.
+fn cat(args: &Args) -> Result<(), CliError> {
+    let opts = UnpackOptions {
+        workers: workers(args, UnpackOptions::default().workers)?,
+    };
+    unpack_to("cat", args.required("<FILE|->")?, "-", &opts)?;
     Ok(())
 }

@@ -42,10 +42,8 @@ use codepack_svc::{
 };
 use codepack_testkit::{mix_seed, Rng};
 
+use crate::args::Args;
 use crate::commands::CliError;
-
-const LOADGEN_USAGE: &str = "usage: cpack loadgen [--requests N] [--clients N] [--seed S] \
-[--connect ADDR] [--mode smoke|full] [--out FILE.json] [--deadline-ms D] [--chaos]";
 
 /// Distinct payloads in the generated corpus.
 const CORPUS_SIZE: usize = 24;
@@ -61,75 +59,38 @@ struct LoadgenArgs {
     chaos: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<LoadgenArgs, String> {
-    let mut parsed = LoadgenArgs {
-        requests: 20_000,
-        clients: 4,
-        seed: 42,
-        connect: None,
-        mode: "smoke".to_string(),
-        out: None,
-        deadline_ms: 2_000,
-        chaos: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("loadgen: {flag} needs a value\n{LOADGEN_USAGE}"))
-        };
-        match a.as_str() {
-            "--requests" => {
-                parsed.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("loadgen: --requests: {e}\n{LOADGEN_USAGE}"))?;
-            }
-            "--clients" => {
-                parsed.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("loadgen: --clients: {e}\n{LOADGEN_USAGE}"))?;
-                if parsed.clients == 0 {
-                    return Err(format!(
-                        "loadgen: --clients must be at least 1\n{LOADGEN_USAGE}"
-                    ));
-                }
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("loadgen: --seed: {e}\n{LOADGEN_USAGE}"))?;
-            }
-            "--connect" => {
-                let v = value("--connect")?;
-                parsed.connect = Some(
-                    v.parse()
-                        .map_err(|e| format!("loadgen: --connect {v}: {e}\n{LOADGEN_USAGE}"))?,
-                );
-            }
-            "--mode" => {
-                let v = value("--mode")?;
-                if v != "smoke" && v != "full" {
-                    return Err(format!(
-                        "loadgen: --mode must be smoke|full\n{LOADGEN_USAGE}"
-                    ));
-                }
-                parsed.mode = v.clone();
-            }
-            "--out" => parsed.out = Some(value("--out")?.clone()),
-            "--deadline-ms" => {
-                parsed.deadline_ms = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|e| format!("loadgen: --deadline-ms: {e}\n{LOADGEN_USAGE}"))?;
-            }
-            "--chaos" => parsed.chaos = true,
-            other => {
-                return Err(format!(
-                    "loadgen: unknown argument `{other}`\n{LOADGEN_USAGE}"
-                ))
-            }
-        }
+/// Reads loadgen's flags, checking the values the grammar cannot.
+fn loadgen_args(args: &Args) -> Result<LoadgenArgs, CliError> {
+    let clients = args.count("--clients").unwrap_or(4);
+    if clients == 0 {
+        return Err(args.command.misuse("--clients must be at least 1"));
     }
-    Ok(parsed)
+    let connect = args
+        .text("--connect")
+        .map(|v| {
+            v.parse()
+                .map_err(|e| args.command.misuse(format!("--connect {v}: {e}")))
+        })
+        .transpose()?;
+    let mode = args.text("--mode").unwrap_or("smoke");
+    if mode != "smoke" && mode != "full" {
+        return Err(args.command.misuse("--mode must be smoke|full"));
+    }
+    let deadline_ms = args.number("--deadline-ms").unwrap_or(2_000);
+    let deadline_ms = u32::try_from(deadline_ms).map_err(|_| {
+        args.command
+            .misuse(format!("--deadline-ms {deadline_ms} is out of range"))
+    })?;
+    Ok(LoadgenArgs {
+        requests: args.number("--requests").unwrap_or(20_000),
+        clients,
+        seed: args.number("--seed").unwrap_or(42),
+        connect,
+        mode: mode.to_string(),
+        out: args.text("--out").map(String::from),
+        deadline_ms,
+        chaos: args.flag("--chaos"),
+    })
 }
 
 /// One corpus entry: a payload of little-endian words and its
@@ -365,10 +326,9 @@ fn render_json(
     )
 }
 
-/// `cpack loadgen [--requests N] [--clients N] [--seed S] [--connect ADDR]
-/// [--mode smoke|full] [--out FILE.json] [--deadline-ms D] [--chaos]`
-pub fn loadgen(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(CliError::Usage)?;
+/// `cpack loadgen`
+pub fn loadgen(args: &Args) -> Result<(), CliError> {
+    let args = loadgen_args(args)?;
 
     // An in-process server unless pointed at a daemon.
     let in_process = if args.connect.is_none() {

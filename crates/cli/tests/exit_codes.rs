@@ -178,6 +178,63 @@ fn command_line_misuse_exits_two() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
+/// A single-valued flag given twice is misuse naming the flag, never a
+/// silent "last one wins"; a repeatable flag keeps every use.
+#[test]
+fn repeated_single_valued_flags_exit_two() {
+    let a = scratch("twice-a.cpk");
+    let b = scratch("twice-b.cpk");
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for (args, flag) in [
+        (&["pack", "pegwit", "-o", a, "-o", b][..], "-o"),
+        (
+            &["unpack", "x.cpk", "--workers", "1", "--workers", "2"],
+            "--workers",
+        ),
+        (
+            &["run", "pegwit", "100", "--arch", "1", "--arch", "8"],
+            "--arch",
+        ),
+        (
+            &["matrix", "100", "--journal", a, "--journal", b],
+            "--journal",
+        ),
+    ] {
+        let out = cpack(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} given more than once")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(b).exists(), "nothing ran");
+
+    let out = cpack(&[
+        "faults",
+        "300",
+        "--profile",
+        "pegwit",
+        "--profile",
+        "go",
+        "--rates",
+        "0",
+        "--integrity",
+        "none",
+        "--workers",
+        "1",
+        "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let json = String::from_utf8_lossy(&out.stdout);
+    for profile in ["pegwit", "go"] {
+        assert!(
+            json.contains(&format!("\"{profile}\"")),
+            "{profile}: {json}"
+        );
+    }
+}
+
 #[test]
 fn loadgen_smoke_exits_zero_and_emits_scorecard() {
     let out_file = scratch("bench_service_smoke.json");
